@@ -98,12 +98,7 @@ def holevo_information(ensemble: Ensemble) -> float:
     """H(average state) - average of member entropies, in bits."""
     if ensemble.kind != "states":
         raise InvariantError("holevo_information expects a state ensemble")
-    probs = ensemble.probabilities
-    states = ensemble.payloads
-    avg = sum(p * s.entries for p, s in zip(probs, states))
-    h_avg = qmath.entropy_of_spectrum(np.linalg.eigvalsh(qmath.hermitize(avg)))
-    h_members = sum(p * qmath.von_neumann_entropy(s) for p, s in zip(probs, states))
-    return float(h_avg - h_members)
+    return qmath.holevo_quantity(ensemble.probabilities, [s.entries for s in ensemble.payloads])
 
 
 def _split_factors(rho: DensityMatrix, a_factors: Sequence[int]):
@@ -390,8 +385,7 @@ def random_separable(
     for w in weights:
         vec = np.ones(1, dtype=complex)
         for d in dims:
-            amp = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            vec = np.kron(vec, amp / np.linalg.norm(amp))
+            vec = np.kron(vec, qmath.haar_vectors(rng, 1, d)[0])
         acc += w * np.outer(vec, vec.conj())
     return DensityMatrix(dims, qmath.hermitize(acc))
 

@@ -275,10 +275,7 @@ def random_unitary(d: int, seed) -> np.ndarray:
     """Haar-distributed unitary: QR of a Ginibre matrix with R-phase correction."""
     rng = as_rng(seed)
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r).copy()
-    diag[np.abs(diag) < 1e-300] = 1.0
-    return q * (diag / np.abs(diag))
+    return qmath.positive_qr(z)
 
 
 def random_isometry(d_rows: int, d_cols: int, seed) -> np.ndarray:
@@ -287,10 +284,7 @@ def random_isometry(d_rows: int, d_cols: int, seed) -> np.ndarray:
         raise DimensionMismatchError(f"no isometry with {d_rows} rows and {d_cols} columns")
     rng = as_rng(seed)
     z = (rng.standard_normal((d_rows, d_cols)) + 1j * rng.standard_normal((d_rows, d_cols)))
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r).copy()
-    diag[np.abs(diag) < 1e-300] = 1.0
-    return q * (diag / np.abs(diag))
+    return qmath.positive_qr(z)
 
 
 def random_state(dims: Sequence[int], rank: int, seed) -> DensityMatrix:
@@ -306,9 +300,7 @@ def random_state(dims: Sequence[int], rank: int, seed) -> DensityMatrix:
 def random_pure(dims: Sequence[int], seed) -> qmath.PureState:
     rng = as_rng(seed)
     dims = tuple(int(d) for d in dims)
-    side = int(np.prod(dims))
-    amps = rng.standard_normal(side) + 1j * rng.standard_normal(side)
-    return qmath.PureState(dims, amps / np.linalg.norm(amps))
+    return qmath.PureState(dims, qmath.haar_vectors(rng, 1, int(np.prod(dims)))[0])
 
 
 def random_channel(d_in: int, d_out: int, d_env: int, seed) -> QuantumChannel:

@@ -20,7 +20,7 @@ import numpy as np
 from . import channels as ch
 from . import qmath
 from .channels import QuantumChannel, StinespringIsometry
-from .errors import DimensionMismatchError
+from .errors import ConvergenceError, DimensionMismatchError
 from .qmath import DensityMatrix, LOG2E, hermitize
 
 # Eigenvalues are clamped at this floor inside logarithms so that entropy
@@ -74,10 +74,11 @@ class OptReport:
 
 def qr_retract(matrix: np.ndarray) -> np.ndarray:
     """QR-based retraction onto the Stiefel manifold (R-diagonal made positive)."""
-    q, r = np.linalg.qr(matrix)
-    diag = np.diagonal(r).copy()
-    diag[np.abs(diag) < 1e-300] = 1.0
-    return q * (diag / np.abs(diag))
+    return qmath.positive_qr(matrix)
+
+
+def _log2_clamped(lam: np.ndarray) -> np.ndarray:
+    return np.log2(np.clip(lam, LOG_CLAMP, None))
 
 
 def tangent_project(v: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -101,7 +102,9 @@ def stiefel_minimize(
     ``cfg.restarts`` Haar-random restarts.  When ``floor`` is given and
     ``cfg.stop_at_floor`` is set, remaining restarts are skipped as soon as a
     restart reaches the floor (an analytic lower bound supplied by the
-    caller); skipped restarts are counted in the report.
+    caller); skipped restarts are counted in the report.  Restarts that end
+    on a non-finite value are never chosen as best; if every restart does,
+    ``ConvergenceError`` is raised.
     """
     cfg = cfg or OptConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -117,11 +120,12 @@ def stiefel_minimize(
     skipped = 0
 
     for idx, start in enumerate(starts):
+        finite = [f for f in values if math.isfinite(f)]
         if (
             floor is not None
             and cfg.stop_at_floor
-            and values
-            and min(values) <= floor + FLOOR_SLACK
+            and finite
+            and min(finite) <= floor + FLOOR_SLACK
         ):
             skipped = len(starts) - idx
             break
@@ -166,7 +170,12 @@ def stiefel_minimize(
         points.append(v)
         converged_flags.append(restart_converged)
 
-    best = int(np.argmin(values))
+    finite_restarts = [i for i, f in enumerate(values) if math.isfinite(f)]
+    if not finite_restarts:
+        raise ConvergenceError(
+            f"all {len(values)} restarts ended on a non-finite objective value"
+        )
+    best = min(finite_restarts, key=values.__getitem__)
     return OptReport(
         value=float(values[best]),
         isometry=points[best],
@@ -263,13 +272,6 @@ class _OutputEntropyProblem:
 
     # -- gradient ----------------------------------------------------------
 
-    @staticmethod
-    def _entropy_derivative(state: np.ndarray) -> np.ndarray:
-        """dH(X)/dX = -(log2 X + log2 e), with eigenvalues clamped away from 0."""
-        lam, vec = np.linalg.eigh(hermitize(state))
-        lam = np.clip(lam, LOG_CLAMP, None)
-        return -(vec * (np.log2(lam) + LOG2E)) @ vec.conj().T
-
     def gradient_for_weight(self, v: np.ndarray, l_signal: np.ndarray) -> np.ndarray:
         """Euclidean gradient of Tr[l_signal * signal(V)] (for Hermitian l_signal)."""
         y = self.output_tensor(v)
@@ -281,7 +283,10 @@ class _OutputEntropyProblem:
 
     def gradient(self, v: np.ndarray) -> np.ndarray:
         """Euclidean gradient of H(signal(V)); df = Re <grad, dV>."""
-        l_signal = self._entropy_derivative(self.signal_state(v))
+        # dH(X)/dX = -(log2 X + log2 e), with eigenvalues clamped away from 0.
+        l_signal = qmath.hermitian_function(
+            self.signal_state(v), lambda lam: -(_log2_clamped(lam) + LOG2E)
+        )
         return self.gradient_for_weight(v, l_signal)
 
     # -- probe embedding ----------------------------------------------------
@@ -360,37 +365,9 @@ def entropy_gradient(
     return problem.gradient(iso.v)
 
 
-def min_output_entropy_floor(rho: DensityMatrix, factor: int, d_out: int) -> float:
-    """Analytic lower bound max(0, H(rho_rest) - log2 d_out)."""
-    rest = [i for i in range(rho.n_factors) if i != factor]
-    h_rest = qmath.von_neumann_entropy(qmath.partial_trace(rho, rest))
-    return max(0.0, h_rest - math.log2(d_out))
-
-
 # ---------------------------------------------------------------------------
 # Ensemble optimization for generalized (noisy) dense coding
 # ---------------------------------------------------------------------------
-
-
-def holevo_of_signals(p: np.ndarray, signals: list[np.ndarray]) -> float:
-    avg = sum(pi * s for pi, s in zip(p, signals))
-    h_avg = qmath.entropy_of_spectrum(np.linalg.eigvalsh(hermitize(avg)))
-    h_members = sum(
-        pi * qmath.entropy_of_spectrum(np.linalg.eigvalsh(hermitize(s)))
-        for pi, s in zip(p, signals)
-    )
-    return float(h_avg - h_members)
-
-
-def _relative_entropy_raw(a: np.ndarray, b: np.ndarray) -> float:
-    lam_a, vec_a = np.linalg.eigh(hermitize(a))
-    lam_b, vec_b = np.linalg.eigh(hermitize(b))
-    lam_a = np.clip(lam_a, 0.0, None)
-    term_a = float(np.sum(lam_a[lam_a > qmath.EIG_CUTOFF] * np.log2(lam_a[lam_a > qmath.EIG_CUTOFF])))
-    weights = np.einsum("ij,jk,ki->i", vec_b.conj().T, a, vec_b).real
-    lam_b = np.clip(lam_b, LOG_CLAMP, None)
-    term_b = float(np.sum(weights * np.log2(lam_b)))
-    return term_a - term_b
 
 
 @dataclass
@@ -455,20 +432,25 @@ def optimize_ensemble(
 
     p = np.full(m, 1.0 / m)
     signals = [problem.signal_state(v) for v in isometries]
-    value = holevo_of_signals(p, signals)
+    value = qmath.holevo_quantity(p, signals)
     history = [value]
 
     for _ in range(cfg.ensemble_sweeps):
-        # Simplex step: exponentiated reweighting by D(signal_i || average).
+        # Simplex step: exponentiated reweighting by the relative entropies
+        # D(s_i || avg) = -H(s_i) - Tr s_i log2 avg, with avg's spectrum clamped.
+        h_signals = np.array(
+            [qmath.entropy_of_spectrum(np.linalg.eigvalsh(hermitize(s))) for s in signals]
+        )
         for _ in range(cfg.blahut_steps):
             avg = sum(pi * s for pi, s in zip(p, signals))
-            dvals = np.array([_relative_entropy_raw(s, avg) for s in signals])
+            log_avg = qmath.hermitian_function(avg, _log2_clamped)
+            dvals = -h_signals - np.array([np.vdot(s, log_avg).real for s in signals])
             new_p = p * np.power(2.0, dvals - dvals.max())
             total = new_p.sum()
             if total <= 0:
                 break
             new_p /= total
-            new_value = holevo_of_signals(new_p, signals)
+            new_value = qmath.holevo_quantity(new_p, signals)
             if new_value < value - 1e-12:
                 break
             p, value = new_p, new_value
@@ -481,10 +463,8 @@ def optimize_ensemble(
             step = cfg.init_step
             for _ in range(cfg.ensemble_inner_steps):
                 avg = sum(pi * s for pi, s in zip(p, signals))
-                lam_i, vec_i = np.linalg.eigh(hermitize(signals[i]))
-                lam_a, vec_a = np.linalg.eigh(hermitize(avg))
-                log_i = (vec_i * np.log2(np.clip(lam_i, LOG_CLAMP, None))) @ vec_i.conj().T
-                log_a = (vec_a * np.log2(np.clip(lam_a, LOG_CLAMP, None))) @ vec_a.conj().T
+                log_i = qmath.hermitian_function(signals[i], _log2_clamped)
+                log_a = qmath.hermitian_function(avg, _log2_clamped)
                 l_signal = float(p[i]) * (log_i - log_a)
                 g = tangent_project(v, problem.gradient_for_weight(v, l_signal))
                 gn = float(np.linalg.norm(g))
@@ -497,7 +477,7 @@ def optimize_ensemble(
                     cand_signal = problem.signal_state(cand)
                     trial = list(signals)
                     trial[i] = cand_signal
-                    cand_value = holevo_of_signals(p, trial)
+                    cand_value = qmath.holevo_quantity(p, trial)
                     if cand_value >= value + cfg.armijo * t * gn * gn:
                         improved = True
                         break

@@ -248,14 +248,19 @@ def unitary_map_distance(u: np.ndarray, v: np.ndarray) -> float:
     return 2.0 * math.sin(span / 2.0)
 
 
-def _channel_minus_unitary_td(kraus: Sequence[np.ndarray], target: np.ndarray, z: np.ndarray):
-    zz = np.outer(z, z.conj())
-    out = sum(k @ zz @ k.conj().T for k in kraus)
-    delta = target @ zz @ target.conj().T - out
-    lam, vec = np.linalg.eigh(hermitize(delta))
-    td = float(np.abs(lam).sum())
-    sign = (vec * np.sign(lam)) @ vec.conj().T
-    return td, sign
+def _projectors(vectors: np.ndarray) -> np.ndarray:
+    """|v><v| for every vector on the last axis."""
+    return np.einsum("...a,...b->...ab", vectors, vectors.conj())
+
+
+def _conjugation_gaps(kraus, target: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """T z z† T† - sum_k K_k z z† K_k† for every input row z, stacked.
+
+    Its trace norm (``qmath.hermitian_trace_norm``) is the trace distance of
+    the target conjugation to the channel on that input.
+    """
+    kz = np.einsum("kab,sb->ska", np.asarray(kraus), inputs)
+    return _projectors(inputs @ target.T) - np.einsum("ska,skb->sab", kz, kz.conj())
 
 
 def estimate_sup_error(
@@ -272,21 +277,19 @@ def estimate_sup_error(
     never exceeds 2.
     """
     rng = ch.as_rng(seed)
+    kraus = np.asarray(kraus)
     d = target.shape[0]
-    best_td = 0.0
-    best_z = None
-    for _ in range(n_samples):
-        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        z /= np.linalg.norm(z)
-        td, _ = _channel_minus_unitary_td(kraus, target, z)
-        if td > best_td:
-            best_td, best_z = td, z
-    if best_z is None:
-        best_z = np.zeros(d, dtype=complex)
-        best_z[0] = 1.0
-    z = best_z
+    samples = qmath.haar_vectors(rng, n_samples, d)
+    tds = qmath.hermitian_trace_norm(_conjugation_gaps(kraus, target, samples))
+    if tds.size and tds.max() > 0.0:
+        z = samples[int(np.argmax(tds))]
+    else:
+        z = np.zeros(d, dtype=complex)
+        z[0] = 1.0
     step = 0.2
-    td, sign = _channel_minus_unitary_td(kraus, target, z)
+    delta = _conjugation_gaps(kraus, target, z[None, :])[0]
+    td = float(qmath.hermitian_trace_norm(delta))
+    sign = qmath.hermitian_function(delta, np.sign)
     for _ in range(ascent_steps):
         grad = 2.0 * (
             target.conj().T @ sign @ target @ z
@@ -298,9 +301,11 @@ def estimate_sup_error(
             break
         cand = z + step * grad / gn
         cand /= np.linalg.norm(cand)
-        td_c, sign_c = _channel_minus_unitary_td(kraus, target, cand)
+        delta = _conjugation_gaps(kraus, target, cand[None, :])[0]
+        td_c = float(qmath.hermitian_trace_norm(delta))
         if td_c > td:
-            z, td, sign = cand, td_c, sign_c
+            z, td = cand, td_c
+            sign = qmath.hermitian_function(delta, np.sign)
             step = min(0.5, step * 1.5)
         else:
             step *= 0.5
@@ -501,10 +506,7 @@ def random_program_instance(seed) -> tuple[ProgrammableGate, PureState, PureStat
         g = int(rng.integers(0, n_groups))
         members = [i for i, gi in enumerate(group_of) if gi == g]
         amps = np.zeros(len(blocks), dtype=complex)
-        coeffs = rng.standard_normal(len(members)) + 1j * rng.standard_normal(len(members))
-        for i, c in zip(members, coeffs):
-            amps[i] = c
-        amps /= np.linalg.norm(amps)
+        amps[members] = qmath.haar_vectors(rng, 1, len(members))[0]
         return PureState((len(blocks),), amps)
 
     return gate, random_program(), random_program()
@@ -641,12 +643,12 @@ def net_gate_around(
     for _ in range(8):
         atoms = []
         for t in targets:
-            for _ in range(n_atoms_per_target):
-                h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-                h = hermitize(h)
-                h *= spread / max(1e-30, float(np.linalg.norm(np.linalg.eigvalsh(h), ord=np.inf)))
-                lam, vec = np.linalg.eigh(h)
-                atoms.append(t @ ((vec * np.exp(-1j * lam)) @ vec.conj().T))
+            # Hermitian generators of spectral radius ``spread``; atoms t exp(-iH).
+            g = rng.standard_normal((n_atoms_per_target, 2, d, d))
+            h = hermitize(g[:, 0] + 1j * g[:, 1])
+            radius = np.abs(np.linalg.eigvalsh(h)).max(axis=-1)
+            h *= (spread / np.maximum(1e-30, radius))[:, None, None]
+            atoms.extend(t @ qmath.hermitian_function(h, lambda lam: np.exp(-1j * lam)))
         atoms.extend(ch.random_unitary(d, rng) for _ in range(n_decoys))
         if len(atoms) > MAX_PROGRAM_DIM:
             raise SizeGuardError("target-local net exceeds the program register guard")
@@ -717,15 +719,8 @@ def _mixture_avg_error(
     target: np.ndarray,
     inputs: np.ndarray,
 ) -> float:
-    total = 0.0
-    for z in inputs:
-        zz = np.outer(z, z.conj())
-        out = np.zeros_like(zz)
-        for (j, l), w in weights.items():
-            v = np.kron(blocks1[j], blocks2[l])
-            out += w * (v @ zz @ v.conj().T)
-        total += qmath.trace_norm(target @ zz @ target.conj().T - out)
-    return total / len(inputs)
+    kraus = [math.sqrt(w) * np.kron(blocks1[j], blocks2[l]) for (j, l), w in weights.items()]
+    return float(np.mean(qmath.hermitian_trace_norm(_conjugation_gaps(kraus, target, inputs))))
 
 
 def _frank_wolfe_polish(
@@ -738,47 +733,34 @@ def _frank_wolfe_polish(
     iterations: int,
 ) -> tuple[dict[tuple[int, int], float], float]:
     """Convex minimization of the average trace distance over pair mixtures."""
-    s_count = len(inputs)
     pair_index = {pair: i for i, pair in enumerate(candidate_pairs)}
     # Y[p, s, :] = (V_j (x) V_l) z_s for candidate pair p.
     y = np.stack(
         [inputs @ np.kron(blocks1[j], blocks2[l]).T for (j, l) in candidate_pairs]
     )
-    t_out = inputs @ target.T
-    targets = np.einsum("sa,sb->sab", t_out, t_out.conj())
+    targets = _projectors(inputs @ target.T)
 
     w = np.zeros(len(candidate_pairs))
     for pair, weight in start.items():
         w[pair_index[pair]] = weight
     out = np.einsum("p,psa,psb->sab", w, y, y.conj())
-
-    def value_of(out_states: np.ndarray) -> float:
-        total = 0.0
-        for s in range(s_count):
-            total += qmath.trace_norm(targets[s] - out_states[s])
-        return total / s_count
-
-    value = value_of(out)
+    value = float(np.mean(qmath.hermitian_trace_norm(targets - out)))
+    # The step-size ladder is evaluated at once; the largest improving step wins.
+    gammas = np.array([1.0, 0.5, 0.25, 0.1, 0.05, 0.02, 0.008])
     for _ in range(iterations):
-        signs = np.empty_like(targets)
-        for s in range(s_count):
-            lam, vec = np.linalg.eigh(hermitize(targets[s] - out[s]))
-            signs[s] = (vec * np.sign(lam)) @ vec.conj().T
+        signs = qmath.hermitian_function(targets - out, np.sign)
         grad = -np.mean(np.einsum("psa,sab,psb->ps", y.conj(), signs, y).real, axis=1)
         best = int(np.argmin(grad))
-        vertex = np.einsum("sa,sb->sab", y[best], y[best].conj())
-        improved = False
-        for gamma in (1.0, 0.5, 0.25, 0.1, 0.05, 0.02, 0.008):
-            trial_out = (1.0 - gamma) * out + gamma * vertex
-            trial_value = value_of(trial_out)
-            if trial_value < value - 1e-12:
-                w *= 1.0 - gamma
-                w[best] += gamma
-                out, value = trial_out, trial_value
-                improved = True
-                break
-        if not improved:
+        g = gammas[:, None, None, None]
+        trial_outs = (1.0 - g) * out + g * _projectors(y[best])
+        trial_values = np.mean(qmath.hermitian_trace_norm(targets - trial_outs), axis=1)
+        improving = np.nonzero(trial_values < value - 1e-12)[0]
+        if not improving.size:
             break
+        step = int(improving[0])
+        w *= 1.0 - gammas[step]
+        w[best] += gammas[step]
+        out, value = trial_outs[step], float(trial_values[step])
     weights = {
         candidate_pairs[i]: float(w[i]) for i in np.nonzero(w > 1e-10)[0]
     }
@@ -792,10 +774,7 @@ def _witness_control_path(g1, g2, target, cfg: WitnessConfig):
     n1, n2 = len(blocks1), len(blocks2)
     d = g1.d_data * g2.d_data
     rng = np.random.default_rng(cfg.seed)
-    inputs = np.empty((cfg.n_inputs, d), dtype=complex)
-    for s in range(cfg.n_inputs):
-        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        inputs[s] = z / np.linalg.norm(z)
+    inputs = qmath.haar_vectors(rng, cfg.n_inputs, d)
 
     # Candidate pair selection: everything when small, otherwise per-factor
     # shortlists around the target's operator-Schmidt factors plus a sample.
@@ -896,37 +875,24 @@ def _witness_general_path(g1, g2, target, cfg: WitnessConfig):
     gate = tensor_gates(g1, g2)
     d = gate.d_data
     rng = np.random.default_rng(cfg.seed)
-    inputs = np.empty((cfg.n_inputs, d), dtype=complex)
-    for s in range(cfg.n_inputs):
-        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        inputs[s] = z / np.linalg.norm(z)
+    inputs = qmath.haar_vectors(rng, cfg.n_inputs, d)
     g4 = gate.matrix.reshape(d, dp, d, dp)
 
     def channel_of(psi_vec: np.ndarray):
         return np.einsum("akbq,q->kab", g4, psi_vec)
 
     def fun(v: np.ndarray) -> float:
-        psi = v[:, 0]
-        kraus = channel_of(psi)
-        total = 0.0
-        for z in inputs:
-            zz = np.outer(z, z.conj())
-            out = np.einsum("kab,bc,kdc->ad", kraus, zz, kraus.conj())
-            total += qmath.trace_norm(target @ zz @ target.conj().T - out)
-        return total / len(inputs)
+        gaps = _conjugation_gaps(channel_of(v[:, 0]), target, inputs)
+        return float(np.mean(qmath.hermitian_trace_norm(gaps)))
 
     def grad(v: np.ndarray) -> np.ndarray:
-        psi = v[:, 0]
-        kraus = channel_of(psi)
-        acc = np.zeros(dp, dtype=complex)
-        for z in inputs:
-            zz = np.outer(z, z.conj())
-            out = np.einsum("kab,bc,kdc->ad", kraus, zz, kraus.conj())
-            delta = target @ zz @ target.conj().T - out
-            lam, vec = np.linalg.eigh(hermitize(delta))
-            sign = (vec * np.sign(lam)) @ vec.conj().T
-            t_k = np.einsum("bc,kdc,de->kbe", zz, kraus.conj(), sign)
-            acc += -np.einsum("kba,akbq->q", t_k, g4)
+        # d/dpsi of the mean trace distance, with sign(Delta_s) as subgradient:
+        # -2/S sum_s z_s^b (K z_s)^*_d sign_s[d, a] g4[a, k, b, q].
+        kraus = channel_of(v[:, 0])
+        signs = qmath.hermitian_function(_conjugation_gaps(kraus, target, inputs), np.sign)
+        kz = np.einsum("kab,sb->ska", kraus, inputs)
+        u = np.einsum("skd,sda->ska", kz.conj(), signs)
+        acc = -np.einsum("sb,ska,akbq->q", inputs, u, g4, optimize=True)
         return (2.0 * acc / len(inputs)).reshape(dp, 1)
 
     report = opt.stiefel_minimize(
@@ -1040,9 +1006,7 @@ def emulate_encoding(
     e0 = np.zeros(d_env, dtype=complex)
     e0[0] = 1.0
     worst = 0.0
-    for _ in range(n_samples):
-        z = rng.standard_normal(d_in) + 1j * rng.standard_normal(d_in)
-        z /= np.linalg.norm(z)
+    for z in qmath.haar_vectors(rng, n_samples, d_in):
         sigma = qmath.DensityMatrix((d_in,), np.outer(z, z.conj()))
         truth = ch.apply(channel, sigma)
         lifted = np.kron(z, e0)

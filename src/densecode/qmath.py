@@ -34,8 +34,57 @@ def _as_complex(matrix) -> np.ndarray:
 
 
 def hermitize(matrix: np.ndarray) -> np.ndarray:
-    """(M + M†)/2, used before eigendecompositions to suppress drift."""
-    return 0.5 * (matrix + matrix.conj().T)
+    """(M + M†)/2, used before eigendecompositions to suppress drift.
+
+    Acts on the last two axes, so a stack of matrices is hermitized at once.
+    """
+    return 0.5 * (matrix + matrix.conj().swapaxes(-1, -2))
+
+
+def hermitian_function(matrix: np.ndarray, fn) -> np.ndarray:
+    """fn(H) = V fn(Λ) V† for the Hermitian part H = V Λ V† of a (stack of) matrices.
+
+    ``fn`` maps the eigenvalue array (last axis) to the new spectrum, e.g. a
+    clamped logarithm, ``np.sign`` or ``exp(-i λ)``.
+    """
+    lam, vec = np.linalg.eigh(hermitize(matrix))
+    return (vec * fn(lam)[..., None, :]) @ vec.conj().swapaxes(-1, -2)
+
+
+def hermitian_trace_norm(matrix: np.ndarray) -> np.ndarray:
+    """||H||_1 = Σ|eigvalsh(H)| of the Hermitian part, batched over leading axes.
+
+    For Hermitian differences (e.g. of density matrices) this equals the
+    singular-value sum that ``trace_norm`` computes, at the cost of one
+    Hermitian eigensolve instead of an SVD.
+    """
+    return np.abs(np.linalg.eigvalsh(hermitize(matrix))).sum(axis=-1)
+
+
+def positive_qr(matrix: np.ndarray) -> np.ndarray:
+    """Q factor of a QR decomposition with the diagonal of R made real positive.
+
+    The phase fix makes Q a function of the column span alone: on a Ginibre
+    matrix it is Haar-distributed, on V + tangent step it is the QR
+    retraction onto the Stiefel manifold.
+    """
+    q, r = np.linalg.qr(matrix)
+    diag = np.diagonal(r).copy()
+    diag[np.abs(diag) < 1e-300] = 1.0
+    return q * (diag / np.abs(diag))
+
+
+def haar_vectors(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """n Haar-random unit vectors in C^d, one per row.
+
+    Draws the same stream as a loop of ``standard_normal(d) + 1j *
+    standard_normal(d)`` per row, so row s equals that loop's s-th vector.
+    """
+    g = rng.standard_normal((n, 2, d))
+    z = g[:, 0] + 1j * g[:, 1]
+    # The vector norm of each row, not a batched norm whose summation order
+    # differs, keeps the rows bit-identical to the loop's normalized vectors.
+    return z / np.array([np.linalg.norm(row) for row in z]).reshape(-1, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,6 +282,17 @@ def entropy_of_spectrum(eigs: np.ndarray) -> float:
     if lam.size == 0:
         return 0.0
     return float(-np.sum(lam * np.log2(lam)))
+
+
+def holevo_quantity(probs: Sequence[float], matrices: Sequence[np.ndarray]) -> float:
+    """H(Σ p_i ρ_i) - Σ p_i H(ρ_i) in bits, on raw density matrices."""
+    avg = sum(p * m for p, m in zip(probs, matrices))
+    h_avg = entropy_of_spectrum(np.linalg.eigvalsh(hermitize(avg)))
+    h_members = sum(
+        p * entropy_of_spectrum(np.linalg.eigvalsh(hermitize(m)))
+        for p, m in zip(probs, matrices)
+    )
+    return float(h_avg - h_members)
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +51,21 @@ class TestEntropyCommand:
         bad.write_text('{"dims": [2], "matrix": [[[1.5,0],[0,0]],[[0,0],[-0.5,0]]]}')
         code, _, err = run_cli(capsys, ["entropy", str(bad)])
         assert code == 3
+
+    def test_module_entry_point(self, capsys):
+        bell = str(fixture_path("bell.json"))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "densecode.cli", "entropy", bell],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        _, doc, _ = run_json(capsys, ["entropy", bell])
+        assert json.loads(proc.stdout)["H"] == doc["H"]
 
 
 class TestDcCommand:

@@ -6,6 +6,7 @@ import pytest
 from densecode import channels as ch
 from densecode import optimize as opt
 from densecode import qmath
+from densecode.errors import ConvergenceError
 
 
 def finite_difference_directional(fun, v, direction, h=1e-5):
@@ -60,6 +61,26 @@ class TestStiefelMinimize:
         report = opt.stiefel_minimize(fun, grad, 4, 2, cfg)
         assert not report.converged
         assert report.value == 1.0
+
+    def test_non_finite_restart_is_never_best(self):
+        # The objective is NaN near e0, which is also a critical point, so the
+        # restart started there stays NaN; np.argmin would pick it as best.
+        a = np.diag([3.0, 2.0, 1.0]).astype(complex)
+        fun = lambda v: math.nan if abs(v[0, 0]) > 0.999 else float(np.vdot(v, a @ v).real)
+        grad = lambda v: 2.0 * a @ v
+        e0 = np.zeros((3, 1), dtype=complex)
+        e0[0, 0] = 1.0
+        cfg = opt.OptConfig(restarts=2, seed=12)
+        report = opt.stiefel_minimize(fun, grad, 3, 1, cfg, initial_points=[e0], floor=1.0)
+        assert math.isnan(report.restart_values[0])
+        assert report.best_restart != 0
+        assert math.isfinite(report.restart_values[report.best_restart])
+        assert report.value == pytest.approx(1.0, abs=1e-8)
+
+    def test_all_restarts_non_finite_raise(self):
+        cfg = opt.OptConfig(restarts=2, seed=13)
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            opt.stiefel_minimize(lambda v: math.nan, np.zeros_like, 3, 1, cfg)
 
 
 class TestEntropyGradient:

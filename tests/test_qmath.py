@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from densecode import capacity as cap
 from densecode import channels as ch
 from densecode import qmath
 from densecode.errors import DimensionMismatchError, InvariantError
@@ -164,6 +165,38 @@ class TestTraceDistance:
         assert qmath.trace_distance(ch.apply(chan, a), ch.apply(chan, b)) <= (
             qmath.trace_distance(a, b) + 1e-10
         )
+
+
+class TestSharedKernels:
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_batched_trace_norm_and_signs_match_references(self, d):
+        rng = np.random.default_rng(d)
+        g = rng.standard_normal((7, d, d)) + 1j * rng.standard_normal((7, d, d))
+        stack = qmath.hermitize(g)
+        norms = qmath.hermitian_trace_norm(stack)
+        signs = qmath.hermitian_function(stack, np.sign)
+        assert norms.shape == (7,) and signs.shape == (7, d, d)
+        for h, norm, sign in zip(stack, norms, signs):
+            lam, vec = np.linalg.eigh(h)
+            assert abs(norm - qmath.trace_norm(h)) < 1e-12
+            assert abs(norm - np.abs(lam).sum()) < 1e-12
+            assert np.max(np.abs(sign - (vec * np.sign(lam)) @ vec.conj().T)) < 1e-12
+
+    def test_haar_vectors_match_per_row_loop(self):
+        fast, loop = np.random.default_rng(11), np.random.default_rng(11)
+        rows = qmath.haar_vectors(fast, 9, 4)
+        assert rows.shape == (9, 4)
+        for row in rows:
+            z = loop.standard_normal(4) + 1j * loop.standard_normal(4)
+            assert np.array_equal(row, z / np.linalg.norm(z))
+        assert fast.bit_generator.state == loop.bit_generator.state
+
+    def test_holevo_quantity_on_bell_ensemble(self):
+        bells = [qmath.bell_state(k).to_density() for k in range(4)]
+        ensemble = cap.Ensemble("states", tuple((0.25, b) for b in bells))
+        raw = qmath.holevo_quantity(ensemble.probabilities, [b.entries for b in bells])
+        assert raw == cap.holevo_information(ensemble)
+        assert raw == pytest.approx(2.0, abs=1e-12)
 
 
 class TestPartialTranspose:
