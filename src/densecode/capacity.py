@@ -223,8 +223,8 @@ def dc_capacity_block(
     cfg = cfg or opt.OptConfig()
     if n == 1:
         return dc_capacity(d, rho, cfg, a_factors)
+    _guard_side(rho.side**n)
     joint = _power_state(rho, n)
-    _guard_side(joint.side)
     shift = rho.n_factors
     joint_a = [f + c * shift for c in range(n) for f in sorted(a_factors)]
     single = dc_capacity(d, rho, cfg, a_factors)
@@ -256,8 +256,8 @@ def dc_capacity_multicopy(
     cfg = cfg or opt.OptConfig()
     if k == 1:
         return dc_capacity(d, rho, cfg, a_factors)
+    _guard_side(rho.side**k)
     joint = _power_state(rho, k)
-    _guard_side(joint.side)
     shift = rho.n_factors
     joint_a = [f + c * shift for c in range(k) for f in sorted(a_factors)]
     result = dc_capacity(d, joint, cfg, joint_a)

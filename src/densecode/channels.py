@@ -126,14 +126,9 @@ class QuantumChannel:
         d_in = int(np.prod(dims))
         d_keep = int(np.prod([dims[i] for i in keep]))
         d_drop = d_in // d_keep
-        # <j|_drop acting after the permutation that sorts kept factors first.
+        # Kraus operator j: rows (keep, j) of the permutation sorting kept factors first.
         perm = _permutation_matrix(dims, list(keep) + list(drop))
-        eye_keep = np.eye(d_keep, dtype=complex)
-        ops = []
-        for j in range(d_drop):
-            bra = np.zeros((1, d_drop), dtype=complex)
-            bra[0, j] = 1.0
-            ops.append(np.kron(eye_keep, bra) @ perm)
+        ops = np.ascontiguousarray(perm.reshape(d_keep, d_drop, d_in).swapaxes(0, 1))
         return cls(d_in, d_keep, tuple(ops))
 
 
@@ -184,18 +179,12 @@ class ChoiMatrix:
         if mat.shape != (side, side):
             raise DimensionMismatchError(f"Choi matrix of shape {mat.shape}, side {side} expected")
 
-    def as_state(self) -> DensityMatrix:
-        """The normalized Choi state (matrix / d_in) with dims [d_out, d_in]."""
-        return DensityMatrix((self.d_out, self.d_in), self.matrix / self.d_in)
-
 
 def apply(channel: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
     """sum_k K rho K^dag, as a density matrix on a single output factor."""
     if rho.side != channel.d_in:
         raise DimensionMismatchError(f"state side {rho.side} vs channel input {channel.d_in}")
-    out = np.zeros((channel.d_out, channel.d_out), dtype=complex)
-    for k in channel.kraus:
-        out += k @ rho.entries @ k.conj().T
+    out = local_kraus_sum(channel.kraus, rho.entries, 1, 1)
     return DensityMatrix((channel.d_out,), hermitize(out))
 
 
@@ -207,17 +196,28 @@ def apply_local(channel: QuantumChannel, rho: DensityMatrix, factor: int) -> Den
         raise DimensionMismatchError(
             f"factor dimension {rho.dims[factor]} vs channel input {channel.d_in}"
         )
-    d_before = int(np.prod(rho.dims[:factor])) if factor else 1
-    d_after = int(np.prod(rho.dims[factor + 1:])) if factor + 1 < rho.n_factors else 1
-    eye_b = np.eye(d_before, dtype=complex)
-    eye_a = np.eye(d_after, dtype=complex)
-    side_out = d_before * channel.d_out * d_after
-    out = np.zeros((side_out, side_out), dtype=complex)
-    for k in channel.kraus:
-        lifted = np.kron(eye_b, np.kron(k, eye_a))
-        out += lifted @ rho.entries @ lifted.conj().T
+    d_before = int(np.prod(rho.dims[:factor]))
+    d_after = int(np.prod(rho.dims[factor + 1:]))
+    out = local_kraus_sum(channel.kraus, rho.entries, d_before, d_after)
     new_dims = rho.dims[:factor] + (channel.d_out,) + rho.dims[factor + 1:]
     return DensityMatrix(new_dims, hermitize(out))
+
+
+def local_kraus_sum(
+    kraus: Sequence[np.ndarray], matrix: np.ndarray, d_before: int, d_after: int
+) -> np.ndarray:
+    """sum_k L_k M L_k^dag with L_k = I_b (x) K_k (x) I_a, the lifts never built.
+
+    M acts on [d_before, d_in, d_after].  L_k M is one matmul of K_k with the
+    view M[b, i, (a, col)]; the right action reuses it: L M L^dag = (L (L M)^dag)^dag.
+    """
+    d_out, d_in = kraus[0].shape
+    side_out = d_before * d_out * d_after
+    acc = np.zeros((side_out, side_out), dtype=complex)
+    for k in kraus:
+        left = (k @ matrix.reshape(d_before, d_in, -1)).reshape(side_out, -1)
+        acc += (k @ left.conj().T.reshape(d_before, d_in, -1)).reshape(side_out, side_out)
+    return acc.conj().T
 
 
 def choi(channel: QuantumChannel) -> ChoiMatrix:

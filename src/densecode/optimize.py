@@ -192,8 +192,10 @@ class _OutputEntropyProblem:
     """H((phi o T (x) id) rho) as a function of the Stinespring isometry of T.
 
     The acted factor of rho is moved to the front and the others merged, so
-    the working state lives on [d_in, d_rest].  rho is eigen-factored once;
-    the channel output never materializes the lifted isometry.
+    the working state lives on [d_in, d_rest].  rho is eigen-factored once
+    into per-rest-index blocks F_s, and every contraction is a matmul on a
+    reshaped view: no lifted V (x) I or post-channel Kraus operator is built.
+    The signal state lives on [d_rest, d_out] (rest first).
     """
 
     def __init__(
@@ -220,12 +222,16 @@ class _OutputEntropyProblem:
         self.d_out = d_out
         self.d_env = d_env
         self.post = post_channel
+        if post_channel is not None:
+            self.post_adjoint = tuple(k.conj().T for k in post_channel.kraus)
         lam, vec = np.linalg.eigh(hermitize(work.entries))
         keep = lam > 1e-14
         lam, vec = lam[keep], vec[:, keep]
         self.rank = int(lam.size)
-        # F[a, s, r]: eigenvector r scaled by sqrt(lam), split into (acted, rest).
-        self.factored = (vec * np.sqrt(lam)).reshape(self.d_in, self.d_rest, self.rank)
+        # F[s, a, r]: eigenvector r scaled by sqrt(lam), split into (acted, rest).
+        factored = (vec * np.sqrt(lam)).reshape(self.d_in, self.d_rest, self.rank)
+        self.factored = np.ascontiguousarray(factored.transpose(1, 0, 2))
+        self.factored_adj = self.factored.conj().swapaxes(1, 2)
         self.marginal_entropy = qmath.entropy_of_spectrum(
             np.linalg.eigvalsh(hermitize(qmath.partial_trace(work, {1}).entries))
         )
@@ -233,39 +239,20 @@ class _OutputEntropyProblem:
     # -- forward pass ------------------------------------------------------
 
     def output_tensor(self, v: np.ndarray) -> np.ndarray:
-        """Y[o, e, s, r] for the lifted isometry applied to the factored state."""
-        y = np.einsum("pa,asr->psr", v, self.factored)
-        return y.reshape(self.d_out, self.d_env, self.d_rest, self.rank)
-
-    def pre_channel_state(self, y: np.ndarray) -> np.ndarray:
-        """X = Tr_env (V (x) I) rho (V (x) I)^dag on [d_out, d_rest]."""
-        x = np.einsum("oesr,petr->ospt", y, y.conj())
-        side = self.d_out * self.d_rest
-        return hermitize(x.reshape(side, side))
+        """Z[(s, o), (e, r)] = (V F_s)[(o, e), r], environment and rank as columns."""
+        return (v @ self.factored).reshape(self.d_rest * self.d_out, self.d_env * self.rank)
 
     def signal_state(self, v: np.ndarray) -> np.ndarray:
-        x = self.pre_channel_state(self.output_tensor(v))
-        if self.post is None:
-            return x
-        return self._apply_post(x)
+        """phi(X) for X = Tr_env (V (x) I) rho (V (x) I)^dag = Z Z^dag."""
+        z = self.output_tensor(v)
+        x = hermitize(z @ z.conj().T)
+        return x if self.post is None else self._apply_post(x)
 
     def _apply_post(self, x: np.ndarray) -> np.ndarray:
-        eye = np.eye(self.d_rest, dtype=complex)
-        out_side = self.post.d_out * self.d_rest
-        s = np.zeros((out_side, out_side), dtype=complex)
-        for k in self.post.kraus:
-            lifted = np.kron(k, eye)
-            s += lifted @ x @ lifted.conj().T
-        return hermitize(s)
+        return hermitize(ch.local_kraus_sum(self.post.kraus, x, self.d_rest, 1))
 
     def _adjoint_post(self, l_out: np.ndarray) -> np.ndarray:
-        eye = np.eye(self.d_rest, dtype=complex)
-        in_side = self.d_out * self.d_rest
-        l_in = np.zeros((in_side, in_side), dtype=complex)
-        for k in self.post.kraus:
-            lifted = np.kron(k, eye)
-            l_in += lifted.conj().T @ l_out @ lifted
-        return l_in
+        return ch.local_kraus_sum(self.post_adjoint, l_out, self.d_rest, 1)
 
     def value(self, v: np.ndarray) -> float:
         return qmath.entropy_of_spectrum(np.linalg.eigvalsh(self.signal_state(v)))
@@ -274,12 +261,10 @@ class _OutputEntropyProblem:
 
     def gradient_for_weight(self, v: np.ndarray, l_signal: np.ndarray) -> np.ndarray:
         """Euclidean gradient of Tr[l_signal * signal(V)] (for Hermitian l_signal)."""
-        y = self.output_tensor(v)
         l_x = self._adjoint_post(l_signal) if self.post is not None else l_signal
-        l4 = l_x.reshape(self.d_out, self.d_rest, self.d_out, self.d_rest)
-        t1 = np.einsum("osqt,qetr->oesr", l4, y)
-        t1 = t1.reshape(self.d_out * self.d_env, self.d_rest, self.rank)
-        return 2.0 * np.einsum("psr,asr->pa", t1, self.factored.conj())
+        # (L Z)[(s, o), (e, r)] as the stack over s of [(o, e), r] blocks, times F_s^dag.
+        lz = (l_x @ self.output_tensor(v)).reshape(self.d_rest, -1, self.rank)
+        return 2.0 * (lz @ self.factored_adj).sum(axis=0)
 
     def gradient(self, v: np.ndarray) -> np.ndarray:
         """Euclidean gradient of H(signal(V)); df = Re <grad, dV>."""
@@ -419,12 +404,11 @@ def optimize_ensemble(
         inner_cfg = replace(cfg, restarts=max(4, cfg.restarts // 2))
         base = min_local_output_entropy(rho, factor, phi.d_in, inner_cfg, post_channel=phi)
         v_star = base.isometry.v
-        eye_env = np.eye(d_env, dtype=complex)
         for w in ch.weyl_basis(phi.d_in):
             if len(isometries) >= m:
                 break
-            lift = np.kron(w, eye_env)
-            isometries.append(lift @ v_star)
+            # (W (x) I_env) V: W acts on the output index of V[(out, env), in].
+            isometries.append((w @ v_star.reshape(phi.d_in, -1)).reshape(v_star.shape))
         rng = np.random.default_rng(cfg.seed + 1)
         while len(isometries) < m:
             isometries.append(ch.random_isometry(phi.d_in * d_env, d_in, rng))

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import channels as ch
 from . import qmath
@@ -289,7 +288,7 @@ def estimate_sup_error(
     step = 0.2
     delta = _conjugation_gaps(kraus, target, z[None, :])[0]
     td = float(qmath.hermitian_trace_norm(delta))
-    sign = qmath.hermitian_function(delta, np.sign)
+    sign = qmath.spectral_sign(delta)
     for _ in range(ascent_steps):
         grad = 2.0 * (
             target.conj().T @ sign @ target @ z
@@ -305,7 +304,7 @@ def estimate_sup_error(
         td_c = float(qmath.hermitian_trace_norm(delta))
         if td_c > td:
             z, td = cand, td_c
-            sign = qmath.hermitian_function(delta, np.sign)
+            sign = qmath.spectral_sign(delta)
             step = min(0.5, step * 1.5)
         else:
             step *= 0.5
@@ -390,6 +389,8 @@ def optimize_mixture_weights(
             j = np.einsum("i,ia,ib->ab", w, vecs, vecs.conj())
             diff = j - np.outer(ident, ident.conj())
             return float(np.linalg.norm(diff) ** 2)
+
+    from scipy.optimize import minimize  # here, to keep it off every CLI call's start-up
 
     res = minimize(fun, x0, method="SLSQP", bounds=bounds, constraints=constraints,
                    options={"maxiter": 200, "ftol": 1e-12})
@@ -748,7 +749,7 @@ def _frank_wolfe_polish(
     # The step-size ladder is evaluated at once; the largest improving step wins.
     gammas = np.array([1.0, 0.5, 0.25, 0.1, 0.05, 0.02, 0.008])
     for _ in range(iterations):
-        signs = qmath.hermitian_function(targets - out, np.sign)
+        signs = qmath.spectral_sign(targets - out)
         grad = -np.mean(np.einsum("psa,sab,psb->ps", y.conj(), signs, y).real, axis=1)
         best = int(np.argmin(grad))
         g = gammas[:, None, None, None]
@@ -889,7 +890,7 @@ def _witness_general_path(g1, g2, target, cfg: WitnessConfig):
         # d/dpsi of the mean trace distance, with sign(Delta_s) as subgradient:
         # -2/S sum_s z_s^b (K z_s)^*_d sign_s[d, a] g4[a, k, b, q].
         kraus = channel_of(v[:, 0])
-        signs = qmath.hermitian_function(_conjugation_gaps(kraus, target, inputs), np.sign)
+        signs = qmath.spectral_sign(_conjugation_gaps(kraus, target, inputs))
         kz = np.einsum("kab,sb->ska", kraus, inputs)
         u = np.einsum("skd,sda->ska", kz.conj(), signs)
         acc = -np.einsum("sb,ska,akbq->q", inputs, u, g4, optimize=True)

@@ -27,6 +27,7 @@ NORM_TOL = 1e-12
 EIG_CUTOFF = 1e-12
 
 LOG2E = 1.0 / math.log(2.0)
+SIGN_TOL = 1e-12  # relative eigenvalue size below which ``spectral_sign`` returns 0
 
 
 def _as_complex(matrix) -> np.ndarray:
@@ -45,10 +46,24 @@ def hermitian_function(matrix: np.ndarray, fn) -> np.ndarray:
     """fn(H) = V fn(Λ) V† for the Hermitian part H = V Λ V† of a (stack of) matrices.
 
     ``fn`` maps the eigenvalue array (last axis) to the new spectrum, e.g. a
-    clamped logarithm, ``np.sign`` or ``exp(-i λ)``.
+    clamped logarithm or ``exp(-i λ)``; ``spectral_sign`` is one such map.
     """
     lam, vec = np.linalg.eigh(hermitize(matrix))
     return (vec * fn(lam)[..., None, :]) @ vec.conj().swapaxes(-1, -2)
+
+
+def spectral_sign(matrix: np.ndarray) -> np.ndarray:
+    """sign(H) of the Hermitian part of a (stack of) matrices: a trace-norm subgradient.
+
+    Eigenvalues with |λ| <= SIGN_TOL * max(1, max|λ|) get sign 0: they are
+    rounding noise of a rank-deficient H, whose ±1 would depend on the last bit.
+    """
+
+    def sign(lam: np.ndarray) -> np.ndarray:
+        scale = np.maximum(1.0, np.abs(lam).max(axis=-1, keepdims=True))
+        return np.where(np.abs(lam) <= SIGN_TOL * scale, 0.0, np.sign(lam))
+
+    return hermitian_function(matrix, sign)
 
 
 def hermitian_trace_norm(matrix: np.ndarray) -> np.ndarray:

@@ -69,6 +69,24 @@ class TestApplyLocal:
         with pytest.raises(DimensionMismatchError):
             ch.apply_local(ch.QuantumChannel.identity(3), qmath.maximally_mixed((2, 2)), 0)
 
+    @pytest.mark.parametrize("factor", range(3))
+    def test_matches_kron_lift_on_three_factors(self, factor):
+        dims = (2, 3, 2)
+        rho = ch.random_state(dims, 5, seed=70 + factor)
+        chan = ch.random_channel(dims[factor], 3, 2, seed=80 + factor)
+        eye_b = np.eye(int(np.prod(dims[:factor])))
+        eye_a = np.eye(int(np.prod(dims[factor + 1:])))
+        lifts = [np.kron(eye_b, np.kron(k, eye_a)) for k in chan.kraus]
+        out = ch.apply_local(chan, rho, factor)
+        assert out.dims == dims[:factor] + (3,) + dims[factor + 1:]
+        expected = sum(lift @ rho.entries @ lift.conj().T for lift in lifts)
+        assert np.max(np.abs(out.entries - expected)) < 1e-12
+        # The kernel under it is exact for any matrix, Hermitian or not.
+        g = np.random.default_rng(factor).standard_normal((2, rho.side, rho.side))
+        m = g[0] + 1j * g[1]
+        summed = ch.local_kraus_sum(chan.kraus, m, eye_b.shape[0], eye_a.shape[0])
+        assert np.max(np.abs(summed - sum(lift @ m @ lift.conj().T for lift in lifts))) < 1e-12
+
 
 class TestChoi:
     def test_identity_equals_identity(self):

@@ -67,6 +67,24 @@ class TestEntropyCommand:
         _, doc, _ = run_json(capsys, ["entropy", bell])
         assert json.loads(proc.stdout)["H"] == doc["H"]
 
+    def test_entropy_does_not_import_scipy_optimize(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        script = (
+            "import sys, densecode, densecode.cli\n"
+            f"code = densecode.cli.main(['entropy', {str(fixture_path('bell.json'))!r}])\n"
+            "print(code, 'scipy.optimize' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
+
 
 class TestDcCommand:
     def test_bell_capacity(self, capsys):

@@ -120,6 +120,83 @@ class TestEntropyGradient:
         assert np.linalg.norm(g) < 1e-6
 
 
+def _lifted(v, work, d_out, d_env):
+    """(V (x) I_rest) and (V (x) I_rest) rho, split as [out, env, rest, (in, rest)]."""
+    d_rest = work.dims[1]
+    lift = np.kron(v, np.eye(d_rest))
+    shape = (d_out, d_env, d_rest, -1)
+    return lift.reshape(shape), (lift @ work.entries).reshape(shape)
+
+
+def _lifted_kraus_sum(kraus, x, d_rest):
+    lifts = [np.kron(k, np.eye(d_rest)) for k in kraus]
+    return sum(lift @ x @ lift.conj().T for lift in lifts)
+
+
+def _rest_first(x, d_out, d_rest):
+    """[d_out, d_rest] -> [d_rest, d_out], the problem's signal layout."""
+    side = d_out * d_rest
+    return x.reshape(d_out, d_rest, d_out, d_rest).transpose(1, 0, 3, 2).reshape(side, side)
+
+
+class TestContractionsAgainstLifts:
+    """The reshape-and-matmul kernels against explicit (V (x) I) and Kraus lifts."""
+
+    # (state dims, rank, d_out, d_env, post-channel output or None); the first
+    # is the block-2 qutrit shape d_in = d_out = 9, d_env = 81, d_rest = 4, rank 9.
+    CASES = [((3, 2, 3, 2), 9, 9, 81, None), ((3, 2), 4, 3, 4, 2), ((2, 3), 6, 3, 2, 3)]
+
+    @pytest.mark.parametrize("dims, rank, d_out, d_env, post_out", CASES)
+    def test_signal_state_post_maps_and_gradient(self, dims, rank, d_out, d_env, post_out):
+        seed = sum(dims) + rank
+        rho = ch.random_state(dims, rank, seed=seed)
+        factors = [0, 2] if len(dims) == 4 else [0]
+        work = qmath.merge_factors(rho, [factors, [i for i in range(len(dims)) if i not in factors]])
+        d_in, d_rest = work.dims
+        post = None if post_out is None else ch.random_channel(d_out, post_out, 3, seed=seed + 1)
+        problem = opt._OutputEntropyProblem(work, 0, d_out, d_env, post)
+        assert problem.rank == rank
+        v = ch.random_isometry(d_out * d_env, d_in, seed=seed + 2)
+        lift, lift_rho = _lifted(v, work, d_out, d_env)
+
+        # Tr_env (V (x) I) rho (V (x) I)^dag, then the post channel's Kraus lifts.
+        side = d_out * d_rest
+        x = np.einsum("oesc,petc->ospt", lift_rho, lift.conj()).reshape(side, side)
+        signal = x if post is None else _lifted_kraus_sum(post.kraus, x, d_rest)
+        d_signal = d_out if post is None else post_out
+        assert np.max(np.abs(problem.signal_state(v) - _rest_first(signal, d_signal, d_rest))) < 1e-12
+
+        rng = np.random.default_rng(seed + 3)
+        g = rng.standard_normal((2, d_signal * d_rest, d_signal * d_rest))
+        l_signal = qmath.hermitize(g[0] + 1j * g[1])
+        l_x = l_signal
+        if post is not None:
+            adjoint = [k.conj().T for k in post.kraus]
+            l_x = _lifted_kraus_sum(adjoint, l_signal, d_rest)
+            assert np.max(np.abs(
+                problem._adjoint_post(_rest_first(l_signal, post_out, d_rest))
+                - _rest_first(l_x, d_out, d_rest)
+            )) < 1e-12
+            h = rng.standard_normal((2, side, side))
+            x_in = qmath.hermitize(h[0] + 1j * h[1])
+            assert np.max(np.abs(
+                problem._apply_post(_rest_first(x_in, d_out, d_rest))
+                - _rest_first(_lifted_kraus_sum(post.kraus, x_in, d_rest), post_out, d_rest)
+            )) < 1e-12
+
+        # Tr[L S(V)] = Tr[(L_x (x) I_env) W rho W^dag] with W = V (x) I_rest, whose
+        # gradient in W is 2 (L_x (x) I_env) W rho; the gradient in V traces out
+        # the rest index that W carries on both sides.
+        grad_lift = 2.0 * np.einsum(
+            "osqt,qetc->oesc", l_x.reshape(d_out, d_rest, d_out, d_rest), lift_rho
+        )
+        expected = np.trace(
+            grad_lift.reshape(d_out * d_env, d_rest, d_in, d_rest), axis1=1, axis2=3
+        )
+        l_problem = _rest_first(l_signal, d_signal, d_rest)
+        assert np.max(np.abs(problem.gradient_for_weight(v, l_problem) - expected)) < 1e-12
+
+
 class TestMinLocalOutputEntropy:
     def test_product_pure_state(self):
         rho = qmath.tensor_pure(qmath.basis_state(2, 0), qmath.basis_state(2, 0)).to_density()

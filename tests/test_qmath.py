@@ -182,6 +182,19 @@ class TestSharedKernels:
             assert abs(norm - np.abs(lam).sum()) < 1e-12
             assert np.max(np.abs(sign - (vec * np.sign(lam)) @ vec.conj().T)) < 1e-12
 
+    def test_spectral_sign_drops_rounding_noise(self):
+        # Delta = z z^dag - w w^dag has rank 2; its other eigenvalues are
+        # +-1e-17 noise, to which np.sign would assign +-1.
+        rng = np.random.default_rng(5)
+        z, w = qmath.haar_vectors(rng, 2, 6)
+        delta = np.outer(z, z.conj()) - np.outer(w, w.conj())
+        sign = qmath.spectral_sign(delta)
+        assert np.linalg.matrix_rank(sign, tol=1e-8) == 2
+        # On a generic full-rank stack it is the plain sign matrix.
+        g = rng.standard_normal((4, 5, 5)) + 1j * rng.standard_normal((4, 5, 5))
+        stack = qmath.hermitize(g)
+        assert np.max(np.abs(qmath.spectral_sign(stack) - qmath.hermitian_function(stack, np.sign))) < 1e-12
+
     def test_haar_vectors_match_per_row_loop(self):
         fast, loop = np.random.default_rng(11), np.random.default_rng(11)
         rows = qmath.haar_vectors(fast, 9, 4)
