@@ -111,12 +111,26 @@ def _parse_factors(text: str) -> tuple[int, ...]:
 
 
 def _parse_program(gate: pqg.ProgrammableGate, text: str) -> qmath.PureState:
-    if "," not in text:
-        index = int(text)
+    try:
+        amps = np.array([complex(tok) for tok in text.split(",")])
+        index = int(text) if amps.size == 1 else None
+    except ValueError:
+        raise FormatError(f"bad program {text!r}: an index or comma-separated amplitudes") from None
+    if index is not None:
+        if not 0 <= index < gate.d_program:
+            raise FormatError(f"program index {index} outside 0..{gate.d_program - 1}")
         return qmath.basis_state(gate.d_program, index)
-    amps = np.array([complex(tok) for tok in text.split(",")])
-    amps = amps / np.linalg.norm(amps)
-    return qmath.PureState((gate.d_program,), amps)
+    norm = np.linalg.norm(amps)
+    if amps.size != gate.d_program or not 0.0 < norm < math.inf:
+        raise FormatError(f"program {text!r} is not a nonzero vector of length {gate.d_program}")
+    return qmath.PureState((gate.d_program,), amps / norm)
+
+
+def _named_unitary(name: str) -> np.ndarray:
+    key = name.strip().upper()
+    if key not in NAMED_UNITARIES:
+        raise FormatError(f"unknown unitary name {key!r}; known: {sorted(NAMED_UNITARIES)}")
+    return NAMED_UNITARIES[key]
 
 
 def _parse_target(text: str) -> np.ndarray:
@@ -125,12 +139,9 @@ def _parse_target(text: str) -> np.ndarray:
         return NAMED_TARGETS[key.lower()]
     sep = "⊗" if "⊗" in key else "@"
     if sep in key:
-        parts = [p.strip().upper() for p in key.split(sep)]
         out = np.eye(1, dtype=complex)
-        for p in parts:
-            if p not in NAMED_UNITARIES:
-                raise FormatError(f"unknown unitary name {p!r}")
-            out = np.kron(out, NAMED_UNITARIES[p])
+        for part in key.split(sep):
+            out = np.kron(out, _named_unitary(part))
         return out
     if key.upper() in NAMED_UNITARIES:
         return NAMED_UNITARIES[key.upper()]
@@ -142,7 +153,10 @@ def _parse_gate_token(token: str, seed: int) -> tuple[pqg.ProgrammableGate, dict
         units = [NAMED_UNITARIES[k] for k in ("I", "X", "XZ", "Z")]
         return pqg.control_gate(units), {"kind": "pauli"}
     if token.startswith("net:"):
-        eps = float(token.split(":", 1)[1])
+        try:
+            eps = float(token.split(":", 1)[1])
+        except ValueError:
+            raise FormatError(f"bad net epsilon in gate token {token!r}") from None
         gate, net = pqg.net_gate(eps, 2, seed=seed)
         return gate, {"kind": "net", "epsilon": eps, "size": len(net.elements)}
     gate = ser.load_gate(token)
@@ -190,10 +204,16 @@ def _opt_config(args) -> opt.OptConfig:
         if unknown:
             raise FormatError(f"unknown OptConfig fields: {sorted(unknown)}")
         fields.update(block)
-    return opt.OptConfig(**fields)
+    try:
+        return opt.OptConfig(**fields)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"bad optimizer configuration: {exc}") from None
 
 
 def cmd_dc(args, argv, timestamp) -> int:
+    for flag in ("d", "copies", "block"):
+        if getattr(args, flag) < 1:
+            raise FormatError(f"--{flag} must be at least 1")
     rho = ser.load_state(args.state)
     cfg = _opt_config(args)
     a_factors = _parse_factors(args.a_factors)
@@ -351,8 +371,7 @@ def cmd_pqg_check_orthogonality(args, argv, timestamp) -> int:
         gate = ser.load_gate(args.gate)
         inputs["gate"] = _file_ref(args.gate)
     else:
-        units = [NAMED_UNITARIES[tok.strip().upper()] for tok in args.units.split(",")]
-        gate = pqg.control_gate(units)
+        gate = pqg.control_gate([_named_unitary(tok) for tok in args.units.split(",")])
     psi1 = _parse_program(gate, args.program1)
     psi2 = _parse_program(gate, args.program2)
     verdict = pqg.program_orthogonality_check(gate, psi1, psi2, tol=args.tol)

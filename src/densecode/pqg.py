@@ -35,6 +35,11 @@ from .qmath import PureState, hermitize
 UNITARITY_TOL = 1e-10
 PROGRAM_TOL = 1e-6
 MAX_PROGRAM_DIM = 4096
+# Witness pair scan: at most this many block pairs; past it, each factor keeps
+# its PER_FACTOR_TOP blocks nearest each operator-Schmidt factor of the target.
+PAIR_BUDGET = 20000
+PER_FACTOR_TOP = 40
+SUP_ASCENT_STEPS = 50
 # Dense gate matrices are only materialized up to this side.
 MAX_DENSE_GATE_SIDE = 4096
 
@@ -71,12 +76,10 @@ class ProgrammableGate:
         side = self.d_data * self.d_program
         if side > MAX_DENSE_GATE_SIDE:
             raise SizeGuardError(f"dense gate of side {side} exceeds {MAX_DENSE_GATE_SIDE}")
-        u = np.zeros((side, side), dtype=complex)
-        for q, b in enumerate(self.blocks):
-            proj = np.zeros((self.d_program, self.d_program))
-            proj[q, q] = 1.0
-            u += np.kron(b, proj)
-        return u
+        u = np.zeros((self.d_data, self.d_program, self.d_data, self.d_program), dtype=complex)
+        q = np.arange(self.d_program)
+        u[:, q, :, q] = self.blocks  # block q on the program diagonal (q, q)
+        return u.reshape(side, side)
 
 
 def _check_unitary(u: np.ndarray, side: int):
@@ -143,8 +146,6 @@ class WitnessConfig:
     seed: int = 0
     sup_samples: int = 200
     fw_iterations: int = 80
-    pair_budget: int = 20000
-    per_factor_top: int = 40
     general_dim_guard: int = 64
     general_restarts: int = 12
 
@@ -159,10 +160,7 @@ def control_gate(units: Sequence[np.ndarray]) -> ProgrammableGate:
     units = tuple(np.asarray(u, dtype=complex) for u in units)
     if not units:
         raise InvariantError("control_gate needs at least one unitary")
-    d = units[0].shape[0]
-    for u in units:
-        _check_unitary(u, d)
-    return ProgrammableGate(d, len(units), blocks=units)
+    return ProgrammableGate(units[0].shape[0], len(units), blocks=units)
 
 
 def tensor_gates(a: ProgrammableGate, b: ProgrammableGate) -> ProgrammableGate:
@@ -172,23 +170,24 @@ def tensor_gates(a: ProgrammableGate, b: ProgrammableGate) -> ProgrammableGate:
     gate over block pairs (j, l) -> U_j (x) V_l with program index j * dP_b + l.
     """
     if a.blocks is not None and b.blocks is not None:
-        blocks = tuple(np.kron(u, v) for u in a.blocks for v in b.blocks)
+        grid = np.indices((a.d_program, b.d_program)).reshape(2, -1).T
+        blocks = tuple(_pair_operators(a.blocks, b.blocks, grid))
         return ProgrammableGate(a.d_data * b.d_data, a.d_program * b.d_program, blocks=blocks)
     side = a.d_data * b.d_data * a.d_program * b.d_program
     if side > MAX_DENSE_GATE_SIDE:
         raise SizeGuardError(f"tensored gate of side {side} exceeds {MAX_DENSE_GATE_SIDE}")
-    big = np.kron(a.matrix, b.matrix)
-    dims = [a.d_data, a.d_program, b.d_data, b.d_program]
-    perm = _reorder_unitary(big, dims, [0, 2, 1, 3])
+    # kron(a, b) acts on (data_a, prog_a, data_b, prog_b); reorder both sides.
+    big = np.kron(a.matrix, b.matrix).reshape([a.d_data, a.d_program, b.d_data, b.d_program] * 2)
+    perm = big.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(side, side)
     return ProgrammableGate(a.d_data * b.d_data, a.d_program * b.d_program, unitary=perm)
 
 
-def _reorder_unitary(u: np.ndarray, dims: list[int], order: list[int]) -> np.ndarray:
-    side = int(np.prod(dims))
-    tens = u.reshape(dims + dims)
-    n = len(dims)
-    perm = list(order) + [n + i for i in order]
-    return tens.transpose(perm).reshape(side, side)
+def _pair_operators(blocks1, blocks2, pairs: np.ndarray) -> np.ndarray:
+    """U_j (x) V_l for every row (j, l) of ``pairs``, stacked as [pair, a, b]."""
+    u = np.asarray(blocks1)[pairs[:, 0]]
+    v = np.asarray(blocks2)[pairs[:, 1]]
+    d = u.shape[-1] * v.shape[-1]
+    return (u[:, :, None, :, None] * v[:, None, :, None, :]).reshape(len(pairs), d, d)
 
 
 def induced_map(gate: ProgrammableGate, psi: PureState) -> QuantumChannel:
@@ -247,19 +246,21 @@ def unitary_map_distance(u: np.ndarray, v: np.ndarray) -> float:
     return 2.0 * math.sin(span / 2.0)
 
 
-def _projectors(vectors: np.ndarray) -> np.ndarray:
-    """|v><v| for every vector on the last axis."""
-    return np.einsum("...a,...b->...ab", vectors, vectors.conj())
+def _stack_outputs(ops: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """Y[s, k, :] = ops[k] @ inputs[s] for a stack of operators, as one matmul."""
+    return (inputs @ ops.reshape(-1, ops.shape[-1]).T).reshape(len(inputs), *ops.shape[:2])
 
 
-def _conjugation_gaps(kraus, target: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """T z z† T† - sum_k K_k z z† K_k† for every input row z, stacked.
+def _conjugation_gaps(kraus, reference, inputs: np.ndarray) -> np.ndarray:
+    """Reference output minus channel output for every input row z, stacked.
 
-    Its trace norm (``qmath.hermitian_trace_norm``) is the trace distance of
-    the target conjugation to the channel on that input.
+    Both sides are Kraus stacks [k, out, in]; a unitary target is the
+    one-element stack ``target[None]``.  The trace norm of each gap
+    (``qmath.hermitian_trace_norm``) is the trace distance of the two
+    channels on that input.
     """
-    kz = np.einsum("kab,sb->ska", np.asarray(kraus), inputs)
-    return _projectors(inputs @ target.T) - np.einsum("ska,skb->sab", kz, kz.conj())
+    rz, kz = (_stack_outputs(np.asarray(ops), inputs) for ops in (reference, kraus))
+    return np.swapaxes(rz, 1, 2) @ rz.conj() - np.swapaxes(kz, 1, 2) @ kz.conj()
 
 
 def estimate_sup_error(
@@ -267,7 +268,6 @@ def estimate_sup_error(
     target: np.ndarray,
     n_samples: int = 200,
     seed=0,
-    ascent_steps: int = 50,
 ) -> ErrorEstimate:
     """Estimate sup over pure inputs of the trace distance to the target map.
 
@@ -277,30 +277,34 @@ def estimate_sup_error(
     """
     rng = ch.as_rng(seed)
     kraus = np.asarray(kraus)
+    reference = target[None]
     d = target.shape[0]
     samples = qmath.haar_vectors(rng, n_samples, d)
-    tds = qmath.hermitian_trace_norm(_conjugation_gaps(kraus, target, samples))
+    tds = qmath.hermitian_trace_norm(_conjugation_gaps(kraus, reference, samples))
     if tds.size and tds.max() > 0.0:
         z = samples[int(np.argmax(tds))]
     else:
         z = np.zeros(d, dtype=complex)
         z[0] = 1.0
+
+    def pullback(stack: np.ndarray, sign: np.ndarray, z: np.ndarray) -> np.ndarray:
+        # sum_k K_k† sign K_k z, with the stack flattened to one [(k, out), in] matrix.
+        flat = stack.reshape(-1, d)
+        return flat.conj().T @ ((flat @ z).reshape(len(stack), -1) @ sign.T).reshape(-1)
+
     step = 0.2
-    delta = _conjugation_gaps(kraus, target, z[None, :])[0]
+    delta = _conjugation_gaps(kraus, reference, z[None, :])[0]
     td = float(qmath.hermitian_trace_norm(delta))
     sign = qmath.spectral_sign(delta)
-    for _ in range(ascent_steps):
-        grad = 2.0 * (
-            target.conj().T @ sign @ target @ z
-            - sum(k.conj().T @ sign @ k @ z for k in kraus)
-        )
+    for _ in range(SUP_ASCENT_STEPS):
+        grad = 2.0 * (pullback(reference, sign, z) - pullback(kraus, sign, z))
         grad -= z * np.vdot(z, grad)
         gn = np.linalg.norm(grad)
         if gn < 1e-12:
             break
         cand = z + step * grad / gn
         cand /= np.linalg.norm(cand)
-        delta = _conjugation_gaps(kraus, target, cand[None, :])[0]
+        delta = _conjugation_gaps(kraus, reference, cand[None, :])[0]
         td_c = float(qmath.hermitian_trace_norm(delta))
         if td_c > td:
             z, td = cand, td_c
@@ -696,21 +700,11 @@ def operator_schmidt(u: np.ndarray, d1: int, d2: int):
     return s, lefts, rights
 
 
-def _avg_pure_pair_errors(
-    pairs: np.ndarray,
-    blocks1: Sequence[np.ndarray],
-    blocks2: Sequence[np.ndarray],
-    target: np.ndarray,
-    inputs: np.ndarray,
-) -> np.ndarray:
-    """Average trace distance for block pairs acting as pure unitaries."""
-    out = np.empty(len(pairs))
-    tin = inputs @ target.T  # rows are (target z)
-    for idx, (j, l) in enumerate(pairs):
-        v = np.kron(blocks1[j], blocks2[l])
-        ov = np.abs(np.einsum("sa,sa->s", tin.conj(), inputs @ v.T))
-        out[idx] = float(np.mean(2.0 * np.sqrt(np.clip(1.0 - ov**2, 0.0, None))))
-    return out
+def _mixture_kraus(weights: dict[tuple[int, int], float], blocks1, blocks2) -> np.ndarray:
+    """Kraus stack sqrt(w) U_j (x) V_l of a mixture over block pairs (j, l)."""
+    pairs = np.array(list(weights), dtype=int).reshape(-1, 2)
+    w = np.array(list(weights.values()), dtype=float)
+    return np.sqrt(w)[:, None, None] * _pair_operators(blocks1, blocks2, pairs)
 
 
 def _mixture_avg_error(
@@ -720,8 +714,8 @@ def _mixture_avg_error(
     target: np.ndarray,
     inputs: np.ndarray,
 ) -> float:
-    kraus = [math.sqrt(w) * np.kron(blocks1[j], blocks2[l]) for (j, l), w in weights.items()]
-    return float(np.mean(qmath.hermitian_trace_norm(_conjugation_gaps(kraus, target, inputs))))
+    gaps = _conjugation_gaps(_mixture_kraus(weights, blocks1, blocks2), target[None], inputs)
+    return float(np.mean(qmath.hermitian_trace_norm(gaps)))
 
 
 def _frank_wolfe_polish(
@@ -735,25 +729,27 @@ def _frank_wolfe_polish(
 ) -> tuple[dict[tuple[int, int], float], float]:
     """Convex minimization of the average trace distance over pair mixtures."""
     pair_index = {pair: i for i, pair in enumerate(candidate_pairs)}
-    # Y[p, s, :] = (V_j (x) V_l) z_s for candidate pair p.
-    y = np.stack(
-        [inputs @ np.kron(blocks1[j], blocks2[l]).T for (j, l) in candidate_pairs]
-    )
-    targets = _projectors(inputs @ target.T)
+    # Y[s, p, :] = (U_j (x) V_l) z_s for candidate pair p = (j, l).
+    y = _stack_outputs(_pair_operators(blocks1, blocks2, np.array(candidate_pairs)), inputs)
+    tz = inputs @ target.T
+    targets = tz[:, :, None] * tz.conj()[:, None, :]
 
     w = np.zeros(len(candidate_pairs))
     for pair, weight in start.items():
         w[pair_index[pair]] = weight
-    out = np.einsum("p,psa,psb->sab", w, y, y.conj())
+    used = np.nonzero(w)[0]
+    out = (np.swapaxes(y[:, used], 1, 2) * w[used]) @ y[:, used].conj()
     value = float(np.mean(qmath.hermitian_trace_norm(targets - out)))
     # The step-size ladder is evaluated at once; the largest improving step wins.
     gammas = np.array([1.0, 0.5, 0.25, 0.1, 0.05, 0.02, 0.008])
     for _ in range(iterations):
         signs = qmath.spectral_sign(targets - out)
-        grad = -np.mean(np.einsum("psa,sab,psb->ps", y.conj(), signs, y).real, axis=1)
+        # -sum_s Re(y† sign_s y) for every pair: one batched matmul gives the
+        # rows sign_s y, and Re(y† v) is the dot of the float views of y and v.
+        grad = -np.einsum("spa,spa->p", y.view(float), (y @ np.swapaxes(signs, 1, 2)).view(float))
         best = int(np.argmin(grad))
         g = gammas[:, None, None, None]
-        trial_outs = (1.0 - g) * out + g * _projectors(y[best])
+        trial_outs = (1.0 - g) * out + g * (y[:, best, :, None] * y[:, best, None, :].conj())
         trial_values = np.mean(qmath.hermitian_trace_norm(targets - trial_outs), axis=1)
         improving = np.nonzero(trial_values < value - 1e-12)[0]
         if not improving.size:
@@ -762,9 +758,7 @@ def _frank_wolfe_polish(
         w *= 1.0 - gammas[step]
         w[best] += gammas[step]
         out, value = trial_outs[step], float(trial_values[step])
-    weights = {
-        candidate_pairs[i]: float(w[i]) for i in np.nonzero(w > 1e-10)[0]
-    }
+    weights = {candidate_pairs[i]: float(w[i]) for i in np.nonzero(w > 1e-10)[0]}
     if not weights:
         weights = dict(start)
     return weights, value
@@ -776,28 +770,25 @@ def _witness_control_path(g1, g2, target, cfg: WitnessConfig):
     d = g1.d_data * g2.d_data
     rng = np.random.default_rng(cfg.seed)
     inputs = qmath.haar_vectors(rng, cfg.n_inputs, d)
+    s, lefts, rights = operator_schmidt(target, g1.d_data, g2.d_data)
 
     # Candidate pair selection: everything when small, otherwise per-factor
     # shortlists around the target's operator-Schmidt factors plus a sample.
-    if n1 * n2 <= cfg.pair_budget:
+    if n1 * n2 <= PAIR_BUDGET:
         pairs = [(j, l) for j in range(n1) for l in range(n2)]
         method = "pair-enumeration"
     else:
-        s, lefts, rights = operator_schmidt(target, g1.d_data, g2.d_data)
         shortlist1: set[int] = set()
         shortlist2: set[int] = set()
         for comp in range(min(3, s.size)):
             if s[comp] < 1e-9:
                 break
-            lu, lsv, lvh = np.linalg.svd(lefts[comp])
-            ru, rsv, rvh = np.linalg.svd(rights[comp])
-            anchor1 = lu @ lvh
-            anchor2 = ru @ rvh
-            d1 = [unitary_map_distance(anchor1, b) for b in blocks1]
-            d2 = [unitary_map_distance(anchor2, b) for b in blocks2]
-            shortlist1.update(int(i) for i in np.argsort(d1)[: cfg.per_factor_top])
-            shortlist2.update(int(i) for i in np.argsort(d2)[: cfg.per_factor_top])
-        extra = max(0, cfg.pair_budget - len(shortlist1) * len(shortlist2))
+            for shortlist, factor, blocks in ((shortlist1, lefts[comp], blocks1),
+                                              (shortlist2, rights[comp], blocks2)):
+                fu, _, fvh = np.linalg.svd(factor)  # anchor: nearest unitary fu @ fvh
+                dists = [unitary_map_distance(fu @ fvh, b) for b in blocks]
+                shortlist.update(int(i) for i in np.argsort(dists)[:PER_FACTOR_TOP])
+        extra = max(0, PAIR_BUDGET - len(shortlist1) * len(shortlist2))
         pairs = [(j, l) for j in shortlist1 for l in shortlist2]
         if extra:
             js = rng.integers(0, n1, size=extra)
@@ -805,23 +796,25 @@ def _witness_control_path(g1, g2, target, cfg: WitnessConfig):
             pairs.extend({(int(j), int(l)) for j, l in zip(js, ls)} - set(pairs))
         method = "pair-shortlist"
 
-    pair_arr = np.array(pairs)
-    errors = _avg_pure_pair_errors(pair_arr, blocks1, blocks2, target, inputs)
+    # A pure pair maps z to y = (U_j (x) V_l) z, at trace distance
+    # 2 sqrt(1 - |<T z, y>|^2) from the target output.
+    overlaps = np.abs(
+        _stack_outputs(_pair_operators(blocks1, blocks2, np.array(pairs)), inputs)
+        @ (inputs @ target.T).conj()[:, :, None]
+    )[..., 0]
+    errors = np.mean(2.0 * np.sqrt(np.clip(1.0 - overlaps**2, 0.0, None)), axis=0)
     best_idx = int(np.argmin(errors))
-    best_weights = {tuple(int(x) for x in pair_arr[best_idx]): 1.0}
+    best_weights = {pairs[best_idx]: 1.0}
     best_value = float(errors[best_idx])
 
     # Product-target candidate: compose per-factor mixture programs.
-    s, lefts, rights = operator_schmidt(target, g1.d_data, g2.d_data)
     if s.size == 1 or (s.size > 1 and s[1] <= 1e-9 * s[0]):
-        scale1 = np.linalg.norm(lefts[0]) / math.sqrt(g1.d_data)
-        scale2 = np.linalg.norm(rights[0]) / math.sqrt(g2.d_data)
-        u1 = lefts[0] / scale1
-        u2 = rights[0] / scale2
-        p1, _ = program_for_target(g1, u1, seed=cfg.seed + 11)
-        p2, _ = program_for_target(g2, u2, seed=cfg.seed + 12)
-        w1 = np.abs(p1.amplitudes) ** 2
-        w2 = np.abs(p2.amplitudes) ** 2
+        factor_weights = []
+        for i, (gate, factor) in enumerate(((g1, lefts[0]), (g2, rights[0]))):
+            unit = factor / (np.linalg.norm(factor) / math.sqrt(gate.d_data))
+            factor_program, _ = program_for_target(gate, unit, seed=cfg.seed + 11 + i)
+            factor_weights.append(np.abs(factor_program.amplitudes) ** 2)
+        w1, w2 = factor_weights
         prod_weights = {
             (int(j), int(l)): float(w1[j] * w2[l])
             for j in np.nonzero(w1 > 1e-10)[0]
@@ -832,19 +825,15 @@ def _witness_control_path(g1, g2, target, cfg: WitnessConfig):
             best_value, best_weights = val, prod_weights
 
     # Convex polish over the candidate pairs.
-    polish_pairs = pairs if len(pairs) <= cfg.pair_budget else pairs[: cfg.pair_budget]
-    for pair in best_weights:
-        if pair not in polish_pairs:
-            polish_pairs.append(pair)
+    scanned = set(pairs)
+    polish_pairs = pairs + [pair for pair in best_weights if pair not in scanned]
     weights, value = _frank_wolfe_polish(
         best_weights, polish_pairs, blocks1, blocks2, target, inputs, cfg.fw_iterations
     )
     if value > best_value:
         weights, value = best_weights, best_value
 
-    kraus = [
-        math.sqrt(w) * np.kron(blocks1[j], blocks2[l]) for (j, l), w in weights.items()
-    ]
+    kraus = _mixture_kraus(weights, blocks1, blocks2)
     sup = estimate_sup_error(kraus, target, cfg.sup_samples, cfg.seed + 1)
     program = None
     if g1.d_program * g2.d_program <= 2**21:
@@ -882,17 +871,18 @@ def _witness_general_path(g1, g2, target, cfg: WitnessConfig):
     def channel_of(psi_vec: np.ndarray):
         return np.einsum("akbq,q->kab", g4, psi_vec)
 
+    reference = target[None]
+
     def fun(v: np.ndarray) -> float:
-        gaps = _conjugation_gaps(channel_of(v[:, 0]), target, inputs)
+        gaps = _conjugation_gaps(channel_of(v[:, 0]), reference, inputs)
         return float(np.mean(qmath.hermitian_trace_norm(gaps)))
 
     def grad(v: np.ndarray) -> np.ndarray:
         # d/dpsi of the mean trace distance, with sign(Delta_s) as subgradient:
         # -2/S sum_s z_s^b (K z_s)^*_d sign_s[d, a] g4[a, k, b, q].
         kraus = channel_of(v[:, 0])
-        signs = qmath.spectral_sign(_conjugation_gaps(kraus, target, inputs))
-        kz = np.einsum("kab,sb->ska", kraus, inputs)
-        u = np.einsum("skd,sda->ska", kz.conj(), signs)
+        signs = qmath.spectral_sign(_conjugation_gaps(kraus, reference, inputs))
+        u = _stack_outputs(kraus, inputs).conj() @ signs
         acc = -np.einsum("sb,ska,akbq->q", inputs, u, g4, optimize=True)
         return (2.0 * acc / len(inputs)).reshape(dp, 1)
 
@@ -962,14 +952,11 @@ def dilation_unitary(channel: QuantumChannel) -> tuple[np.ndarray, int]:
     d, e = channel.d_in, iso.d_env
     side = d * e
     u = np.zeros((side, side), dtype=complex)
-    # Columns with the ancilla in |0> are fixed by the isometry; the rest is
-    # an arbitrary orthonormal completion.
-    for x in range(d):
-        u[:, x * e] = iso.v[:, x]
-    fixed = u[:, [x * e for x in range(d)]]
-    q, _ = np.linalg.qr(np.concatenate([fixed, np.eye(side, dtype=complex)], axis=1))
-    rest_cols = [c for c in range(side) if c % e != 0]
-    u[:, rest_cols] = q[:, d : d + len(rest_cols)]
+    # Columns with the ancilla in |0> (every e-th) are fixed by the isometry;
+    # the rest is an arbitrary orthonormal completion.
+    u[:, ::e] = iso.v
+    q, _ = np.linalg.qr(np.concatenate([iso.v, np.eye(side, dtype=complex)], axis=1))
+    u[:, np.arange(side) % e != 0] = q[:, d:side]
     _check_unitary(u, side)
     return u, e
 
@@ -1002,20 +989,13 @@ def emulate_encoding(
     )
     induced = induced_map(gate, program)
 
-    rng = np.random.default_rng(seed)
+    # Emulated channel: M_{k,e} = (I (x) <e|) K_k (I (x) |0>) on the data register.
     d_in = channel.d_in
-    e0 = np.zeros(d_env, dtype=complex)
-    e0[0] = 1.0
-    worst = 0.0
-    for z in qmath.haar_vectors(rng, n_samples, d_in):
-        sigma = qmath.DensityMatrix((d_in,), np.outer(z, z.conj()))
-        truth = ch.apply(channel, sigma)
-        lifted = np.kron(z, e0)
-        big = qmath.DensityMatrix((d_in, d_env), np.outer(lifted, lifted.conj()))
-        routed = ch.apply(induced, qmath.DensityMatrix((big.side,), big.entries))
-        routed = qmath.DensityMatrix((d_in, d_env), routed.entries)
-        emulated = qmath.partial_trace(routed, {0})
-        worst = max(worst, qmath.trace_distance(truth, emulated))
+    from_zero = np.asarray(induced.kraus).reshape(-1, d_in, d_env, d_in, d_env)[..., 0]
+    emulated = from_zero.transpose(0, 2, 1, 3).reshape(-1, d_in, d_in)
+    samples = qmath.haar_vectors(np.random.default_rng(seed), n_samples, d_in)
+    gaps = _conjugation_gaps(emulated, channel.kraus, samples)
+    worst = np.max(qmath.hermitian_trace_norm(gaps), initial=0.0)
     return EmulationReport(
         program=program,
         measured_error=float(worst),

@@ -280,6 +280,30 @@ class TestConfigSurface:
         assert code == 2
 
 
+ORTHOGONALITY = ["pqg", "check-orthogonality", "--program2", "0"]
+BELL = str(fixture_path("bell.json"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ORTHOGONALITY + ["--program1", "abc"],
+        ORTHOGONALITY + ["--program1", "5"],
+        ORTHOGONALITY + ["--program1", "-1"],
+        ORTHOGONALITY + ["--program1", "1,0,0"],
+        ORTHOGONALITY + ["--program1", "0,0"],
+        ORTHOGONALITY + ["--units", "I,Q", "--program1", "1"],
+        ["pqg", "witness", "--target", "cnot", "--gates", "net:abc", "pauli"],
+        ["dc", BELL, "--d", "0"],
+        ["dc", BELL, "--restarts", "-1"],
+    ],
+)
+def test_bad_flags_exit_2(capsys, argv):
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    assert any(line.startswith("error: ") for line in err.splitlines())
+
+
 class TestReplay:
     def test_replay_is_bit_identical(self, capsys, tmp_path):
         code, out, _ = run_cli(

@@ -271,6 +271,51 @@ class TestEmulation:
         report = pqg.emulate_encoding(cnot_channel, tensored, 0.1, n_samples=100, seed=4)
         assert report.measured_error > 0.1
 
+    @pytest.mark.parametrize(
+        "channel",
+        [ch.QuantumChannel.depolarizing(0.6), ch.random_channel(2, 2, 2, seed=9)],
+        ids=["depolarizing", "random"],
+    )
+    def test_measured_error_matches_per_sample_route(self, channel):
+        # Reference: lift each sample to z (x) |0>, run the induced map on the
+        # dilation register, trace out the environment, compare with the channel.
+        target, d_env = pqg.dilation_unitary(channel)
+        rng = np.random.default_rng(2)
+        side = target.shape[0]
+        gate = pqg.control_gate([ch.random_unitary(side, rng) for _ in range(3)])
+        report = pqg.emulate_encoding(channel, gate, 0.1, n_samples=30, seed=5)
+        induced = pqg.induced_map(gate, report.program)
+        d_in = channel.d_in
+        e0 = np.zeros(d_env, dtype=complex)
+        e0[0] = 1.0
+        worst = 0.0
+        for z in qmath.haar_vectors(np.random.default_rng(5), 30, d_in):
+            truth = ch.apply(channel, qmath.DensityMatrix((d_in,), np.outer(z, z.conj())))
+            lifted = np.kron(z, e0)
+            big = qmath.DensityMatrix((side,), np.outer(lifted, lifted.conj()))
+            routed = ch.apply(induced, big)
+            emulated = qmath.partial_trace(qmath.DensityMatrix((d_in, d_env), routed.entries), {0})
+            worst = max(worst, qmath.trace_distance(truth, emulated))
+        assert worst > 0.01
+        assert report.measured_error == pytest.approx(worst, abs=1e-12)
+
+
+@pytest.mark.parametrize("d1, d2", [(2, 2), (2, 3), (3, 2)])
+def test_pair_operators_match_kron(d1, d2):
+    rng = np.random.default_rng(10 * d1 + d2)
+
+    def blocks(n, d):
+        return [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(n)]
+
+    blocks1, blocks2 = blocks(4, d1), blocks(5, d2)
+    grid = [(j, l) for j in range(4) for l in range(5)]
+    shortlist = [(3, 0), (1, 4), (1, 1), (0, 2), (3, 0)]
+    for pairs in (grid, shortlist):
+        ops = pqg._pair_operators(blocks1, blocks2, np.array(pairs))
+        expected = np.stack([np.kron(blocks1[j], blocks2[l]) for j, l in pairs])
+        assert ops.shape == expected.shape
+        assert np.max(np.abs(ops - expected)) < 1e-12
+
 
 def test_tensor_gates_blocks():
     a = pqg.control_gate([np.eye(2, dtype=complex), PAULI_X])
@@ -279,6 +324,14 @@ def test_tensor_gates_blocks():
     assert joint.d_data == 4 and joint.d_program == 4
     assert np.allclose(joint.blocks[1], np.kron(np.eye(2), PAULI_Z))
     assert np.allclose(joint.blocks[2], np.kron(PAULI_X, np.eye(2)))
+    rng = np.random.default_rng(4)
+    a = pqg.control_gate([ch.random_unitary(2, rng) for _ in range(3)])
+    b = pqg.control_gate([ch.random_unitary(3, rng) for _ in range(2)])
+    joint = pqg.tensor_gates(a, b)
+    assert (joint.d_data, joint.d_program) == (6, 6)
+    for j, u in enumerate(a.blocks):
+        for l, v in enumerate(b.blocks):
+            assert np.max(np.abs(joint.blocks[j * 2 + l] - np.kron(u, v))) < 1e-12
 
 
 def test_operator_schmidt_rank():
