@@ -55,10 +55,22 @@ EXIT_PRECONDITION = 6
 
 def default_seed() -> int:
     """Default seed for all commands; DENSECODE_SEED overrides it."""
+    text = os.environ.get("DENSECODE_SEED", "0")
     try:
-        return int(os.environ.get("DENSECODE_SEED", "0"))
+        return int(text)
     except ValueError:
-        return 0
+        raise FormatError(f"DENSECODE_SEED must be an integer, got {text!r}") from None
+
+
+def _require_at_least(args, minimum: int, *flags: str) -> None:
+    for flag in flags:
+        if getattr(args, flag) < minimum:
+            raise FormatError(f"--{flag} must be at least {minimum}")
+
+
+def _check_epsilon(eps: float, where: str) -> None:
+    if not 0.0 < eps <= 2.0:
+        raise FormatError(f"{where} must lie in (0, 2], got {eps}")
 
 
 NAMED_UNITARIES = {
@@ -157,6 +169,7 @@ def _parse_gate_token(token: str, seed: int) -> tuple[pqg.ProgrammableGate, dict
             eps = float(token.split(":", 1)[1])
         except ValueError:
             raise FormatError(f"bad net epsilon in gate token {token!r}") from None
+        _check_epsilon(eps, f"net epsilon in gate token {token!r}")
         gate, net = pqg.net_gate(eps, 2, seed=seed)
         return gate, {"kind": "net", "epsilon": eps, "size": len(net.elements)}
     gate = ser.load_gate(token)
@@ -211,9 +224,7 @@ def _opt_config(args) -> opt.OptConfig:
 
 
 def cmd_dc(args, argv, timestamp) -> int:
-    for flag in ("d", "copies", "block"):
-        if getattr(args, flag) < 1:
-            raise FormatError(f"--{flag} must be at least 1")
+    _require_at_least(args, 1, "d", "copies", "block")
     rho = ser.load_state(args.state)
     cfg = _opt_config(args)
     a_factors = _parse_factors(args.a_factors)
@@ -277,6 +288,8 @@ def _opt_diagnostics(report) -> dict:
 
 
 def cmd_scan_additivity(args, argv, timestamp) -> int:
+    _require_at_least(args, 0, "count", "restarts")
+    _require_at_least(args, 1, "d1", "d2")
     cfg = opt.OptConfig(restarts=args.restarts, seed=args.seed)
     rows = []
     if args.rho and args.sigma:
@@ -348,6 +361,8 @@ def cmd_scan_additivity(args, argv, timestamp) -> int:
 
 
 def cmd_pqg_build_net(args, argv, timestamp) -> int:
+    _require_at_least(args, 2, "d")
+    _check_epsilon(args.epsilon, "--epsilon")
     gate, net = pqg.net_gate(args.epsilon, args.d, seed=args.seed)
     doc = {
         "epsilon": args.epsilon,
@@ -389,6 +404,7 @@ def cmd_pqg_check_orthogonality(args, argv, timestamp) -> int:
 
 
 def cmd_pqg_witness(args, argv, timestamp) -> int:
+    _require_at_least(args, 1, "inputs")
     target = _parse_target(args.target)
     g1, info1 = _parse_gate_token(args.gates[0], args.seed)
     g2, info2 = _parse_gate_token(args.gates[1], args.seed + 1)
@@ -416,6 +432,8 @@ def cmd_pqg_witness(args, argv, timestamp) -> int:
 
 
 def cmd_pqg_emulate(args, argv, timestamp) -> int:
+    _require_at_least(args, 1, "samples")
+    _check_epsilon(args.epsilon, "--epsilon")
     channel = ser.load_channel(args.channel)
     target, _ = pqg.dilation_unitary(channel)
     gate, net = pqg.net_gate_around([target], args.epsilon, seed=args.seed)
@@ -481,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--seed", type=int, default=default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--copies", type=int, default=1)
     p.add_argument("--block", type=int, default=1)
     p.add_argument("--channel", default=None)
@@ -499,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--d1", type=int, default=2)
     p.add_argument("--d2", type=int, default=2)
-    p.add_argument("--seed", type=int, default=default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--restarts", type=int, default=6)
     p.add_argument("--out", default=None)
     p.add_argument("--rho", default=None)
@@ -514,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = psub.add_parser("build-net", help="calibrated approximation net")
     q.add_argument("--epsilon", type=float, required=True)
     q.add_argument("--d", type=int, default=2)
-    q.add_argument("--seed", type=int, default=default_seed())
+    q.add_argument("--seed", type=int, default=None)
     q.add_argument("--out", default=None)
     q.set_defaults(func=cmd_pqg_build_net)
 
@@ -529,14 +547,14 @@ def build_parser() -> argparse.ArgumentParser:
     q = psub.add_parser("witness", help="scalability witness on a gate pair")
     q.add_argument("--target", required=True)
     q.add_argument("--gates", nargs=2, required=True)
-    q.add_argument("--seed", type=int, default=default_seed())
+    q.add_argument("--seed", type=int, default=None)
     q.add_argument("--inputs", type=int, default=24)
     q.set_defaults(func=cmd_pqg_witness)
 
     q = psub.add_parser("emulate", help="emulate an encoding channel through a gate")
     q.add_argument("--channel", required=True)
     q.add_argument("--epsilon", type=float, default=0.1)
-    q.add_argument("--seed", type=int, default=default_seed())
+    q.add_argument("--seed", type=int, default=None)
     q.add_argument("--samples", type=int, default=200)
     q.set_defaults(func=cmd_pqg_emulate)
 
@@ -555,6 +573,8 @@ def main(argv: list[str] | None = None, _timestamp: str | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "seed", 0) is None:
+            args.seed = default_seed()
         return args.func(args, argv, _timestamp)
     except FormatError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -120,15 +121,35 @@ class OrthogonalityVerdict:
 
 @dataclass
 class WitnessReport:
-    """Best program found for a target on a tensor pair of gates."""
+    """Best program found for a target on a tensor pair of gates.
+
+    The general path stores its program vector in ``amplitudes``; the
+    control-block path only keeps ``program_weights``, and ``best_program``
+    builds the dense vector from them on first access (None past 2**21
+    amplitudes).
+    """
 
     best_error: float
-    best_program: PureState | None
     program_weights: list[tuple[tuple[int, int], float]] | None
     sup_estimate: ErrorEstimate
     n_inputs: int
     seed: int
     method: str
+    program_dims: tuple[int, int]
+    amplitudes: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def best_program(self) -> PureState | None:
+        d1, d2 = self.program_dims
+        if self.amplitudes is not None:
+            return PureState((d1, d2), self.amplitudes)
+        if d1 * d2 > 2**21:
+            return None
+        amps = np.zeros(d1 * d2, dtype=complex)
+        for (j, l), w in self.program_weights:
+            amps[j * d2 + l] = math.sqrt(w)
+        amps /= np.linalg.norm(amps)
+        return PureState((d1, d2), amps)
 
 
 @dataclass
@@ -344,25 +365,62 @@ def approximation_error(
 # ---------------------------------------------------------------------------
 
 
-def _bloch_rotation(u: np.ndarray) -> np.ndarray:
-    """SO(3) action of a qubit unitary on the Bloch vector."""
-    paulis = (
-        np.array([[0, 1], [1, 0]], dtype=complex),
-        np.array([[0, -1j], [1j, 0]], dtype=complex),
-        np.diag([1.0, -1.0]).astype(complex),
-    )
-    r = np.empty((3, 3))
-    for j, pj in enumerate(paulis):
-        conj = u @ pj @ u.conj().T
-        for i, pi in enumerate(paulis):
-            r[i, j] = 0.5 * np.trace(pi @ conj).real
-    return r
+_PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 
 
-def _qubit_mixture_sup(weights: np.ndarray, rotations: np.ndarray) -> float:
-    """Exact sup-input trace distance of a qubit unitary mixture to the identity."""
-    a = np.tensordot(weights, rotations, axes=1)
-    return float(np.linalg.svd(np.eye(3) - a, compute_uv=False).max())
+def _bloch_rotations(units: np.ndarray) -> np.ndarray:
+    """SO(3) actions R[n, i, j] = tr(P_i U_n P_j U_n^dag) / 2 of a stack of qubit unitaries."""
+    conj = units[:, None] @ _PAULIS @ units[:, None].conj().swapaxes(-1, -2)
+    return 0.5 * np.einsum("iba,njab->nij", _PAULIS, conj).real
+
+
+def _mixture_objective(atoms: np.ndarray, target: np.ndarray):
+    """Objective of the mixture-weight solve and its exact gradient.
+
+    Returns (fun, ladder, vertex_values); ``fun(w, mu)`` gives the value and
+    gradient at weights w.  For qubits the objective is the exact worst-case
+    Bloch distortion sigma_max(M), M = I - sum_i w_i R_i.  For mu > 0 fun
+    gives its smoothing mu log tr exp(H / mu) over the dilation
+    H = [[0, M], [M^T, 0]] (eigenvalues +-sigma_k): smooth where sigma_max is
+    not, and at most mu log 6 above it.  Otherwise the objective is the
+    Choi-Frobenius proxy w^T G w - 2 b^T w + 1, a convex quadratic with
+    G_ij = |<v_i, v_j>|^2 and b_i = |tr(target^dag a_i)|^2 / d^2, and mu is
+    ignored.  ``fun(w, 0.0)`` is the objective itself; ``ladder`` lists the
+    mu to descend through; ``vertex_values[i]`` is the objective of atom i.
+    """
+    n = len(atoms)
+    d = target.shape[0]
+    rel = target.conj().T @ atoms
+    if d == 2:
+        rotations = _bloch_rotations(rel)
+        flat = rotations.reshape(n, 9)
+        eye = np.eye(3)
+
+        def fun(w, mu):
+            u, s, vh = np.linalg.svd(eye - (w @ flat).reshape(3, 3))
+            if mu == 0.0:  # sigma_max and a subgradient
+                value, c = s[0], np.array([1.0, 0.0, 0.0])
+            else:
+                up, down = np.exp((s - s[0]) / mu), np.exp((-s - s[0]) / mu)
+                total = up.sum() + down.sum()
+                value, c = s[0] + mu * math.log(total), (up - down) / total
+            # d/dw_i = -sum_k c_k u_k^T R_i v_k
+            return float(value), -flat @ ((u * c) @ vh).reshape(9)
+
+        ladder = (1e-2, 1e-4, 1e-6, 1e-8)
+        vertex_values = np.linalg.svd(eye - rotations, compute_uv=False)[:, 0]
+    else:
+        vecs = rel.reshape(n, -1)
+        gram = np.abs(vecs.conj() @ vecs.T) ** 2 / d**2
+        b = np.abs(np.trace(rel, axis1=1, axis2=2)) ** 2 / d**2
+
+        def fun(w, mu):
+            gw = gram @ w
+            return float(w @ gw - 2.0 * (b @ w) + 1.0), 2.0 * (gw - b)
+
+        ladder = (0.0,)
+        vertex_values = np.diag(gram) - 2.0 * b + 1.0
+    return fun, ladder, vertex_values
 
 
 def optimize_mixture_weights(
@@ -370,37 +428,32 @@ def optimize_mixture_weights(
 ) -> np.ndarray:
     """Simplex weights making the atom mixture approximate the target map.
 
-    For qubits the exact worst-case Bloch distortion is minimized; otherwise a
-    Choi-Frobenius proxy (a convex quadratic) is used.  Either way the caller
-    should re-measure the resulting program error.
+    SLSQP runs on the exact gradients of ``_mixture_objective``, warm-started
+    down its smoothing ladder: on the qubit objective, plain subgradient
+    steps stall where the top singular value is degenerate.  The best single
+    atom is returned whenever it beats the SLSQP point.  Either way the
+    caller should re-measure the resulting program error.
     """
     n = len(atoms)
     if n == 1:
         return np.ones(1)
-    d = target.shape[0]
-    rel = [target.conj().T @ a for a in atoms]
-    x0 = np.full(n, 1.0 / n)
-    constraints = [{"type": "eq", "fun": lambda w: w.sum() - 1.0}]
-    bounds = [(0.0, 1.0)] * n
-    if d == 2:
-        rotations = np.stack([_bloch_rotation(m) for m in rel])
-        fun = lambda w: _qubit_mixture_sup(w, rotations)
-    else:
-        vecs = np.stack([m.reshape(-1) / math.sqrt(d) for m in rel])
-        ident = np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d)
-
-        def fun(w):
-            j = np.einsum("i,ia,ib->ab", w, vecs, vecs.conj())
-            diff = j - np.outer(ident, ident.conj())
-            return float(np.linalg.norm(diff) ** 2)
+    fun, ladder, vertex_values = _mixture_objective(np.asarray(atoms), target)
 
     from scipy.optimize import minimize  # here, to keep it off every CLI call's start-up
 
-    res = minimize(fun, x0, method="SLSQP", bounds=bounds, constraints=constraints,
-                   options={"maxiter": 200, "ftol": 1e-12})
-    w = np.clip(res.x if res.success or res.x is not None else x0, 0.0, None)
+    simplex = {"type": "eq", "fun": lambda w: w.sum() - 1.0, "jac": lambda w: np.ones((1, n))}
+    w = np.full(n, 1.0 / n)
+    for mu in ladder:
+        w = minimize(fun, w, args=(mu,), jac=True, method="SLSQP", bounds=[(0.0, 1.0)] * n,
+                     constraints=[simplex], options={"maxiter": 200, "ftol": 1e-12}).x
+    w = np.clip(w, 0.0, None)
     total = w.sum()
-    return w / total if total > 0 else x0
+    best = int(np.argmin(vertex_values))
+    if total > 0 and fun(w / total, 0.0)[0] <= vertex_values[best]:  # False on a NaN point too
+        return w / total
+    vertex = np.zeros(n)
+    vertex[best] = 1.0
+    return vertex
 
 
 def program_for_target(
@@ -835,22 +888,15 @@ def _witness_control_path(g1, g2, target, cfg: WitnessConfig):
 
     kraus = _mixture_kraus(weights, blocks1, blocks2)
     sup = estimate_sup_error(kraus, target, cfg.sup_samples, cfg.seed + 1)
-    program = None
-    if g1.d_program * g2.d_program <= 2**21:
-        amps = np.zeros(g1.d_program * g2.d_program, dtype=complex)
-        for (j, l), w in weights.items():
-            amps[j * g2.d_program + l] = math.sqrt(w)
-        amps /= np.linalg.norm(amps)
-        program = PureState((g1.d_program, g2.d_program), amps)
     return WitnessReport(
         best_error=float(value),
-        best_program=program,
         program_weights=sorted(((pair, float(w)) for pair, w in weights.items()),
                                key=lambda item: -item[1]),
         sup_estimate=sup,
         n_inputs=cfg.n_inputs,
         seed=cfg.seed,
         method=f"control-blocks/{method}+frank-wolfe",
+        program_dims=(g1.d_program, g2.d_program),
     )
 
 
@@ -899,12 +945,13 @@ def _witness_general_path(g1, g2, target, cfg: WitnessConfig):
     sup = estimate_sup_error(kraus, target, cfg.sup_samples, cfg.seed + 1)
     return WitnessReport(
         best_error=float(report.value),
-        best_program=PureState((g1.d_program, g2.d_program), psi),
         program_weights=None,
         sup_estimate=sup,
         n_inputs=cfg.n_inputs,
         seed=cfg.seed,
         method="general-sphere-descent",
+        program_dims=(g1.d_program, g2.d_program),
+        amplitudes=psi,
     )
 
 

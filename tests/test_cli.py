@@ -258,6 +258,24 @@ class TestConfigSurface:
         assert code == 0
         assert doc["manifest"]["config"]["seed"] == 7
 
+    def test_malformed_seed_variable_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("DENSECODE_SEED", "abc")
+        code, out, err = run_cli(
+            capsys, ["dc", str(fixture_path("bell.json")), "--d", "2", "--restarts", "2"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "DENSECODE_SEED" in err
+
+    def test_explicit_seed_does_not_read_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("DENSECODE_SEED", "abc")
+        code, doc, _ = run_json(
+            capsys,
+            ["dc", str(fixture_path("bell.json")), "--d", "2", "--restarts", "2", "--seed", "3"],
+        )
+        assert code == 0
+        assert doc["manifest"]["config"]["seed"] == 3
+
     def test_config_block_overrides(self, capsys, tmp_path):
         block = tmp_path / "cfg.json"
         block.write_text('{"restarts": 3, "seed": 5}')
@@ -296,6 +314,16 @@ BELL = str(fixture_path("bell.json"))
         ["pqg", "witness", "--target", "cnot", "--gates", "net:abc", "pauli"],
         ["dc", BELL, "--d", "0"],
         ["dc", BELL, "--restarts", "-1"],
+        ["pqg", "emulate", "--channel", str(fixture_path("depolarizing-qubit.json")),
+         "--samples", "-1"],
+        ["pqg", "witness", "--target", "cnot", "--gates", "pauli", "pauli", "--inputs", "0"],
+        ["pqg", "build-net", "--epsilon", "0.5", "--d", "0"],
+        ["scan-additivity", "--d1", "0"],
+        ["scan-additivity", "--count", "1", "--restarts", "-1"],
+        ["pqg", "build-net", "--epsilon", "0"],
+        ["pqg", "emulate", "--channel", str(fixture_path("depolarizing-qubit.json")),
+         "--epsilon", "nan"],
+        ["pqg", "witness", "--target", "cnot", "--gates", "net:3", "pauli"],
     ],
 )
 def test_bad_flags_exit_2(capsys, argv):

@@ -99,6 +99,88 @@ class TestApproximationError:
         assert 0.0 <= err.value <= 2.0
 
 
+def fd_slsqp_weights(atoms, target):
+    """Reference solve: SLSQP with finite-difference gradients on the exact objective."""
+    from scipy.optimize import minimize
+
+    fun, _, _ = pqg._mixture_objective(np.asarray(atoms), target)
+    n = len(atoms)
+    res = minimize(lambda w: fun(w, 0.0)[0], np.full(n, 1.0 / n), method="SLSQP",
+                   bounds=[(0.0, 1.0)] * n, constraints=[{"type": "eq", "fun": lambda w: w.sum() - 1.0}],
+                   options={"maxiter": 200, "ftol": 1e-12})
+    w = np.clip(res.x, 0.0, None)
+    return w / w.sum()
+
+
+class TestMixtureWeights:
+    @pytest.mark.parametrize("d, mu", [(2, 0.0), (2, 1.0), (2, 1e-2), (2, 1e-4), (3, 0.0)])
+    def test_gradient_matches_central_differences(self, d, mu):
+        rng = np.random.default_rng(20 + d)
+        for _ in range(5):
+            atoms = np.stack([ch.random_unitary(d, rng) for _ in range(6)])
+            fun, _, _ = pqg._mixture_objective(atoms, ch.random_unitary(d, rng))
+            w = rng.dirichlet(np.ones(6))
+            _, grad = fun(w, mu)
+            h = 1e-6
+            fd = [(fun(w + h * e, mu)[0] - fun(w - h * e, mu)[0]) / (2 * h) for e in np.eye(6)]
+            assert np.max(np.abs(grad - fd)) < 1e-6
+
+    def test_bloch_rotations_match_trace_loop(self):
+        rng = np.random.default_rng(8)
+        units = np.stack([ch.random_unitary(2, rng) for _ in range(5)])
+        paulis = [PAULI_X, np.array([[0, -1j], [1j, 0]]), PAULI_Z]
+        expected = np.array([[[0.5 * np.trace(pi @ u @ pj @ u.conj().T).real for pj in paulis]
+                              for pi in paulis] for u in units])
+        rotations = pqg._bloch_rotations(units)
+        assert np.max(np.abs(rotations - expected)) < 1e-14
+        assert np.allclose(rotations @ rotations.swapaxes(1, 2), np.eye(3), atol=1e-12)
+        assert np.allclose(np.linalg.det(rotations), 1.0, atol=1e-12)
+
+    def test_gram_form_matches_choi_frobenius(self):
+        # Reference: || sum_i w_i |v_i><v_i| - |e><e| ||_F^2 with v_i = vec(T^dag a_i) / sqrt(d).
+        rng = np.random.default_rng(5)
+        d = 3
+        target = ch.random_unitary(d, rng)
+        atoms = np.stack([ch.random_unitary(d, rng) for _ in range(7)])
+        vecs = np.stack([(target.conj().T @ a).reshape(-1) / math.sqrt(d) for a in atoms])
+        ident = np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d)
+        fun, _, vertex_values = pqg._mixture_objective(atoms, target)
+        for w in [*rng.dirichlet(np.ones(7), size=5), *np.eye(7)]:
+            choi = np.einsum("i,ia,ib->ab", w, vecs, vecs.conj())
+            expected = float(np.linalg.norm(choi - np.outer(ident, ident.conj())) ** 2)
+            assert fun(w, 0.0)[0] == pytest.approx(expected, abs=1e-12)
+        for i, w in enumerate(np.eye(7)):
+            assert vertex_values[i] == pytest.approx(fun(w, 0.0)[0], abs=1e-12)
+
+    @pytest.mark.parametrize("target", [PAULI_X, PAULI_Z], ids=["X", "Z"])
+    def test_degenerate_uniform_start_reaches_exact_atom(self, pauli_gate, target):
+        # The uniform Pauli mixture is the completely depolarizing map: I - A = I,
+        # every singular value is 1 and the subgradient there says nothing.
+        atoms = np.asarray(pauli_gate.blocks)
+        fun, _, _ = pqg._mixture_objective(atoms, target)
+        assert fun(np.full(4, 0.25), 0.0)[0] == pytest.approx(1.0, abs=1e-12)
+        w = pqg.optimize_mixture_weights(pauli_gate.blocks, target)
+        assert fun(w, 0.0)[0] <= 1e-9
+
+    def test_target_among_atoms_gets_that_atom_alone(self):
+        # SLSQP only approaches the vertex; the vertex check returns it exactly.
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            atoms = [ch.random_unitary(2, rng) for _ in range(6)]
+            w = pqg.optimize_mixture_weights(atoms, np.exp(0.3j) * atoms[seed])
+            assert np.array_equal(w, np.eye(6)[seed])
+
+    def test_never_worse_than_finite_difference_solve(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            target = ch.random_unitary(2, rng)
+            atoms = [ch.random_unitary(2, rng) for _ in range(12)]
+            fun, _, _ = pqg._mixture_objective(np.asarray(atoms), target)
+            w = pqg.optimize_mixture_weights(atoms, target)
+            assert w.min() >= 0.0 and w.sum() == pytest.approx(1.0, abs=1e-12)
+            assert fun(w, 0.0)[0] <= fun(fd_slsqp_weights(atoms, target), 0.0)[0] + 1e-6
+
+
 class TestProgramOrthogonality:
     def test_basis_programs_consistent(self):
         gate = pqg.control_gate([np.eye(2, dtype=complex), PAULI_X])
@@ -205,6 +287,26 @@ class TestScalabilityWitness:
         report = pqg.scalability_witness(gate, gate, np.kron(PAULI_X, PAULI_Z))
         assert report.best_error <= 0.3 + 0.3 + 0.05
 
+    def test_lazy_program_matches_dense_construction(self):
+        rng = np.random.default_rng(3)
+        g1 = pqg.control_gate([ch.random_unitary(2, rng) for _ in range(5)])
+        g2 = pqg.control_gate([ch.random_unitary(2, rng) for _ in range(3)])
+        report = pqg.scalability_witness(g1, g2, np.kron(PAULI_X, PAULI_Z),
+                                         pqg.WitnessConfig(fw_iterations=20))
+        assert len(report.program_weights) > 1
+        amps = np.zeros(15, dtype=complex)
+        for (j, l), w in report.program_weights:
+            amps[j * 3 + l] = math.sqrt(w)
+        amps /= np.linalg.norm(amps)
+        assert report.best_program.dims == (5, 3)
+        assert np.array_equal(report.best_program.amplitudes, amps)
+        assert report.best_program is report.best_program
+
+    def test_no_dense_program_past_the_guard(self):
+        report = pqg.WitnessReport(0.0, [((0, 0), 1.0)], pqg.ErrorEstimate(0.0, "exact-unitary", 0),
+                                   1, 0, "control-blocks", program_dims=(2**11, 2**11))
+        assert report.best_program is None
+
     def test_swap_gates_cannot_fake_cnot(self):
         # Swap gates pass entangled program states straight into the data
         # register, yet no program makes the induced map a CNOT conjugation.
@@ -217,6 +319,7 @@ class TestScalabilityWitness:
         )
         assert report.best_error > 0.1
         assert report.method == "general-sphere-descent"
+        assert report.best_program.dims == (2, 2)
 
     def test_monotone_family(self, net_gates, pauli_gate):
         # Finer nets push product targets toward zero while the entangling
