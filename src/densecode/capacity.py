@@ -250,7 +250,12 @@ def dc_capacity_multicopy(
     cfg: opt.OptConfig | None = None,
     a_factors: Sequence[int] = (0,),
 ) -> CapacityResult:
-    """Capacity when k copies of the shared state are spent per channel use."""
+    """Capacity when k copies of the shared state are spent per channel use.
+
+    Never below the single-copy value minus tolerance: the single-copy
+    optimizer on the first copy, with the other copies' sender factors traced
+    out, is seeded as a probe and attains exactly that value.
+    """
     if k < 1:
         raise ValueError("copy count k must be >= 1")
     cfg = cfg or opt.OptConfig()
@@ -260,8 +265,12 @@ def dc_capacity_multicopy(
     joint = _power_state(rho, k)
     shift = rho.n_factors
     joint_a = [f + c * shift for c in range(k) for f in sorted(a_factors)]
-    result = dc_capacity(d, joint, cfg, joint_a)
-    result.metadata.update({"copies": k})
+    single = dc_capacity(d, rho, cfg, a_factors)
+    d_a = single.report.isometry.d_in
+    tracer = QuantumChannel.trace_out_factor((d_a, d_a ** (k - 1)), (1,))
+    probe = ch.compose(ch.undilate(single.report.isometry), tracer)
+    result = dc_capacity(d, joint, cfg, joint_a, probes=[probe])
+    result.metadata.update({"copies": k, "single_copy_value": single.value})
     return result
 
 

@@ -284,6 +284,7 @@ def _opt_diagnostics(report) -> dict:
         "iterations": report.iterations,
         "best_restart": report.best_restart,
         "skipped_restarts": report.skipped_restarts,
+        "dropped_probes": report.dropped_probes,
     }
 
 

@@ -7,6 +7,14 @@ backtracking, QR retraction).  Global optimality is never certified -- the
 reported value is the entropy of a feasible channel, hence always an upper
 bound on the true minimum, and every caller-supplied probe channel is seeded
 as a restart so the result can only improve on it.
+
+The environment of the search is as small as the minimum allows.  The output
+entropy H((T (x) id) rho) is concave in T, so its minimum over the convex set
+of channels is reached at an extreme point, and an extreme channel has at
+most d_in Kraus operators (Choi 1975, Thm 5).  ``min_local_output_entropy``
+therefore searches d_env = d_in, raised only to fit the largest canonical
+Kraus rank among its probes, instead of the d_in * d_out that holds every
+channel.
 """
 
 from __future__ import annotations
@@ -65,6 +73,8 @@ class OptReport:
     best_restart: int
     skipped_restarts: int = 0
     floor: float | None = None
+    # Probes whose Kraus rank exceeds a caller-set OptConfig.d_env; not seeded.
+    dropped_probes: int = 0
 
     def point(self) -> np.ndarray:
         if isinstance(self.isometry, StinespringIsometry):
@@ -196,6 +206,11 @@ class _OutputEntropyProblem:
     into per-rest-index blocks F_s, and every contraction is a matmul on a
     reshaped view: no lifted V (x) I or post-channel Kraus operator is built.
     The signal state lives on [d_rest, d_out] (rest first).
+
+    ``value`` keeps its point, output tensor and signal eigendecomposition;
+    ``gradient`` reuses them when it is handed that same array object, as
+    ``stiefel_minimize`` does with the accepted candidate.  Points must not be
+    modified in place between the two calls.
     """
 
     def __init__(
@@ -235,6 +250,7 @@ class _OutputEntropyProblem:
         self.marginal_entropy = qmath.entropy_of_spectrum(
             np.linalg.eigvalsh(hermitize(qmath.partial_trace(work, {1}).entries))
         )
+        self._forward_cache: tuple | None = None
 
     # -- forward pass ------------------------------------------------------
 
@@ -242,11 +258,13 @@ class _OutputEntropyProblem:
         """Z[(s, o), (e, r)] = (V F_s)[(o, e), r], environment and rank as columns."""
         return (v @ self.factored).reshape(self.d_rest * self.d_out, self.d_env * self.rank)
 
-    def signal_state(self, v: np.ndarray) -> np.ndarray:
-        """phi(X) for X = Tr_env (V (x) I) rho (V (x) I)^dag = Z Z^dag."""
-        z = self.output_tensor(v)
+    def _signal_of(self, z: np.ndarray) -> np.ndarray:
         x = hermitize(z @ z.conj().T)
         return x if self.post is None else self._apply_post(x)
+
+    def signal_state(self, v: np.ndarray) -> np.ndarray:
+        """phi(X) for X = Tr_env (V (x) I) rho (V (x) I)^dag = Z Z^dag."""
+        return self._signal_of(self.output_tensor(v))
 
     def _apply_post(self, x: np.ndarray) -> np.ndarray:
         return hermitize(ch.local_kraus_sum(self.post.kraus, x, self.d_rest, 1))
@@ -254,39 +272,55 @@ class _OutputEntropyProblem:
     def _adjoint_post(self, l_out: np.ndarray) -> np.ndarray:
         return ch.local_kraus_sum(self.post_adjoint, l_out, self.d_rest, 1)
 
+    def _forward(self, v: np.ndarray) -> tuple:
+        """(v, Z, eigenvalues, eigenvectors) of the signal state at v, cached."""
+        cached = self._forward_cache
+        if cached is None or cached[0] is not v:
+            z = self.output_tensor(v)
+            cached = (v, z, *np.linalg.eigh(self._signal_of(z)))
+            self._forward_cache = cached
+        return cached
+
     def value(self, v: np.ndarray) -> float:
-        return qmath.entropy_of_spectrum(np.linalg.eigvalsh(self.signal_state(v)))
+        return qmath.entropy_of_spectrum(self._forward(v)[2])
 
     # -- gradient ----------------------------------------------------------
 
-    def gradient_for_weight(self, v: np.ndarray, l_signal: np.ndarray) -> np.ndarray:
-        """Euclidean gradient of Tr[l_signal * signal(V)] (for Hermitian l_signal)."""
+    def _pullback(self, z: np.ndarray, l_signal: np.ndarray) -> np.ndarray:
         l_x = self._adjoint_post(l_signal) if self.post is not None else l_signal
         # (L Z)[(s, o), (e, r)] as the stack over s of [(o, e), r] blocks, times F_s^dag.
-        lz = (l_x @ self.output_tensor(v)).reshape(self.d_rest, -1, self.rank)
+        lz = (l_x @ z).reshape(self.d_rest, -1, self.rank)
         return 2.0 * (lz @ self.factored_adj).sum(axis=0)
+
+    def gradient_for_weight(self, v: np.ndarray, l_signal: np.ndarray) -> np.ndarray:
+        """Euclidean gradient of Tr[l_signal * signal(V)] (for Hermitian l_signal)."""
+        return self._pullback(self.output_tensor(v), l_signal)
 
     def gradient(self, v: np.ndarray) -> np.ndarray:
         """Euclidean gradient of H(signal(V)); df = Re <grad, dV>."""
+        _, z, lam, vec = self._forward(v)
         # dH(X)/dX = -(log2 X + log2 e), with eigenvalues clamped away from 0.
-        l_signal = qmath.hermitian_function(
-            self.signal_state(v), lambda lam: -(_log2_clamped(lam) + LOG2E)
-        )
-        return self.gradient_for_weight(v, l_signal)
+        l_signal = qmath.from_spectrum(-(_log2_clamped(lam) + LOG2E), vec)
+        return self._pullback(z, l_signal)
 
-    # -- probe embedding ----------------------------------------------------
 
-    def isometry_from_channel(self, channel: QuantumChannel) -> np.ndarray | None:
-        """Embed a probe channel's canonical isometry into the working d_env."""
-        if (channel.d_in, channel.d_out) != (self.d_in, self.d_out):
-            return None
-        ops = ch.canonical_kraus(channel)
-        if len(ops) > self.d_env:
-            return None
-        v = np.zeros((self.d_out * self.d_env, self.d_in), dtype=complex)
-        for e, k in enumerate(ops):
-            v[e::self.d_env, :] = k
-        return v
+def _padded_isometry(iso: StinespringIsometry, d_env: int) -> np.ndarray:
+    """iso.v with its environment zero-padded to d_env levels, as V[(out, env), in]."""
+    v = np.zeros((iso.d_out, d_env, iso.d_in), dtype=complex)
+    v[:, : iso.d_env] = iso.v.reshape(iso.d_out, iso.d_env, iso.d_in)
+    return v.reshape(iso.d_out * d_env, iso.d_in)
+
+
+def _dilate_probes(
+    channels: Sequence[QuantumChannel], d_in: int, d_out: int
+) -> list[StinespringIsometry]:
+    """Minimal (canonical Kraus) dilations of channels that must map d_in to d_out."""
+    for chan in channels:
+        if (chan.d_in, chan.d_out) != (d_in, d_out):
+            raise DimensionMismatchError(
+                f"probe maps {chan.d_in} -> {chan.d_out}, the problem needs {d_in} -> {d_out}"
+            )
+    return [ch.dilate(chan) for chan in channels]
 
 
 def default_probes(d_in: int, d_out: int) -> list[QuantumChannel]:
@@ -313,14 +347,12 @@ def min_local_output_entropy(
     """
     cfg = cfg or OptConfig()
     d_in = rho.dims[factor]
-    d_env = cfg.d_env or d_in * d_out
+    dilations = _dilate_probes(list(default_probes(d_in, d_out)) + list(probes), d_in, d_out)
+    # An extreme channel has at most d_in Kraus operators (module docstring);
+    # the environment grows only so that every probe fits.
+    d_env = cfg.d_env or max([d_in] + [iso.d_env for iso in dilations])
     problem = _OutputEntropyProblem(rho, factor, d_out, d_env, post_channel)
-
-    starts = []
-    for probe in list(default_probes(d_in, d_out)) + list(probes):
-        v = problem.isometry_from_channel(probe)
-        if v is not None:
-            starts.append(v)
+    starts = [_padded_isometry(iso, d_env) for iso in dilations if iso.d_env <= d_env]
 
     d_acted_out = post_channel.d_out if post_channel is not None else d_out
     floor = max(0.0, problem.marginal_entropy - math.log2(d_acted_out))
@@ -335,6 +367,7 @@ def min_local_output_entropy(
         floor=floor,
     )
     report.isometry = StinespringIsometry(d_in, d_out, d_env, qr_retract(report.point()))
+    report.dropped_probes = len(dilations) - len(starts)
     return report
 
 
@@ -390,18 +423,18 @@ def optimize_ensemble(
     problem = _OutputEntropyProblem(rho, factor, phi.d_in, d_env, post_channel=phi)
 
     isometries: list[np.ndarray] = []
-    if initial_encodings:
-        for enc in initial_encodings:
-            v = problem.isometry_from_channel(enc)
-            if v is None:
-                raise DimensionMismatchError(
-                    "initial encoding incompatible with the working dimensions"
-                )
-            isometries.append(v)
+    for iso in _dilate_probes(initial_encodings or (), d_in, phi.d_in):
+        if iso.d_env > d_env:
+            raise DimensionMismatchError(
+                f"initial encoding of Kraus rank {iso.d_env} exceeds d_env = {d_env}"
+            )
+        isometries.append(_padded_isometry(iso, d_env))
     if len(isometries) < m:
         # Default seeding: a minimizing encoding followed by Weyl rotations of
-        # the channel input, which twirls the average signal exactly.
-        inner_cfg = replace(cfg, restarts=max(4, cfg.restarts // 2))
+        # the channel input, which twirls the average signal exactly.  The
+        # Holevo objective is not concave in one member, so the ensemble keeps
+        # its larger environment and hands it to the seeding descent.
+        inner_cfg = replace(cfg, restarts=max(4, cfg.restarts // 2), d_env=d_env)
         base = min_local_output_entropy(rho, factor, phi.d_in, inner_cfg, post_channel=phi)
         v_star = base.isometry.v
         for w in ch.weyl_basis(phi.d_in):

@@ -267,6 +267,26 @@ def unitary_map_distance(u: np.ndarray, v: np.ndarray) -> float:
     return 2.0 * math.sin(span / 2.0)
 
 
+def _unitary_map_distances(u: np.ndarray, stack) -> np.ndarray:
+    """``unitary_map_distance(u, v)`` for every v in a stack [n, d, d], batched.
+
+    Qubits take |Tr(u^dag v)| over the whole stack in one contraction; larger d
+    takes the eigenphases of the stacked u^dag v from one ``eigvals`` call.
+    """
+    stack = np.asarray(stack)
+    if u.shape == (2, 2):
+        trace = np.einsum("ab,kab->k", u.conj(), stack)
+        # hypot, like the scalar abs(), keeps the two bit-identical.
+        overlap = np.minimum(1.0, np.hypot(trace.real, trace.imag) / 2.0)
+        return 2.0 * np.sqrt(np.maximum(0.0, 1.0 - overlap**2))
+    if u.shape[0] == 1:
+        return np.zeros(len(stack))
+    phases = np.sort(np.angle(np.linalg.eigvals(u.conj().T @ stack)), axis=-1)
+    wrap = 2.0 * math.pi - (phases[:, -1] - phases[:, 0])
+    span = 2.0 * math.pi - np.maximum(np.diff(phases, axis=-1).max(axis=-1), wrap)
+    return np.where(span >= math.pi, 2.0, 2.0 * np.sin(span / 2.0))
+
+
 def _stack_outputs(ops: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """Y[s, k, :] = ops[k] @ inputs[s] for a stack of operators, as one matmul."""
     return (inputs @ ops.reshape(-1, ops.shape[-1]).T).reshape(len(inputs), *ops.shape[:2])
@@ -470,7 +490,7 @@ def program_for_target(
     """
     if gate.blocks is None:
         raise InvariantError("program_for_target needs a controlled-block gate")
-    dists = np.array([unitary_map_distance(target, b) for b in gate.blocks])
+    dists = _unitary_map_distances(target, gate.blocks)
     order = np.argsort(dists)
     best_idx = int(order[0])
     candidates: list[dict[int, float]] = [{best_idx: 1.0}]
@@ -609,7 +629,7 @@ def _measure_net(
         target = ch.random_unitary(d, rng)
         _, err = program_for_target(gate, target, seed=seed + 7919 * t + 1)
         max_prog = max(max_prog, err.value)
-        max_atom = max(max_atom, min(unitary_map_distance(target, a) for a in atoms))
+        max_atom = max(max_atom, float(_unitary_map_distances(target, gate.blocks).min()))
         if max_prog > epsilon:
             break
     return max_prog, max_atom
@@ -839,7 +859,7 @@ def _witness_control_path(g1, g2, target, cfg: WitnessConfig):
             for shortlist, factor, blocks in ((shortlist1, lefts[comp], blocks1),
                                               (shortlist2, rights[comp], blocks2)):
                 fu, _, fvh = np.linalg.svd(factor)  # anchor: nearest unitary fu @ fvh
-                dists = [unitary_map_distance(fu @ fvh, b) for b in blocks]
+                dists = _unitary_map_distances(fu @ fvh, blocks)
                 shortlist.update(int(i) for i in np.argsort(dists)[:PER_FACTOR_TOP])
         extra = max(0, PAIR_BUDGET - len(shortlist1) * len(shortlist2))
         pairs = [(j, l) for j in shortlist1 for l in shortlist2]

@@ -49,7 +49,12 @@ def hermitian_function(matrix: np.ndarray, fn) -> np.ndarray:
     clamped logarithm or ``exp(-i λ)``; ``spectral_sign`` is one such map.
     """
     lam, vec = np.linalg.eigh(hermitize(matrix))
-    return (vec * fn(lam)[..., None, :]) @ vec.conj().swapaxes(-1, -2)
+    return from_spectrum(fn(lam), vec)
+
+
+def from_spectrum(values: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """V diag(values) V† for (a stack of) eigenvector matrices V, e.g. from one ``eigh``."""
+    return (vec * values[..., None, :]) @ vec.conj().swapaxes(-1, -2)
 
 
 def spectral_sign(matrix: np.ndarray) -> np.ndarray:

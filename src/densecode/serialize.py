@@ -147,6 +147,7 @@ def opt_report_to_json(report) -> dict:
         "iterations": report.iterations,
         "best_restart": report.best_restart,
         "skipped_restarts": report.skipped_restarts,
+        "dropped_probes": report.dropped_probes,
     }
     if hasattr(iso, "v"):
         doc["isometry"] = {

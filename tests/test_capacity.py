@@ -158,6 +158,17 @@ class TestBlockAndMulticopy:
         with pytest.raises(SizeGuardError):
             cap.dc_capacity_multicopy(5, 2, bell_density(), CFG)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_multicopy_never_below_its_single_copy(self, seed):
+        # T* on the first copy with the second copy's sender traced out is
+        # seeded, so even a capped one-restart descent keeps the single copy.
+        rho = ch.random_state((3, 3), 3, seed=seed)
+        cfg = opt.OptConfig(restarts=1, max_iterations=40, seed=seed)
+        result = cap.dc_capacity_multicopy(2, 3, rho, cfg)
+        single = result.metadata["single_copy_value"]
+        assert single == pytest.approx(cap.dc_capacity(3, rho, cfg).value, abs=1e-12)
+        assert result.value >= single - 1e-9
+
 
 class TestAchievingEnsemble:
     def test_reproduces_bell_capacity(self):

@@ -288,6 +288,20 @@ class TestConfigSurface:
         assert doc["report"]["value"] == pytest.approx(0.0, abs=1e-6)
         assert doc["report"]["isometry"]["d_in"] == 2
 
+    def test_dropped_probes_in_diagnostics(self, capsys, tmp_path):
+        # d_env = 1 cannot hold the projection probe's two Kraus operators.
+        block = tmp_path / "cfg.json"
+        block.write_text('{"restarts": 1, "d_env": 1}')
+        code, doc, _ = run_json(
+            capsys,
+            ["dc", str(fixture_path("bell.json")), "--d", "2", "--config", str(block),
+             "--emit-report"],
+        )
+        assert code == 0
+        assert doc["diagnostics"]["dropped_probes"] == 1
+        assert doc["report"]["dropped_probes"] == 1
+        assert doc["report"]["isometry"]["d_env"] == 1
+
     def test_config_block_rejects_unknown_fields(self, capsys, tmp_path):
         block = tmp_path / "cfg.json"
         block.write_text('{"bogus": 1}')

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from densecode import capacity as cap
 from densecode import channels as ch
 from densecode import optimize as opt
 from densecode import qmath
-from densecode.errors import ConvergenceError
+from densecode.errors import ConvergenceError, DimensionMismatchError
 
 
 def finite_difference_directional(fun, v, direction, h=1e-5):
@@ -232,6 +233,90 @@ class TestMinLocalOutputEntropy:
         for probe in candidates:
             probe_value = qmath.von_neumann_entropy(ch.apply_local(probe, work, 0))
             assert report.value <= probe_value + 1e-9
+
+
+class TestExtremePointEnvironment:
+    """The default search runs at d_env = d_in unless a probe needs more."""
+
+    def test_default_environment_is_d_in(self):
+        rho = ch.random_state((2, 3), 4, seed=70)
+        report = opt.min_local_output_entropy(rho, 0, 3, opt.OptConfig(restarts=2, seed=71))
+        assert report.isometry.d_env == 2
+        assert report.dropped_probes == 0
+        block = cap.dc_capacity_block(2, 2, ch.random_state((2, 2), 2, seed=72),
+                                      opt.OptConfig(restarts=1, max_iterations=20, seed=73))
+        assert block.report.isometry.d_env == 4
+        assert block.report.dropped_probes == 0
+
+    def test_full_kraus_rank_probe_is_honored(self):
+        # A generic channel 2 -> 2 with four Kraus operators has Choi rank 4
+        # = d_in * d_out, above the default d_env = 2: the environment grows.
+        rho = ch.random_state((2, 2), 4, seed=74)
+        probe = ch.random_channel(2, 2, 4, seed=75)
+        assert len(ch.canonical_kraus(probe)) == 4
+        result = cap.dc_capacity(2, rho, opt.OptConfig(restarts=1, seed=76), probes=[probe])
+        probe_value = 1.0 + qmath.von_neumann_entropy(qmath.partial_trace(rho, {1})) - (
+            qmath.von_neumann_entropy(ch.apply_local(probe, rho, 0))
+        )
+        assert result.report.isometry.d_env == 4
+        assert result.report.dropped_probes == 0
+        assert result.value >= probe_value - 1e-9
+
+    def test_caller_d_env_counts_dropped_probes(self):
+        # d_env = 1 fits the embedding probe (rank 1) but neither the
+        # projection probe (rank d_in = 2) nor a rank-4 caller probe.
+        rho = ch.random_state((2, 2), 3, seed=77)
+        cfg = opt.OptConfig(restarts=1, seed=78, d_env=1)
+        probe = ch.random_channel(2, 2, 4, seed=79)
+        report = opt.min_local_output_entropy(rho, 0, 2, cfg, probes=[probe])
+        assert report.isometry.d_env == 1
+        assert report.dropped_probes == 2
+
+    def test_probe_of_the_wrong_shape_raises(self):
+        rho = ch.random_state((2, 2), 3, seed=80)
+        with pytest.raises(DimensionMismatchError):
+            opt.min_local_output_entropy(
+                rho, 0, 2, opt.OptConfig(restarts=1), probes=[ch.QuantumChannel.identity(3)]
+            )
+
+
+class TestForwardCache:
+    """value() caches its eigendecomposition for the gradient at the same point."""
+
+    @staticmethod
+    def _problem(post=False):
+        rho = ch.random_state((3, 2), 5, seed=81)
+        phi = ch.random_channel(3, 2, 2, seed=82) if post else None
+        return opt._OutputEntropyProblem(rho, 0, 3, 3, phi)
+
+    @pytest.mark.parametrize("post", [False, True])
+    def test_gradient_at_another_point_is_not_stale(self, post):
+        v1 = ch.random_isometry(9, 3, seed=83)
+        v2 = ch.random_isometry(9, 3, seed=84)
+        problem = self._problem(post)
+        problem.value(v1)
+        g = problem.gradient(v2)
+        fresh = self._problem(post).gradient(v2)
+        assert np.max(np.abs(g - fresh)) <= 1e-14
+
+    @pytest.mark.parametrize("post", [False, True])
+    def test_gradient_after_value_matches_a_fresh_gradient(self, post):
+        v = ch.random_isometry(9, 3, seed=85)
+        problem = self._problem(post)
+        value = problem.value(v)
+        g = problem.gradient(v)
+        fresh = self._problem(post)
+        assert np.max(np.abs(g - fresh.gradient(v))) <= 1e-14
+        expected = qmath.entropy_of_spectrum(np.linalg.eigvalsh(fresh.signal_state(v)))
+        assert abs(value - expected) <= 1e-14
+
+    def test_equal_copy_is_recomputed(self):
+        # The cache is keyed on the array object: an equal copy recomputes
+        # and gives the same gradient.
+        v = ch.random_isometry(9, 3, seed=86)
+        problem = self._problem()
+        problem.value(v)
+        assert np.max(np.abs(problem.gradient(v.copy()) - problem.gradient(v))) <= 1e-14
 
 
 class TestOptimizeEnsemble:

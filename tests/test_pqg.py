@@ -452,3 +452,15 @@ def test_unitary_map_distance_examples():
     assert pqg.unitary_map_distance(np.eye(2), rz) == pytest.approx(
         2 * math.sin(0.1), abs=1e-12
     )
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_batched_unitary_map_distances_match_scalar_loop(d):
+    rng = np.random.default_rng(90 + d)
+    u = ch.random_unitary(d, rng)
+    # Haar atoms plus the exact target, a global phase of it and the identity.
+    stack = np.array([ch.random_unitary(d, rng) for _ in range(200)] + [u, 1j * u, np.eye(d)])
+    batched = pqg._unitary_map_distances(u, stack)
+    scalar = np.array([pqg.unitary_map_distance(u, v) for v in stack])
+    assert np.max(np.abs(batched - scalar)) <= 1e-12
+    assert batched[-3] == pytest.approx(0.0, abs=1e-7)
