@@ -285,6 +285,7 @@ def _opt_diagnostics(report) -> dict:
         "best_restart": report.best_restart,
         "skipped_restarts": report.skipped_restarts,
         "dropped_probes": report.dropped_probes,
+        "restart_reasons": report.restart_reasons,
     }
 
 

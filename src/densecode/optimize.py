@@ -2,11 +2,14 @@
 
 Channels T from the acted register into C^{d_out} are parameterized by
 Stinespring isometries V on the complex Stiefel manifold, and minimized by
-multi-restart Riemannian gradient descent (tangent projection, Armijo
-backtracking, QR retraction).  Global optimality is never certified -- the
-reported value is the entropy of a feasible channel, hence always an upper
-bound on the true minimum, and every caller-supplied probe channel is seeded
-as a restart so the result can only improve on it.
+multi-restart Riemannian gradient descent: tangent projection, a
+Barzilai-Borwein step, QR retraction, and backtracking against the
+nonmonotone reference of Zhang & Hager (2004), as Wen & Yin (2013) use it
+for BB steps on the Stiefel manifold.  A BB step may raise the objective, so
+each restart keeps the best point it accepted.  Global optimality is never
+certified -- the reported value is the entropy of a feasible channel, hence
+always an upper bound on the true minimum, and every caller-supplied probe
+channel is seeded as a restart so the result can only improve on it.
 
 The environment of the search is as small as the minimum allows.  The output
 entropy H((T (x) id) rho) is concave in T, so its minimum over the convex set
@@ -35,11 +38,20 @@ from .qmath import DensityMatrix, LOG2E, hermitize
 # gradients stay finite at rank-deficient outputs.
 LOG_CLAMP = 1e-18
 FLOOR_SLACK = 1e-9
+# Zhang-Hager weight eta: the reference C is a mean of the accepted values
+# with weights decaying by eta per step (eta = 0 is the monotone Armijo test).
+NONMONOTONE_DECAY = 0.85
 
 
 @dataclass(frozen=True)
 class OptConfig:
-    """Knobs for the Stiefel descent and the ensemble optimizer."""
+    """Knobs for the Stiefel descent and the ensemble optimizer.
+
+    ``armijo`` is the sufficient-decrease constant: the descent accepts a
+    step t when f(candidate) <= C - armijo * t * |g|^2, with C the
+    nonmonotone reference value; the ensemble ascent tests against its
+    current value.
+    """
 
     restarts: int = 20
     max_iterations: int = 500
@@ -75,6 +87,10 @@ class OptReport:
     floor: float | None = None
     # Probes whose Kraus rank exceeds a caller-set OptConfig.d_env; not seeded.
     dropped_probes: int = 0
+    # Why each restart that ran stopped, aligned with restart_values: grad_tol,
+    # floor, step_underflow, max_iterations or non_finite (a value or gradient
+    # that is not finite).  Skipped restarts are counted in skipped_restarts.
+    restart_reasons: list[str] = field(default_factory=list)
 
     def point(self) -> np.ndarray:
         if isinstance(self.isometry, StinespringIsometry):
@@ -109,12 +125,18 @@ def stiefel_minimize(
     """Multi-restart Riemannian descent of a smooth objective on isometries.
 
     ``initial_points`` are deterministic warm starts (probes) run before the
-    ``cfg.restarts`` Haar-random restarts.  When ``floor`` is given and
-    ``cfg.stop_at_floor`` is set, remaining restarts are skipped as soon as a
-    restart reaches the floor (an analytic lower bound supplied by the
-    caller); skipped restarts are counted in the report.  Restarts that end
-    on a non-finite value are never chosen as best; if every restart does,
-    ``ConvergenceError`` is raised.
+    ``cfg.restarts`` Haar-random restarts.  Each iteration tries the
+    Barzilai-Borwein step and halves it until the candidate passes the
+    sufficient-decrease test against the Zhang-Hager reference C, a running
+    mean of the accepted values (weights decaying by ``NONMONOTONE_DECAY``);
+    so an accepted step may raise f.  Each restart reports the best point it
+    accepted, so its value never exceeds the value at its start.
+
+    When ``floor`` is given and ``cfg.stop_at_floor`` is set, remaining
+    restarts are skipped as soon as a restart reaches the floor (an analytic
+    lower bound supplied by the caller); skipped restarts are counted in the
+    report.  Restarts that end on a non-finite value are never chosen as
+    best; if every restart does, ``ConvergenceError`` is raised.
     """
     cfg = cfg or OptConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -125,7 +147,7 @@ def stiefel_minimize(
 
     values: list[float] = []
     points: list[np.ndarray] = []
-    converged_flags: list[bool] = []
+    reasons: list[str] = []
     total_iterations = 0
     skipped = 0
 
@@ -141,15 +163,20 @@ def stiefel_minimize(
             break
         v = qr_retract(start)
         f = fun(v)
+        best_v, best_f = v, f
+        ref, weight = f, 1.0
         step = cfg.init_step
         previous = None
-        restart_converged = False
+        reason = "max_iterations"
         for _ in range(cfg.max_iterations):
             total_iterations += 1
             g = tangent_project(v, grad(v))
             gn = float(np.linalg.norm(g))
             if gn <= cfg.grad_tol:
-                restart_converged = True
+                reason = "grad_tol"
+                break
+            if not math.isfinite(gn):
+                reason = "non_finite"
                 break
             if previous is not None:
                 # Barzilai-Borwein initialization; exact on quadratic bowls.
@@ -164,21 +191,29 @@ def stiefel_minimize(
             while t >= cfg.min_step:
                 cand = qr_retract(v - t * g)
                 fc = fun(cand)
-                if fc <= f - cfg.armijo * t * gn * gn:
+                if fc <= ref - cfg.armijo * t * gn * gn:
                     accepted = True
                     break
                 t *= 0.5
             if not accepted:
+                reason = "step_underflow"
                 break
             previous = (v, g)
             v, f = cand, fc
             step = 2.0 * t
+            ref_weight = NONMONOTONE_DECAY * weight
+            weight = ref_weight + 1.0
+            ref = (ref_weight * ref + f) / weight
+            if f < best_f:
+                best_v, best_f = v, f
             if floor is not None and f <= floor + FLOOR_SLACK:
-                restart_converged = True
+                reason = "floor"
                 break
-        values.append(f)
-        points.append(v)
-        converged_flags.append(restart_converged)
+        if not math.isfinite(best_f):
+            reason = "non_finite"
+        values.append(best_f)
+        points.append(best_v)
+        reasons.append(reason)
 
     finite_restarts = [i for i, f in enumerate(values) if math.isfinite(f)]
     if not finite_restarts:
@@ -190,11 +225,12 @@ def stiefel_minimize(
         value=float(values[best]),
         isometry=points[best],
         restart_values=[float(x) for x in values],
-        converged=bool(converged_flags[best]),
+        converged=reasons[best] in ("grad_tol", "floor"),
         iterations=total_iterations,
         best_restart=best,
         skipped_restarts=skipped,
         floor=floor,
+        restart_reasons=reasons,
     )
 
 

@@ -649,7 +649,6 @@ def net_gate(epsilon: float, d: int, seed=0, n_targets: int = 100) -> tuple[Prog
         raise InvariantError("epsilon must lie in (0, 2]")
     if d < 2:
         raise DimensionMismatchError("net_gate needs d >= 2")
-    rng = np.random.default_rng(seed)
 
     if d == 2:
         spacing = min(1.2, 1.35 * math.sqrt(epsilon))
@@ -666,6 +665,10 @@ def net_gate(epsilon: float, d: int, seed=0, n_targets: int = 100) -> tuple[Prog
             atoms = _hopf_grid(spacing)
         method = "euler-grid, program-certified"
     else:
+        # The pool comes from a child stream: _measure_net draws its Haar
+        # targets from default_rng(seed), and a shared stream would make the
+        # first atoms the targets themselves.
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
         n = 4 * d * d
         while True:
             if n > MAX_PROGRAM_DIM:

@@ -148,6 +148,7 @@ def opt_report_to_json(report) -> dict:
         "best_restart": report.best_restart,
         "skipped_restarts": report.skipped_restarts,
         "dropped_probes": report.dropped_probes,
+        "restart_reasons": list(report.restart_reasons),
     }
     if hasattr(iso, "v"):
         doc["isometry"] = {

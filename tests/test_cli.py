@@ -302,6 +302,19 @@ class TestConfigSurface:
         assert doc["report"]["dropped_probes"] == 1
         assert doc["report"]["isometry"]["d_env"] == 1
 
+    def test_restart_reasons_in_diagnostics(self, capsys):
+        code, doc, _ = run_json(
+            capsys,
+            ["dc", str(fixture_path("bell.json")), "--d", "2", "--restarts", "3",
+             "--emit-report"],
+        )
+        assert code == 0
+        reasons = doc["diagnostics"]["restart_reasons"]
+        assert len(reasons) == len(doc["diagnostics"]["restart_values"]) >= 1
+        assert set(reasons) <= {"grad_tol", "floor", "step_underflow", "max_iterations",
+                                "non_finite"}
+        assert doc["report"]["restart_reasons"] == reasons
+
     def test_config_block_rejects_unknown_fields(self, capsys, tmp_path):
         block = tmp_path / "cfg.json"
         block.write_text('{"bogus": 1}')

@@ -84,6 +84,137 @@ class TestStiefelMinimize:
             opt.stiefel_minimize(lambda v: math.nan, np.zeros_like, 3, 1, cfg)
 
 
+class TestNonmonotoneDescent:
+    """Zhang-Hager acceptance: steps may raise f, the best point is reported."""
+
+    def test_rising_step_accepted_and_best_point_reported(self):
+        # A Rayleigh-trace objective whose BB steps overshoot: the restart
+        # accepts rises and its last point is not its best.
+        a = np.diag(np.logspace(0, 2, 6)).astype(complex)
+        fun = lambda v: float(np.vdot(v, a @ v).real)
+        accepted, last = [], []
+
+        def grad(v):
+            # The descent takes a gradient at its start and at every accepted point.
+            accepted.append(fun(v))
+            return 2.0 * a @ v
+
+        def traced_fun(v):
+            last[:] = [fun(v)]
+            return last[0]
+
+        start = ch.random_isometry(6, 2, seed=2)
+        cfg = opt.OptConfig(restarts=0, max_iterations=15)
+        report = opt.stiefel_minimize(traced_fun, grad, 6, 2, cfg, initial_points=[start])
+        # The run stops at the iteration cap right after accepting a step, so
+        # its last objective call is its last accepted point.
+        assert report.restart_reasons == ["max_iterations"]
+        accepted += last
+        assert any(y > x for x, y in zip(accepted, accepted[1:]))
+        assert accepted[-1] > min(accepted)
+        assert report.restart_values[0] == min(accepted)
+        assert report.restart_values[0] <= accepted[0]
+        assert fun(report.point()) == report.value
+
+    def test_restart_value_never_above_its_probe_start(self):
+        rho = ch.random_state((2, 3), 4, seed=90)
+        problem = opt._OutputEntropyProblem(rho, 0, 3, 3)
+        probes = [ch.random_isometry(9, 2, seed=91 + k) for k in range(4)]
+        cfg = opt.OptConfig(restarts=0, max_iterations=25, stop_at_floor=False)
+        report = opt.stiefel_minimize(
+            problem.value, problem.gradient, 9, 2, cfg, initial_points=probes
+        )
+        for probe, value in zip(probes, report.restart_values):
+            assert value <= problem.value(opt.qr_retract(probe))
+
+    def test_seeded_report_determinism(self):
+        rho = ch.random_state((2, 3), 4, seed=92)
+        cfg = opt.OptConfig(restarts=4, max_iterations=80, seed=93)
+        a = opt.min_local_output_entropy(rho, 0, 3, cfg)
+        b = opt.min_local_output_entropy(rho, 0, 3, cfg)
+        assert a.value == b.value
+        assert a.restart_values == b.restart_values
+        assert a.restart_reasons == b.restart_reasons
+        assert (a.iterations, a.best_restart, a.converged) == (
+            b.iterations, b.best_restart, b.converged
+        )
+        assert np.array_equal(a.isometry.v, b.isometry.v)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_about_one_objective_call_per_iteration(self, seed):
+        # The block-2 qutrit shape: two copies of a rank-3 (3, 3) state with
+        # the senders merged, so d_in = d_out = 9.
+        rho = ch.random_state((3, 3), 3, seed=seed)
+        joint = qmath.merge_factors(qmath.tensor(rho, rho), [[0, 2], [1, 3]])
+        problem = opt._OutputEntropyProblem(joint, 0, 9, 9)
+        calls = [0]
+
+        def fun(v):
+            calls[0] += 1
+            return problem.value(v)
+
+        floor = max(0.0, problem.marginal_entropy - math.log2(9))
+        cfg = opt.OptConfig(restarts=1, max_iterations=200, seed=seed)
+        report = opt.stiefel_minimize(fun, problem.gradient, 81, 9, cfg, floor=floor)
+        started = len(report.restart_values)
+        assert calls[0] <= 1.25 * (report.iterations + started)
+
+
+class TestRestartReasons:
+    def test_grad_tol_and_alignment(self):
+        v0 = ch.random_isometry(6, 2, seed=0)
+        fun = lambda v: float(np.linalg.norm(v - v0) ** 2)
+        grad = lambda v: 2.0 * (v - v0)
+        report = opt.stiefel_minimize(fun, grad, 6, 2, opt.OptConfig(restarts=3, seed=1))
+        assert len(report.restart_reasons) == len(report.restart_values) == 3
+        assert set(report.restart_reasons) == {"grad_tol"}
+        assert report.converged
+
+    def test_floor_then_skipped(self):
+        # Random restarts only: the first descends to the floor H = 0 of the
+        # singlet, and the other two are skipped, not given a reason.
+        problem = opt._OutputEntropyProblem(qmath.singlet().to_density(), 0, 2, 2)
+        cfg = opt.OptConfig(restarts=3, seed=2)
+        report = opt.stiefel_minimize(problem.value, problem.gradient, 4, 2, cfg, floor=0.0)
+        assert report.restart_reasons == ["floor"]
+        assert report.skipped_restarts == 2
+        assert report.converged
+
+    def test_max_iterations(self):
+        v0 = ch.random_isometry(6, 2, seed=3)
+        fun = lambda v: float(np.linalg.norm(v - v0) ** 2)
+        grad = lambda v: 2.0 * (v - v0)
+        cfg = opt.OptConfig(restarts=2, max_iterations=2, seed=4)
+        report = opt.stiefel_minimize(fun, grad, 6, 2, cfg)
+        assert report.restart_reasons == ["max_iterations"] * 2
+        assert not report.converged
+
+    def test_step_underflow(self):
+        # Every candidate scores above the start, so backtracking runs out.
+        calls = iter(range(10**6))
+        fun = lambda v: 1.0 if next(calls) == 0 else 2.0
+        cfg = opt.OptConfig(restarts=1, seed=9)
+        report = opt.stiefel_minimize(fun, np.ones_like, 4, 2, cfg)
+        assert report.restart_reasons == ["step_underflow"]
+        assert report.value == 1.0
+        assert not report.converged
+
+    def test_non_finite_value_and_gradient(self):
+        e0 = np.zeros((3, 1), dtype=complex)
+        e0[0, 0] = 1.0
+        a = np.diag([3.0, 2.0, 1.0]).astype(complex)
+        fun = lambda v: math.nan if abs(v[0, 0]) > 0.999 else float(np.vdot(v, a @ v).real)
+        grad = lambda v: 2.0 * a @ v
+        cfg = opt.OptConfig(restarts=1, seed=12)
+        report = opt.stiefel_minimize(fun, grad, 3, 1, cfg, initial_points=[e0], floor=1.0)
+        assert report.restart_reasons[0] == "non_finite"
+        assert report.restart_reasons[1] != "non_finite"
+        nan_grad = lambda v: np.full_like(v, math.nan)
+        report = opt.stiefel_minimize(fun, nan_grad, 3, 1, cfg)
+        assert report.restart_reasons == ["non_finite"]
+        assert math.isfinite(report.value)
+
+
 class TestEntropyGradient:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_finite_differences(self, seed):

@@ -236,6 +236,20 @@ class TestNetGate:
         with pytest.raises(SizeGuardError):
             pqg.net_gate(0.005, 2, seed=4, n_targets=5)
 
+    def test_qutrit_pool_is_independent_of_the_targets(self):
+        # The calibration targets are the first Haar draws of default_rng(seed);
+        # a pool drawn from that same stream would certify 0.0 for any epsilon.
+        gate, net = pqg.net_gate(1.2, 3, seed=0, n_targets=10)
+        assert 0.0 < net.metadata["certificate_max_program_error"] <= 1.2
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            target = ch.random_unitary(3, rng)
+            assert not any(np.array_equal(target, atom) for atom in gate.blocks)
+
+    def test_qutrit_size_guard_trips_for_small_epsilon(self):
+        with pytest.raises(SizeGuardError):
+            pqg.net_gate(0.05, 3, seed=0, n_targets=10)
+
     def test_program_for_target_beats_single_atom(self, net_gates):
         gate, net = net_gates(0.3)
         rng = np.random.default_rng(7)
