@@ -10,6 +10,7 @@ each restart keeps the best point it accepted.  Global optimality is never
 certified -- the reported value is the entropy of a feasible channel, hence
 always an upper bound on the true minimum, and every caller-supplied probe
 channel is seeded as a restart so the result can only improve on it.
+The ensemble ascent of ``optimize_ensemble`` runs on the same descent.
 
 The environment of the search is as small as the minimum allows.  The output
 entropy H((T (x) id) rho) is concave in T, so its minimum over the convex set
@@ -41,30 +42,26 @@ FLOOR_SLACK = 1e-9
 # Zhang-Hager weight eta: the reference C is a mean of the accepted values
 # with weights decaying by eta per step (eta = 0 is the monotone Armijo test).
 NONMONOTONE_DECAY = 0.85
+# Line search: sufficient-decrease constant, first step of a restart, and the
+# step below which halving ends in step_underflow.
+ARMIJO, INIT_STEP, MIN_STEP = 1e-4, 1.0, 1e-14
+# Per ensemble sweep: Blahut reweightings of p, descent iterations per member.
+BLAHUT_STEPS, ENSEMBLE_INNER_STEPS = 8, 4
 
 
 @dataclass(frozen=True)
 class OptConfig:
-    """Knobs for the Stiefel descent and the ensemble optimizer.
-
-    ``armijo`` is the sufficient-decrease constant: the descent accepts a
-    step t when f(candidate) <= C - armijo * t * |g|^2, with C the
-    nonmonotone reference value; the ensemble ascent tests against its
-    current value.
+    """Knobs for the Stiefel descent and the ensemble optimizer; its line-search
+    settings and per-sweep step counts are the module constants above.
     """
 
     restarts: int = 20
     max_iterations: int = 500
     grad_tol: float = 1e-8
-    armijo: float = 1e-4
     d_env: int | None = None
     seed: int = 0
-    init_step: float = 1.0
-    min_step: float = 1e-14
     stop_at_floor: bool = True
     ensemble_sweeps: int = 40
-    ensemble_inner_steps: int = 4
-    blahut_steps: int = 8
 
     def __post_init__(self):
         if self.restarts < 0 or self.max_iterations <= 0:
@@ -126,11 +123,11 @@ def stiefel_minimize(
 
     ``initial_points`` are deterministic warm starts (probes) run before the
     ``cfg.restarts`` Haar-random restarts.  Each iteration tries the
-    Barzilai-Borwein step and halves it until the candidate passes the
-    sufficient-decrease test against the Zhang-Hager reference C, a running
-    mean of the accepted values (weights decaying by ``NONMONOTONE_DECAY``);
-    so an accepted step may raise f.  Each restart reports the best point it
-    accepted, so its value never exceeds the value at its start.
+    Barzilai-Borwein step and halves it until the candidate is strictly below
+    the Zhang-Hager reference C, a running mean of the accepted values (weights
+    decaying by ``NONMONOTONE_DECAY``), and at least ``ARMIJO`` * t * |g|^2
+    below it; so an accepted step may raise f.  Each restart reports the
+    best point it accepted, so its value never exceeds the value at its start.
 
     When ``floor`` is given and ``cfg.stop_at_floor`` is set, remaining
     restarts are skipped as soon as a restart reaches the floor (an analytic
@@ -165,7 +162,7 @@ def stiefel_minimize(
         f = fun(v)
         best_v, best_f = v, f
         ref, weight = f, 1.0
-        step = cfg.init_step
+        step = INIT_STEP
         previous = None
         reason = "max_iterations"
         for _ in range(cfg.max_iterations):
@@ -187,15 +184,13 @@ def stiefel_minimize(
                 if yy > 1e-300 and sy > 1e-300:
                     step = min(max(sy / yy, 1e-12), 1e6)
             t = step
-            accepted = False
-            while t >= cfg.min_step:
+            while t >= MIN_STEP:
                 cand = qr_retract(v - t * g)
                 fc = fun(cand)
-                if fc <= ref - cfg.armijo * t * gn * gn:
-                    accepted = True
+                if fc < ref and fc <= ref - ARMIJO * t * gn * gn:
                     break
                 t *= 0.5
-            if not accepted:
+            else:
                 reason = "step_underflow"
                 break
             previous = (v, g)
@@ -243,10 +238,10 @@ class _OutputEntropyProblem:
     reshaped view: no lifted V (x) I or post-channel Kraus operator is built.
     The signal state lives on [d_rest, d_out] (rest first).
 
-    ``value`` keeps its point, output tensor and signal eigendecomposition;
-    ``gradient`` reuses them when it is handed that same array object, as
-    ``stiefel_minimize`` does with the accepted candidate.  Points must not be
-    modified in place between the two calls.
+    ``value`` keeps its point, output tensor, signal state and the signal's
+    eigendecomposition; ``gradient`` reuses them when it is handed that same
+    array object, as ``stiefel_minimize`` does with the accepted candidate.
+    Points must not be modified in place between the two calls.
     """
 
     def __init__(
@@ -295,12 +290,9 @@ class _OutputEntropyProblem:
         return (v @ self.factored).reshape(self.d_rest * self.d_out, self.d_env * self.rank)
 
     def _signal_of(self, z: np.ndarray) -> np.ndarray:
+        """phi(X) for X = Tr_env (V (x) I) rho (V (x) I)^dag = Z Z^dag, Z = output_tensor(V)."""
         x = hermitize(z @ z.conj().T)
         return x if self.post is None else self._apply_post(x)
-
-    def signal_state(self, v: np.ndarray) -> np.ndarray:
-        """phi(X) for X = Tr_env (V (x) I) rho (V (x) I)^dag = Z Z^dag."""
-        return self._signal_of(self.output_tensor(v))
 
     def _apply_post(self, x: np.ndarray) -> np.ndarray:
         return hermitize(ch.local_kraus_sum(self.post.kraus, x, self.d_rest, 1))
@@ -309,32 +301,30 @@ class _OutputEntropyProblem:
         return ch.local_kraus_sum(self.post_adjoint, l_out, self.d_rest, 1)
 
     def _forward(self, v: np.ndarray) -> tuple:
-        """(v, Z, eigenvalues, eigenvectors) of the signal state at v, cached."""
+        """(v, Z, signal, eigenvalues, eigenvectors) of the signal state at v, cached."""
         cached = self._forward_cache
         if cached is None or cached[0] is not v:
             z = self.output_tensor(v)
-            cached = (v, z, *np.linalg.eigh(self._signal_of(z)))
+            signal = self._signal_of(z)
+            cached = (v, z, signal, *np.linalg.eigh(signal))
             self._forward_cache = cached
         return cached
 
     def value(self, v: np.ndarray) -> float:
-        return qmath.entropy_of_spectrum(self._forward(v)[2])
+        return qmath.entropy_of_spectrum(self._forward(v)[3])
 
     # -- gradient ----------------------------------------------------------
 
     def _pullback(self, z: np.ndarray, l_signal: np.ndarray) -> np.ndarray:
+        """Euclidean gradient of Tr[L signal(V)] at Z = output_tensor(V), for Hermitian L."""
         l_x = self._adjoint_post(l_signal) if self.post is not None else l_signal
         # (L Z)[(s, o), (e, r)] as the stack over s of [(o, e), r] blocks, times F_s^dag.
         lz = (l_x @ z).reshape(self.d_rest, -1, self.rank)
         return 2.0 * (lz @ self.factored_adj).sum(axis=0)
 
-    def gradient_for_weight(self, v: np.ndarray, l_signal: np.ndarray) -> np.ndarray:
-        """Euclidean gradient of Tr[l_signal * signal(V)] (for Hermitian l_signal)."""
-        return self._pullback(self.output_tensor(v), l_signal)
-
     def gradient(self, v: np.ndarray) -> np.ndarray:
         """Euclidean gradient of H(signal(V)); df = Re <grad, dV>."""
-        _, z, lam, vec = self._forward(v)
+        _, z, _, lam, vec = self._forward(v)
         # dH(X)/dX = -(log2 X + log2 e), with eigenvalues clamped away from 0.
         l_signal = qmath.from_spectrum(-(_log2_clamped(lam) + LOG2E), vec)
         return self._pullback(z, l_signal)
@@ -435,6 +425,34 @@ class EnsembleResult:
     converged: bool = False
 
 
+def _member_descent(problem: _OutputEntropyProblem, v: np.ndarray, weight: float,
+                    rest: np.ndarray, h_rest: float, cfg: OptConfig) -> OptReport:
+    """stiefel_minimize of -I = weight H(s(V)) + h_rest - H(rest + weight s(V)).
+
+    ``rest`` and ``h_rest`` are the other members' weighted signal and entropy sums.
+    """
+    avg: list = [None]
+
+    def forward(x):
+        _, z, signal, lam, vec = problem._forward(x)
+        if avg[0] is not x:
+            avg[:] = [x, *np.linalg.eigh(rest + weight * signal)]
+        return z, lam, vec, avg[1], avg[2]
+
+    def fun(x):
+        _, lam, _, lam_a, _ = forward(x)
+        return weight * qmath.entropy_of_spectrum(lam) + h_rest - qmath.entropy_of_spectrum(lam_a)
+
+    def grad(x):
+        # dI/ds = weight (log2 s - log2 avg): the log2(e) terms cancel.
+        z, lam, vec, lam_a, vec_a = forward(x)
+        log_s = qmath.from_spectrum(_log2_clamped(lam), vec)
+        log_avg = qmath.from_spectrum(_log2_clamped(lam_a), vec_a)
+        return problem._pullback(z, weight * (log_avg - log_s))
+
+    return stiefel_minimize(fun, grad, *v.shape, cfg, initial_points=[v])
+
+
 def optimize_ensemble(
     phi: QuantumChannel,
     rho: DensityMatrix,
@@ -446,10 +464,12 @@ def optimize_ensemble(
     """Alternating maximization of the encoding mutual information.
 
     Climbs I(mu) = H(avg signal) - sum p_i H(signal_i) over m encoding
-    isometries and the probability simplex (Blahut-style reweighting).  The
-    result is the mutual information of an explicit feasible ensemble, i.e. a
-    certified lower bound on the generalized dense-coding capacity; the value
-    never decreases over iterations.
+    isometries and the probability simplex.  A sweep reweights p
+    (``BLAHUT_STEPS`` Blahut-style steps), then runs ``stiefel_minimize`` on
+    -I over each member for ``ENSEMBLE_INNER_STEPS`` iterations, p and the
+    other members fixed, and keeps the result only if I rose.  The value is
+    the mutual information of an explicit feasible ensemble, a certified lower
+    bound on the generalized dense-coding capacity, and never decreases.
     """
     if m < 1:
         raise ValueError("ensemble size m must be >= 1")
@@ -484,64 +504,39 @@ def optimize_ensemble(
     isometries = isometries[:m]
 
     p = np.full(m, 1.0 / m)
-    signals = [problem.signal_state(v) for v in isometries]
+    forward = [problem._forward(v)[2:4] for v in isometries]
+    signals = [signal for signal, _ in forward]
+    h_signals = np.array([qmath.entropy_of_spectrum(lam) for _, lam in forward])
     value = qmath.holevo_quantity(p, signals)
     history = [value]
+    member_cfg = replace(cfg, restarts=0, max_iterations=ENSEMBLE_INNER_STEPS)
 
     for _ in range(cfg.ensemble_sweeps):
         # Simplex step: exponentiated reweighting by the relative entropies
         # D(s_i || avg) = -H(s_i) - Tr s_i log2 avg, with avg's spectrum clamped.
-        h_signals = np.array(
-            [qmath.entropy_of_spectrum(np.linalg.eigvalsh(hermitize(s))) for s in signals]
-        )
-        for _ in range(cfg.blahut_steps):
+        for _ in range(BLAHUT_STEPS):
             avg = sum(pi * s for pi, s in zip(p, signals))
             log_avg = qmath.hermitian_function(avg, _log2_clamped)
             dvals = -h_signals - np.array([np.vdot(s, log_avg).real for s in signals])
             new_p = p * np.power(2.0, dvals - dvals.max())
-            total = new_p.sum()
-            if total <= 0:
-                break
-            new_p /= total
+            new_p /= new_p.sum()
             new_value = qmath.holevo_quantity(new_p, signals)
             if new_value < value - 1e-12:
                 break
             p, value = new_p, new_value
 
-        # Encoding step: a few ascent moves per member.
+        # Encoding step: a short descent of -I on each member in turn.
         for i in range(m):
             if p[i] <= 1e-12:
                 continue
-            v = isometries[i]
-            step = cfg.init_step
-            for _ in range(cfg.ensemble_inner_steps):
-                avg = sum(pi * s for pi, s in zip(p, signals))
-                log_i = qmath.hermitian_function(signals[i], _log2_clamped)
-                log_a = qmath.hermitian_function(avg, _log2_clamped)
-                l_signal = float(p[i]) * (log_i - log_a)
-                g = tangent_project(v, problem.gradient_for_weight(v, l_signal))
-                gn = float(np.linalg.norm(g))
-                if gn <= cfg.grad_tol:
-                    break
-                t = step
-                improved = False
-                while t >= cfg.min_step:
-                    cand = qr_retract(v + t * g)
-                    cand_signal = problem.signal_state(cand)
-                    trial = list(signals)
-                    trial[i] = cand_signal
-                    cand_value = qmath.holevo_quantity(p, trial)
-                    if cand_value >= value + cfg.armijo * t * gn * gn:
-                        improved = True
-                        break
-                    t *= 0.5
-                if not improved:
-                    break
-                v = cand
-                signals[i] = cand_signal
-                value = cand_value
-                step = 2.0 * t
-            isometries[i] = v
+            rest = sum(p[j] * signals[j] for j in range(m) if j != i)
+            h_rest = float(p @ h_signals - p[i] * h_signals[i])
+            report = _member_descent(problem, isometries[i], float(p[i]), rest, h_rest, member_cfg)
+            if -report.value > value:
+                isometries[i] = report.point()
+                _, _, signals[i], lam, _ = problem._forward(isometries[i])
+                h_signals[i] = qmath.entropy_of_spectrum(lam)
+                value = -report.value
 
         history.append(value)
         if len(history) >= 3 and history[-1] - history[-3] < 1e-9:

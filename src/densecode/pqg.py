@@ -43,6 +43,8 @@ PER_FACTOR_TOP = 40
 SUP_ASCENT_STEPS = 50
 # Dense gate matrices are only materialized up to this side.
 MAX_DENSE_GATE_SIDE = 4096
+# The witness's general path searches program products up to this dimension.
+GENERAL_DIM_GUARD = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +169,6 @@ class WitnessConfig:
     seed: int = 0
     sup_samples: int = 200
     fw_iterations: int = 80
-    general_dim_guard: int = 64
     general_restarts: int = 12
 
 
@@ -643,12 +644,13 @@ def net_gate(epsilon: float, d: int, seed=0, n_targets: int = 100) -> tuple[Prog
     drops below epsilon; in higher dimensions random pools are grown with
     the covering only ever measured, never derived.  The program register is
     capped at 4096; requesting an epsilon that would need more trips the
-    size guard.
+    size guard.  ``seed=None`` draws one integer seed, kept in ``metadata``.
     """
     if not (0.0 < epsilon <= 2.0):
         raise InvariantError("epsilon must lie in (0, 2]")
     if d < 2:
         raise DimensionMismatchError("net_gate needs d >= 2")
+    seed = np.random.SeedSequence().entropy if seed is None else seed
 
     if d == 2:
         spacing = min(1.2, 1.35 * math.sqrt(epsilon))
@@ -711,9 +713,11 @@ def net_gate_around(
     Full nets grow with the manifold dimension, so emulating encodings on
     composite registers uses pools of perturbed copies of each target (plus
     Haar decoys); the certificate measures the best-program error per target.
+    ``seed=None`` draws one integer seed, kept in ``metadata``.
     """
     if not (0.0 < epsilon <= 2.0):
         raise InvariantError("epsilon must lie in (0, 2]")
+    seed = np.random.SeedSequence().entropy if seed is None else seed
     rng = np.random.default_rng(seed)
     targets = [np.asarray(t, dtype=complex) for t in targets]
     d = targets[0].shape[0]
@@ -927,9 +931,9 @@ def _witness_general_path(g1, g2, target, cfg: WitnessConfig):
     from . import optimize as opt
 
     dp = g1.d_program * g2.d_program
-    if dp > cfg.general_dim_guard:
+    if dp > GENERAL_DIM_GUARD:
         raise SizeGuardError(
-            f"general program search over dimension {dp} exceeds {cfg.general_dim_guard}"
+            f"general program search over dimension {dp} exceeds {GENERAL_DIM_GUARD}"
         )
     gate = tensor_gates(g1, g2)
     d = gate.d_data

@@ -316,13 +316,15 @@ class TestConfigSurface:
         assert doc["report"]["restart_reasons"] == reasons
 
     def test_config_block_rejects_unknown_fields(self, capsys, tmp_path):
+        # "armijo" was a field once; the line-search settings are constants now.
         block = tmp_path / "cfg.json"
-        block.write_text('{"bogus": 1}')
-        code, _, err = run_cli(
-            capsys,
-            ["dc", str(fixture_path("bell.json")), "--d", "2", "--config", str(block)],
-        )
-        assert code == 2
+        for text in ('{"bogus": 1}', '{"armijo": 1e-4}'):
+            block.write_text(text)
+            code, _, err = run_cli(
+                capsys,
+                ["dc", str(fixture_path("bell.json")), "--d", "2", "--config", str(block)],
+            )
+            assert code == 2, text
 
 
 ORTHOGONALITY = ["pqg", "check-orthogonality", "--program2", "0"]

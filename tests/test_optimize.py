@@ -54,14 +54,23 @@ class TestStiefelMinimize:
         assert np.array_equal(a.isometry.v, b.isometry.v)
 
     def test_step_underflow_reported(self):
-        # A gradient pointing uphill makes every backtracking probe fail, so
-        # the restart must terminate with the non-converged flag.
-        fun = lambda v: 1.0
+        # On a flat f no candidate lies below the reference, so a step whose
+        # required decrease ARMIJO * t * |g|^2 is lost in rounding must not
+        # pass: each restart halves t from 1 to below 1e-14 (47 candidates
+        # after its start value) and ends on step underflow, not converged.
+        calls = [0]
+
+        def fun(v):
+            calls[0] += 1
+            return 1.0
+
         grad = lambda v: np.ones_like(v)
         cfg = opt.OptConfig(restarts=2, seed=9)
         report = opt.stiefel_minimize(fun, grad, 4, 2, cfg)
         assert not report.converged
         assert report.value == 1.0
+        assert report.restart_reasons == ["step_underflow", "step_underflow"]
+        assert calls[0] <= 2 * 48
 
     def test_non_finite_restart_is_never_best(self):
         # The objective is NaN near e0, which is also a critical point, so the
@@ -296,7 +305,8 @@ class TestContractionsAgainstLifts:
         x = np.einsum("oesc,petc->ospt", lift_rho, lift.conj()).reshape(side, side)
         signal = x if post is None else _lifted_kraus_sum(post.kraus, x, d_rest)
         d_signal = d_out if post is None else post_out
-        assert np.max(np.abs(problem.signal_state(v) - _rest_first(signal, d_signal, d_rest))) < 1e-12
+        signal_state = problem._forward(v)[2]
+        assert np.max(np.abs(signal_state - _rest_first(signal, d_signal, d_rest))) < 1e-12
 
         rng = np.random.default_rng(seed + 3)
         g = rng.standard_normal((2, d_signal * d_rest, d_signal * d_rest))
@@ -326,7 +336,8 @@ class TestContractionsAgainstLifts:
             grad_lift.reshape(d_out * d_env, d_rest, d_in, d_rest), axis1=1, axis2=3
         )
         l_problem = _rest_first(l_signal, d_signal, d_rest)
-        assert np.max(np.abs(problem.gradient_for_weight(v, l_problem) - expected)) < 1e-12
+        pullback = problem._pullback(problem.output_tensor(v), l_problem)
+        assert np.max(np.abs(pullback - expected)) < 1e-12
 
 
 class TestMinLocalOutputEntropy:
@@ -438,7 +449,7 @@ class TestForwardCache:
         g = problem.gradient(v)
         fresh = self._problem(post)
         assert np.max(np.abs(g - fresh.gradient(v))) <= 1e-14
-        expected = qmath.entropy_of_spectrum(np.linalg.eigvalsh(fresh.signal_state(v)))
+        expected = qmath.entropy_of_spectrum(np.linalg.eigvalsh(fresh._forward(v)[2]))
         assert abs(value - expected) <= 1e-14
 
     def test_equal_copy_is_recomputed(self):
@@ -483,6 +494,16 @@ class TestOptimizeEnsemble:
         )
         diffs = np.diff(result.history)
         assert np.all(diffs >= -1e-9)
+
+    def test_ensemble_seeded_determinism(self):
+        rho = ch.random_state((2, 2), 2, seed=22)
+        phi = ch.random_channel(2, 2, 2, seed=23)
+        cfg = opt.OptConfig(restarts=2, seed=24, ensemble_sweeps=4)
+        a = opt.optimize_ensemble(phi, rho, 3, cfg)
+        b = opt.optimize_ensemble(phi, rho, 3, cfg)
+        assert np.array_equal(a.probabilities, b.probabilities)
+        assert a.value == b.value
+        assert a.history == b.history
 
     def test_ceiling(self):
         rho = ch.random_state((2, 2), 2, seed=19)

@@ -250,6 +250,22 @@ class TestNetGate:
         with pytest.raises(SizeGuardError):
             pqg.net_gate(0.05, 3, seed=0, n_targets=10)
 
+    @pytest.mark.parametrize("build", ["net_gate", "net_gate_around"])
+    def test_unseeded_net_records_its_seed(self, build):
+        # seed=None draws one integer seed, recorded so the net can be rebuilt.
+        if build == "net_gate":
+            make = lambda seed: pqg.net_gate(2.0, 3, seed=seed, n_targets=3)
+        else:
+            target = ch.random_unitary(2, np.random.default_rng(5))
+            make = lambda seed: pqg.net_gate_around([target], 2.0, seed=seed)
+        gate, net = make(None)
+        seed = net.metadata["seed"]
+        assert isinstance(seed, int)
+        again_gate, again = make(seed)
+        assert again.metadata == net.metadata
+        assert len(again_gate.blocks) == len(gate.blocks)
+        assert all(np.array_equal(x, y) for x, y in zip(again_gate.blocks, gate.blocks))
+
     def test_program_for_target_beats_single_atom(self, net_gates):
         gate, net = net_gates(0.3)
         rng = np.random.default_rng(7)
