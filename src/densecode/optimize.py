@@ -514,16 +514,19 @@ def optimize_ensemble(
     for _ in range(cfg.ensemble_sweeps):
         # Simplex step: exponentiated reweighting by the relative entropies
         # D(s_i || avg) = -H(s_i) - Tr s_i log2 avg, with avg's spectrum clamped.
+        lam_avg, vec_avg = np.linalg.eigh(hermitize(sum(pi * s for pi, s in zip(p, signals))))
         for _ in range(BLAHUT_STEPS):
-            avg = sum(pi * s for pi, s in zip(p, signals))
-            log_avg = qmath.hermitian_function(avg, _log2_clamped)
+            log_avg = qmath.from_spectrum(_log2_clamped(lam_avg), vec_avg)
             dvals = -h_signals - np.array([np.vdot(s, log_avg).real for s in signals])
             new_p = p * np.power(2.0, dvals - dvals.max())
             new_p /= new_p.sum()
-            new_value = qmath.holevo_quantity(new_p, signals)
+            # I = H(avg) - p . h_signals, from the one eigh that also gives the next log2 avg.
+            new_avg = sum(pi * s for pi, s in zip(new_p, signals))
+            new_lam, new_vec = np.linalg.eigh(hermitize(new_avg))
+            new_value = qmath.entropy_of_spectrum(new_lam) - float(new_p @ h_signals)
             if new_value < value - 1e-12:
                 break
-            p, value = new_p, new_value
+            p, value, lam_avg, vec_avg = new_p, new_value, new_lam, new_vec
 
         # Encoding step: a short descent of -I on each member in turn.
         for i in range(m):

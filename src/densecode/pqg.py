@@ -10,14 +10,15 @@ useful approximation nets stay far smaller than pure-atom coverings would.
 
 All unitary comparisons are phase-quotiented (global phases are invisible in
 the induced maps).  Suprema over inputs are *estimated* (Haar sampling plus
-local ascent); the estimation method travels with every error value.
+local ascent), except for qubit mixture programs, whose Bloch distortion is
+exact; the method travels with every error value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -387,94 +388,226 @@ def approximation_error(
 
 
 _PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+# The barrier solve's tau grows tenfold per stage, from nu / tau = 1 down to
+# 1e-10, its bound on the objective gap.
+BARRIER_STAGES = 10
+# A stage is centered once the Newton decrement is this small.
+CENTERED = 1e-3
+# A solve takes about 110 Newton steps at n = 12 atoms and 380 at n = 200.
+NEWTON_CAP = 1000
+# Ridge on the unit-diagonal Newton system: atoms that repeat (a qubit net
+# holds U and -U) leave their difference direction with curvature below the
+# rounding of the other terms.
+RIDGE = 1e-12
+# A vertex this close to the objective's floor 0 is the target up to phase.
+EXACT_VERTEX = 1e-12
 
 
 def _bloch_rotations(units: np.ndarray) -> np.ndarray:
-    """SO(3) actions R[n, i, j] = tr(P_i U_n P_j U_n^dag) / 2 of a stack of qubit unitaries."""
-    conj = units[:, None] @ _PAULIS @ units[:, None].conj().swapaxes(-1, -2)
-    return 0.5 * np.einsum("iba,njab->nij", _PAULIS, conj).real
+    """SO(3) actions R[..., i, j] = tr(P_i U P_j U^dag) / 2 of a stack of qubit unitaries."""
+    units = units[..., None, :, :]
+    conj = units @ _PAULIS @ units.conj().swapaxes(-1, -2)
+    return 0.5 * np.einsum("iba,...jab->...ij", _PAULIS, conj).real
 
 
 def _mixture_objective(atoms: np.ndarray, target: np.ndarray):
-    """Objective of the mixture-weight solve and its exact gradient.
+    """Objective of the mixture-weight solve, over a stack of problems.
 
-    Returns (fun, ladder, vertex_values); ``fun(w, mu)`` gives the value and
-    gradient at weights w.  For qubits the objective is the exact worst-case
-    Bloch distortion sigma_max(M), M = I - sum_i w_i R_i.  For mu > 0 fun
-    gives its smoothing mu log tr exp(H / mu) over the dilation
-    H = [[0, M], [M^T, 0]] (eigenvalues +-sigma_k): smooth where sigma_max is
-    not, and at most mu log 6 above it.  Otherwise the objective is the
+    ``atoms`` is [..., n, d, d] and ``target`` [..., d, d].  Returns
+    (fun, solve, vertex_values): ``fun(w)`` gives the objective at weights
+    w [..., n] and its (sub)gradient, ``solve(rows)`` runs ``_barrier_newton``
+    on the problems ``rows`` of the flattened stack, and
+    ``vertex_values[..., i]`` is the objective of atom i alone.
+
+    For qubits the objective is the exact worst-case Bloch distortion
+    sigma_max(M), M = sum_i w_i (I - R_i) (King & Ruskai 2001), and the
+    barrier problem is: minimize t over x = (w, t) subject to the 6x6 LMI
+    [[t I, M], [M^T, t I]] >= 0, with nu = 6 + n.  Otherwise it is the
     Choi-Frobenius proxy w^T G w - 2 b^T w + 1, a convex quadratic with
-    G_ij = |<v_i, v_j>|^2 and b_i = |tr(target^dag a_i)|^2 / d^2, and mu is
-    ignored.  ``fun(w, 0.0)`` is the objective itself; ``ladder`` lists the
-    mu to descend through; ``vertex_values[i]`` is the objective of atom i.
+    G_ij = |<v_i, v_j>|^2 and b_i = |tr(target^dag a_i)|^2 / d^2, and nu = n.
     """
-    n = len(atoms)
-    d = target.shape[0]
-    rel = target.conj().T @ atoms
+    n, d = atoms.shape[-3:-1]
+    rel = target.conj().swapaxes(-1, -2)[..., None, :, :] @ atoms
+    uniform = np.full((math.prod(atoms.shape[:-3]), n), 1.0 / n)
+    diag = np.arange(n)
     if d == 2:
-        rotations = _bloch_rotations(rel)
-        flat = rotations.reshape(n, 9)
-        eye = np.eye(3)
+        distortions = np.eye(3) - _bloch_rotations(rel)  # I - R_i
+        flat = distortions.reshape(*distortions.shape[:-2], 9)
 
-        def fun(w, mu):
-            u, s, vh = np.linalg.svd(eye - (w @ flat).reshape(3, 3))
-            if mu == 0.0:  # sigma_max and a subgradient
-                value, c = s[0], np.array([1.0, 0.0, 0.0])
-            else:
-                up, down = np.exp((s - s[0]) / mu), np.exp((-s - s[0]) / mu)
-                total = up.sum() + down.sum()
-                value, c = s[0] + mu * math.log(total), (up - down) / total
-            # d/dw_i = -sum_k c_k u_k^T R_i v_k
-            return float(value), -flat @ ((u * c) @ vh).reshape(9)
+        def fun(w):
+            u, s, vh = np.linalg.svd((w[..., None] * flat).sum(-2).reshape(*w.shape[:-1], 3, 3))
+            # d sigma_max / d w_i = u_0^T (I - R_i) v_0
+            top = (u[..., :, 0, None] * vh[..., 0, None, :]).reshape(*w.shape[:-1], 9, 1)
+            return s[..., 0], (flat @ top)[..., 0]
 
-        ladder = (1e-2, 1e-4, 1e-6, 1e-8)
-        vertex_values = np.linalg.svd(eye - rotations, compute_uv=False)[:, 0]
+        # F(x) = sum_k x_k basis_k; the last basis matrix, I, carries t.
+        stacked = distortions.reshape(-1, n, 3, 3)
+        basis = np.zeros((len(stacked), n + 1, 6, 6))
+        basis[:, :n, :3, 3:] = stacked
+        basis[:, :n, 3:, :3] = stacked.swapaxes(-1, -2)
+        basis[:, n] = np.eye(6)
+
+        def derivatives(x, rows, tau):
+            stack = basis[rows]
+            lmi = (x[:, None, :] @ stack.reshape(len(rows), n + 1, 36)).reshape(-1, 6, 6)
+            lam, vec = np.linalg.eigh(lmi)
+            half = (vec / np.sqrt(lam)[:, None, :])[:, None]  # F^(-1/2) up to a rotation
+            whitened = (half.swapaxes(-1, -2) @ stack @ half).reshape(len(rows), n + 1, 36)
+            # -log det F: gradient -tr(F^-1 F_k), Hessian tr(F^-1 F_k F^-1 F_l).
+            grad = -whitened[..., ::7].sum(-1)
+            grad[:, :n] -= 1.0 / x[:, :n]
+            grad[:, n] += tau
+            hess = whitened @ whitened.swapaxes(-1, -2)
+            hess[:, diag, diag] += x[:, :n] ** -2
+            return grad, hess
+
+        top = np.linalg.svd(stacked.mean(axis=1), compute_uv=False)[:, :1]
+        start, nu = np.concatenate([uniform, top + 1.0], axis=1), 6.0 + n
+        vertex_values = np.linalg.svd(distortions, compute_uv=False)[..., 0]
     else:
-        vecs = rel.reshape(n, -1)
-        gram = np.abs(vecs.conj() @ vecs.T) ** 2 / d**2
-        b = np.abs(np.trace(rel, axis1=1, axis2=2)) ** 2 / d**2
+        vecs = rel.reshape(*rel.shape[:-2], d * d)
+        gram = np.abs(vecs.conj() @ vecs.swapaxes(-1, -2)) ** 2 / d**2
+        b = np.abs(np.trace(rel, axis1=-2, axis2=-1)) ** 2 / d**2
 
-        def fun(w, mu):
-            gw = gram @ w
-            return float(w @ gw - 2.0 * (b @ w) + 1.0), 2.0 * (gw - b)
+        def fun(w):
+            gw = (gram @ w[..., None])[..., 0]
+            return (w * gw).sum(-1) - 2.0 * (b * w).sum(-1) + 1.0, 2.0 * (gw - b)
 
-        ladder = (0.0,)
-        vertex_values = np.diag(gram) - 2.0 * b + 1.0
-    return fun, ladder, vertex_values
+        stacked_gram, stacked_b = gram.reshape(-1, n, n), b.reshape(-1, n)
+
+        def derivatives(x, rows, tau):
+            gx = (stacked_gram[rows] @ x[..., None])[..., 0]
+            grad = 2.0 * tau[:, None] * (gx - stacked_b[rows]) - 1.0 / x
+            hess = 2.0 * tau[:, None, None] * stacked_gram[rows]
+            hess[:, diag, diag] += x**-2
+            return grad, hess
+
+        start, nu = uniform, float(n)
+        vertex_values = np.diagonal(gram, axis1=-2, axis2=-1) - 2.0 * b + 1.0
+    return fun, partial(_barrier_newton, start, n, nu, derivatives), vertex_values
 
 
-def optimize_mixture_weights(
-    atoms: Sequence[np.ndarray], target: np.ndarray
-) -> np.ndarray:
+def _barrier_newton(start, n: int, nu: float, derivatives, rows: np.ndarray) -> np.ndarray:
+    """Simplex weights [len(rows), n] minimizing the problems ``rows`` of a stack.
+
+    Each problem is over x = (w, extra variables) with w on the simplex;
+    ``start`` [B, m] holds strictly feasible points and
+    ``derivatives(x, rows, tau)`` the gradient [b, m] and Hessian [b, m, m] of
+    tau * objective + barrier, nu the barrier parameter.  The log-barrier
+    method of Boyd & Vandenberghe (2004, *Convex Optimization*, section 11.3):
+    each problem is centered by Newton steps with sum(w) = 1 kept exactly.
+    The barrier is self-concordant, so the damped step 1 / (1 + lambda),
+    lambda the Newton decrement, stays in its domain without a line search;
+    steps are full once lambda < 0.1.  A centered problem multiplies tau by
+    10, from nu / tau = 1 down to 1e-10, which then bounds its gap to the
+    optimum.  A problem whose Newton system turns non-finite stops where it
+    is, and every problem stops at ``NEWTON_CAP`` iterations.
+    """
+    x = start[rows]
+    m = x.shape[1]
+    simplex = (np.arange(m) < n).astype(float)
+    stage = np.zeros(len(rows), dtype=int)
+    live = np.arange(len(rows))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for _ in range(NEWTON_CAP):
+            grad, hess = derivatives(x[live], rows[live], nu * 10.0 ** stage[live])
+            # The KKT system of the step under sum(w) = 1, scaled to a unit diagonal.
+            scale = np.diagonal(hess, axis1=-2, axis2=-1) ** -0.5
+            edge = simplex * scale
+            edge /= np.linalg.norm(edge, axis=-1, keepdims=True)
+            system = np.zeros((len(live), m + 1, m + 1))
+            system[:, :m, :m] = scale[:, :, None] * hess * scale[:, None, :] + RIDGE * np.eye(m)
+            system[:, :m, m] = system[:, m, :m] = edge
+            right = np.concatenate([-grad * scale, np.zeros((len(live), 1))], axis=1)[..., None]
+            ok = np.isfinite(system).all((-2, -1)) & np.isfinite(right).all((-2, -1))
+            live, grad, scale = live[ok], grad[ok], scale[ok]
+            step = np.linalg.solve(system[ok], right[ok])[:, :m, 0] * scale
+            decrement = np.sqrt(np.maximum(0.0, -(grad * step).sum(-1)))
+            x[live] += step * np.where(decrement < 0.1, 1.0, 1.0 / (1.0 + decrement))[:, None]
+            stage[live[decrement <= CENTERED]] += 1
+            live = live[stage[live] <= BARRIER_STAGES]
+            if not live.size:
+                break
+    return x[:, :n]
+
+
+def optimize_mixture_weights(atoms, target: np.ndarray) -> np.ndarray:
     """Simplex weights making the atom mixture approximate the target map.
 
-    SLSQP runs on the exact gradients of ``_mixture_objective``, warm-started
-    down its smoothing ladder: on the qubit objective, plain subgradient
-    steps stall where the top singular value is degenerate.  The best single
-    atom is returned whenever it beats the SLSQP point.  Either way the
-    caller should re-measure the resulting program error.
+    ``atoms`` is [..., n, d, d] and ``target`` [..., d, d]: a stack of
+    problems along the leading axes, solved together by the barrier method
+    on ``_mixture_objective``.  The best single atom is returned when it does
+    at least as well, and without a solve when its objective is 0.
     """
-    n = len(atoms)
+    atoms = np.asarray(atoms, dtype=complex)
+    target = np.asarray(target, dtype=complex)
+    n = atoms.shape[-3]
     if n == 1:
-        return np.ones(1)
-    fun, ladder, vertex_values = _mixture_objective(np.asarray(atoms), target)
+        return np.ones(atoms.shape[:-2])
+    fun, solve, vertex_values = _mixture_objective(atoms, target)
+    vertex_values = vertex_values.reshape(-1, n)
+    best = np.argmin(vertex_values, axis=-1)
+    best_value = vertex_values[np.arange(len(best)), best]
+    weights = np.eye(n)[best]
+    rows = np.flatnonzero(best_value > EXACT_VERTEX)
+    if rows.size:
+        candidate = weights.copy()
+        w = np.clip(solve(rows), 0.0, None)
+        candidate[rows] = w / w.sum(-1, keepdims=True)
+        with np.errstate(invalid="ignore"):
+            values = fun(candidate.reshape(atoms.shape[:-2]))[0].reshape(-1)
+        better = values <= best_value  # False on a NaN point too
+        weights[better] = candidate[better]
+    return weights.reshape(atoms.shape[:-2])
 
-    from scipy.optimize import minimize  # here, to keep it off every CLI call's start-up
 
-    simplex = {"type": "eq", "fun": lambda w: w.sum() - 1.0, "jac": lambda w: np.ones((1, n))}
-    w = np.full(n, 1.0 / n)
-    for mu in ladder:
-        w = minimize(fun, w, args=(mu,), jac=True, method="SLSQP", bounds=[(0.0, 1.0)] * n,
-                     constraints=[simplex], options={"maxiter": 200, "ftol": 1e-12}).x
-    w = np.clip(w, 0.0, None)
-    total = w.sum()
-    best = int(np.argmin(vertex_values))
-    if total > 0 and fun(w / total, 0.0)[0] <= vertex_values[best]:  # False on a NaN point too
-        return w / total
-    vertex = np.zeros(n)
-    vertex[best] = 1.0
-    return vertex
+def _bloch_error(blocks: np.ndarray, psi: PureState, target: np.ndarray) -> float:
+    """Exact sup over pure inputs of the trace distance to a qubit target.
+
+    A program on the controlled-block qubit gate with the block stack
+    ``blocks`` induces the unital channel sum_i |psi_i|^2 B_i . B_i^dag.  On
+    Bloch vectors the trace distance is the Euclidean one, so the worst input
+    sees the largest singular value of I - sum_i |psi_i|^2 R(target^dag B_i)
+    (King & Ruskai 2001).
+    """
+    probs = np.abs(psi.amplitudes) ** 2
+    used = np.flatnonzero(probs)
+    rotations = _bloch_rotations(target.conj().T @ blocks[used])
+    return float(np.linalg.norm(np.eye(3) - np.einsum("i,ijk->jk", probs[used], rotations), 2))
+
+
+def _programs_for_targets(gate: ProgrammableGate, targets, n_nearest: int, n_samples: int, seeds):
+    """``program_for_target`` for each target; yields (program, error, nearest-atom distance).
+
+    Qubit errors are exact (``exact-bloch``) and cheap, so all qubit targets
+    share one batched mixture solve.  For larger d, ``approximation_error``
+    estimates each error, and a target is solved and measured only when the
+    caller reaches it: calibration stops at the first target that misses.
+    """
+    blocks = np.asarray(gate.blocks)
+    chunk = len(targets) if gate.d_data == 2 else 1
+    for first in range(0, len(targets), chunk):
+        batch = np.asarray(targets[first : first + chunk])
+        dists = np.array([_unitary_map_distances(t, blocks) for t in batch])
+        order = np.argsort(dists, axis=-1)[:, :n_nearest]
+        if order.shape[1] >= 2:
+            weights = optimize_mixture_weights(blocks[order], batch)
+        for t, target in enumerate(batch):
+            chosen = order[t]
+            candidates: list[dict[int, float]] = [{int(chosen[0]): 1.0}]
+            if len(chosen) >= 2:
+                mixture = {int(i): float(w) for i, w in zip(chosen, weights[t]) if w > 1e-9}
+                candidates.append(mixture)
+            best_prog, best_err = None, None
+            for cand in candidates:
+                prog = mixture_program(gate, cand)
+                if gate.d_data == 2:
+                    err = ErrorEstimate(_bloch_error(blocks, prog, target), "exact-bloch", 0)
+                else:
+                    err = approximation_error(gate, prog, target, n_samples, seeds[first + t])
+                if best_err is None or err.value < best_err.value:
+                    best_prog, best_err = prog, err
+            yield best_prog, best_err, float(dists[t, chosen[0]])
 
 
 def program_for_target(
@@ -487,26 +620,19 @@ def program_for_target(
     """Best program found for a unitary target on a controlled-block gate.
 
     Compares the nearest single block with an optimized mixture of the
-    nearest blocks and returns whichever measures better.
+    nearest blocks and returns whichever errs less.  On qubits the error is
+    exact (``exact-bloch``); otherwise it is the sampled estimate of
+    ``approximation_error``.
     """
     if gate.blocks is None:
         raise InvariantError("program_for_target needs a controlled-block gate")
-    dists = _unitary_map_distances(target, gate.blocks)
-    order = np.argsort(dists)
-    best_idx = int(order[0])
-    candidates: list[dict[int, float]] = [{best_idx: 1.0}]
-    k = min(len(order), n_nearest)
-    if k >= 2:
-        chosen = [int(i) for i in order[:k]]
-        weights = optimize_mixture_weights([gate.blocks[i] for i in chosen], target)
-        candidates.append({i: float(w) for i, w in zip(chosen, weights) if w > 1e-9})
-    best_prog, best_err = None, None
-    for cand in candidates:
-        prog = mixture_program(gate, cand)
-        err = approximation_error(gate, prog, target, n_samples=n_samples, seed=seed)
-        if best_err is None or err.value < best_err.value:
-            best_prog, best_err = prog, err
-    return best_prog, best_err
+    target = np.asarray(target, dtype=complex)
+    if target.shape != (gate.d_data, gate.d_data):
+        raise DimensionMismatchError(
+            f"target of shape {target.shape}, expected side {gate.d_data}"
+        )
+    program, err, _ = next(_programs_for_targets(gate, [target], n_nearest, n_samples, [seed]))
+    return program, err
 
 
 # ---------------------------------------------------------------------------
@@ -620,20 +746,22 @@ def _measure_net(
     epsilon: float,
     n_targets: int,
     seed,
-) -> tuple[float, float]:
-    """(max program error, max atom distance) over Haar targets."""
+) -> tuple[float, float, str]:
+    """(max program error, max atom distance, error methods) over Haar targets."""
     rng = np.random.default_rng(seed)
     gate = control_gate(atoms)
+    targets = [ch.random_unitary(d, rng) for _ in range(n_targets)]
+    seeds = [seed + 7919 * t + 1 for t in range(n_targets)]
     max_prog = 0.0
     max_atom = 0.0
-    for t in range(n_targets):
-        target = ch.random_unitary(d, rng)
-        _, err = program_for_target(gate, target, seed=seed + 7919 * t + 1)
+    methods = set()
+    for _, err, nearest in _programs_for_targets(gate, targets, 12, 200, seeds):
         max_prog = max(max_prog, err.value)
-        max_atom = max(max_atom, float(_unitary_map_distances(target, gate.blocks).min()))
+        max_atom = max(max_atom, nearest)
+        methods.add(err.method)
         if max_prog > epsilon:
             break
-    return max_prog, max_atom
+    return max_prog, max_atom, ", ".join(sorted(methods))
 
 
 def net_gate(epsilon: float, d: int, seed=0, n_targets: int = 100) -> tuple[ProgrammableGate, UnitaryNet]:
@@ -644,7 +772,9 @@ def net_gate(epsilon: float, d: int, seed=0, n_targets: int = 100) -> tuple[Prog
     drops below epsilon; in higher dimensions random pools are grown with
     the covering only ever measured, never derived.  The program register is
     capped at 4096; requesting an epsilon that would need more trips the
-    size guard.  ``seed=None`` draws one integer seed, kept in ``metadata``.
+    size guard.  ``seed=None`` draws one integer seed, kept in ``metadata``,
+    and ``metadata["certificate_method"]`` names how the program errors were
+    measured (``exact-bloch`` on qubits).
     """
     if not (0.0 < epsilon <= 2.0):
         raise InvariantError("epsilon must lie in (0, 2]")
@@ -660,7 +790,7 @@ def net_gate(epsilon: float, d: int, seed=0, n_targets: int = 100) -> tuple[Prog
                 raise SizeGuardError(
                     f"net for epsilon={epsilon} needs {len(atoms)} programs (> {MAX_PROGRAM_DIM})"
                 )
-            max_prog, max_atom = _measure_net(atoms, d, epsilon, n_targets, seed)
+            max_prog, max_atom, cert_method = _measure_net(atoms, d, epsilon, n_targets, seed)
             if max_prog <= epsilon:
                 break
             spacing *= 0.8
@@ -678,7 +808,7 @@ def net_gate(epsilon: float, d: int, seed=0, n_targets: int = 100) -> tuple[Prog
                     f"net for epsilon={epsilon}, d={d} exceeds {MAX_PROGRAM_DIM} programs"
                 )
             atoms = [ch.random_unitary(d, rng) for _ in range(n)]
-            max_prog, max_atom = _measure_net(atoms, d, epsilon, n_targets, seed)
+            max_prog, max_atom, cert_method = _measure_net(atoms, d, epsilon, n_targets, seed)
             if max_prog <= epsilon:
                 break
             n = int(n * 1.6) + 1
@@ -692,6 +822,7 @@ def net_gate(epsilon: float, d: int, seed=0, n_targets: int = 100) -> tuple[Prog
         metadata={
             "requested_epsilon": epsilon,
             "certificate_max_program_error": max_prog,
+            "certificate_method": cert_method,
             "certificate_targets": n_targets,
             "seed": seed,
             "d": d,
@@ -738,11 +869,10 @@ def net_gate_around(
         if len(atoms) > MAX_PROGRAM_DIM:
             raise SizeGuardError("target-local net exceeds the program register guard")
         gate = control_gate(atoms)
-        errors = []
-        for i, t in enumerate(targets):
-            _, err = program_for_target(gate, t, n_nearest=n_atoms_per_target, seed=seed + i)
-            errors.append(err.value)
-        max_err = max(errors)
+        seeds = [seed + i for i in range(len(targets))]
+        programs = _programs_for_targets(gate, targets, n_atoms_per_target, 200, seeds)
+        errors = [err for _, err, _ in programs]
+        max_err = max(err.value for err in errors)
         if max_err <= epsilon:
             break
         spread *= 0.7
@@ -757,6 +887,7 @@ def net_gate_around(
         metadata={
             "requested_epsilon": epsilon,
             "certificate_max_program_error": max_err,
+            "certificate_method": ", ".join(sorted({err.method for err in errors})),
             "certificate_targets": len(targets),
             "seed": seed,
             "d": d,
