@@ -1,8 +1,11 @@
 """Tensored gates never scale, and what that means for encoding emulation.
 
-Two approximating gates run in parallel handle product targets (compose the
-per-factor programs), but no joint program -- entangled ones included --
-makes the pair act as an entangling unitary.  The same obstruction limits
+Two approximating gates run in parallel handle product targets, but no
+joint program -- entangled ones included -- makes the pair act as an
+entangling unitary.  On controlled-block gates every joint program induces a
+mixture of block pairs, so the witness's Frank-Wolfe descent over all pair
+mixtures also yields a lower bound: no program gets the CNOT error below it,
+on the sampled inputs or in the worst case.  The same obstruction limits
 the reduction from "act on a given state" coding to "prepare a state"
 coding: one encoding channel can be emulated through a programmed dilation,
 yet tensoring the emulators cannot reproduce entangling encodings.
@@ -32,14 +35,16 @@ rep = scalability_witness(pauli, pauli, np.kron(X, Z), cfg)
 print(f"product target X (x) Z on Pauli gates: best error {rep.best_error:.6f}")
 rep = scalability_witness(pauli, pauli, CNOT, cfg)
 print(f"entangling target CNOT on Pauli gates: best error {rep.best_error:.4f}"
-      f"  (sup estimate {rep.sup_estimate.value:.4f})")
+      f"  (sup estimate {rep.sup_estimate.value:.4f}, every program >= "
+      f"{rep.lower_bound.value:.4f})")
 
 print("\nfiner nets squeeze product targets but never the entangling one:")
 for eps in (0.5, 0.3):
     gate, net = net_gate(eps, 2, seed=42, n_targets=40)
     prod = scalability_witness(gate, gate, np.kron(X, Z), cfg)
     ent = scalability_witness(gate, gate, CNOT, WitnessConfig(seed=0, fw_iterations=40))
-    print(f"  eps={eps}: product {prod.best_error:.4f}   CNOT {ent.best_error:.4f}")
+    print(f"  eps={eps}: product {prod.best_error:.4f}   CNOT {ent.best_error:.4f}"
+          f"  (every program >= {ent.lower_bound.value:.4f})")
 
 print("\n=== emulating an encoding channel through a programmed dilation ===")
 dep = QuantumChannel.depolarizing(1.0)

@@ -414,12 +414,9 @@ def cmd_pqg_witness(args, argv, timestamp) -> int:
     report = pqg.scalability_witness(g1, g2, target, cfg)
     doc = {
         "best_error": report.best_error,
-        "sup_estimate": {
-            "value": report.sup_estimate.value,
-            "method": report.sup_estimate.method,
-            "n_samples": report.sup_estimate.n_samples,
-        },
+        "sup_estimate": report.sup_estimate._asdict(),
         "method": report.method,
+        "lower_bound": None if report.lower_bound is None else report.lower_bound._asdict(),
         "n_inputs": report.n_inputs,
         "gates": [info1, info2],
         "program_weights": [

@@ -126,8 +126,11 @@ def stiefel_minimize(
     Barzilai-Borwein step and halves it until the candidate is strictly below
     the Zhang-Hager reference C, a running mean of the accepted values (weights
     decaying by ``NONMONOTONE_DECAY``), and at least ``ARMIJO`` * t * |g|^2
-    below it; so an accepted step may raise f.  Each restart reports the
-    best point it accepted, so its value never exceeds the value at its start.
+    below it; so an accepted step may raise f.  Halving ends in
+    ``step_underflow`` below ``MIN_STEP``, or sooner at a flat point: once f
+    meets C and the required decrease is below the rounding of C.  Each
+    restart reports the best point it accepted, so its value never exceeds
+    the value at its start.
 
     When ``floor`` is given and ``cfg.stop_at_floor`` is set, remaining
     restarts are skipped as soon as a restart reaches the floor (an analytic
@@ -184,11 +187,16 @@ def stiefel_minimize(
                 if yy > 1e-300 and sy > 1e-300:
                     step = min(max(sy / yy, 1e-12), 1e6)
             t = step
-            while t >= MIN_STEP:
+            flat = False
+            while t >= MIN_STEP and not flat:
                 cand = qr_retract(v - t * g)
                 fc = fun(cand)
-                if fc < ref and fc <= ref - ARMIJO * t * gn * gn:
+                required = ARMIJO * t * gn * gn
+                if fc < ref and fc <= ref - required:
                     break
+                # Once f meets C and the required decrease is below C's
+                # rounding, shorter steps only repeat the same refused test.
+                flat = f >= ref and required < abs(np.spacing(ref))
                 t *= 0.5
             else:
                 reason = "step_underflow"

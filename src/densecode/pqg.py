@@ -37,10 +37,6 @@ from .qmath import PureState, hermitize
 UNITARITY_TOL = 1e-10
 PROGRAM_TOL = 1e-6
 MAX_PROGRAM_DIM = 4096
-# Witness pair scan: at most this many block pairs; past it, each factor keeps
-# its PER_FACTOR_TOP blocks nearest each operator-Schmidt factor of the target.
-PAIR_BUDGET = 20000
-PER_FACTOR_TOP = 40
 SUP_ASCENT_STEPS = 50
 # Dense gate matrices are only materialized up to this side.
 MAX_DENSE_GATE_SIDE = 4096
@@ -129,7 +125,8 @@ class WitnessReport:
     The general path stores its program vector in ``amplitudes``; the
     control-block path only keeps ``program_weights``, and ``best_program``
     builds the dense vector from them on first access (None past 2**21
-    amplitudes).
+    amplitudes).  The control-block path also reports ``lower_bound``, below
+    the error of every joint program; the general path has none.
     """
 
     best_error: float
@@ -140,6 +137,7 @@ class WitnessReport:
     method: str
     program_dims: tuple[int, int]
     amplitudes: np.ndarray | None = field(default=None, repr=False, compare=False)
+    lower_bound: ErrorEstimate | None = None
 
     @cached_property
     def best_program(self) -> PureState | None:
@@ -911,150 +909,97 @@ def operator_schmidt(u: np.ndarray, d1: int, d2: int):
     return s, lefts, rights
 
 
-def _mixture_kraus(weights: dict[tuple[int, int], float], blocks1, blocks2) -> np.ndarray:
-    """Kraus stack sqrt(w) U_j (x) V_l of a mixture over block pairs (j, l)."""
-    pairs = np.array(list(weights), dtype=int).reshape(-1, 2)
-    w = np.array(list(weights.values()), dtype=float)
-    return np.sqrt(w)[:, None, None] * _pair_operators(blocks1, blocks2, pairs)
+def _projectors(vectors: np.ndarray) -> np.ndarray:
+    """z z^dag for every row z of a stack of vectors, as [n, d, d]."""
+    return vectors[:, :, None] * vectors.conj()[:, None, :]
 
 
-def _mixture_avg_error(
-    weights: dict[tuple[int, int], float],
-    blocks1: Sequence[np.ndarray],
-    blocks2: Sequence[np.ndarray],
-    target: np.ndarray,
-    inputs: np.ndarray,
-) -> float:
-    gaps = _conjugation_gaps(_mixture_kraus(weights, blocks1, blocks2), target[None], inputs)
-    return float(np.mean(qmath.hermitian_trace_norm(gaps)))
+def _pair_scores(blocks1, blocks2, inputs: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """sum_s tr[M_s W rho_s W^dag] for every block pair W = U_j (x) V_l, as [n1, n2].
+
+    rho_s = z_s z_s^dag for the input rows z_s, and M_s [S, d, d] is Hermitian.
+    In the natural (Liouville) representation W (x) conj(W) of the conjugation
+    by W (Watrous 2018, *The Theory of Quantum Information*, section 2.2) the
+    sum is P_j K Q_l^T, with rows P_j = vec(U_j (x) conj(U_j)), Q_l likewise,
+    and K = sum_s vec(rho_s) vec(M_s)^T reordered to d1^4 x d2^4.
+    """
+    d1, d2 = blocks1.shape[-1], blocks2.shape[-1]
+    k = _projectors(inputs).reshape(len(inputs), -1).T @ m.reshape(len(m), -1)
+    # Axes (c1 c2 e1 e2 | b1 b2 a1 a2) of rho[c, e] M[b, a] -> (a1 b1 c1 e1 | a2 b2 c2 e2).
+    k = k.reshape([d1, d2] * 4).transpose(6, 4, 0, 2, 7, 5, 1, 3).reshape(d1**4, d2**4)
+    p, q = (_pair_operators(b, b.conj(), np.repeat(np.arange(len(b)), 2).reshape(-1, 2))
+            .reshape(len(b), -1) for b in (blocks1, blocks2))
+    # Re(x . y) is the dot of the float views of x and conj(y).
+    return (p @ k).view(float) @ q.conj().view(float).T
 
 
-def _frank_wolfe_polish(
-    start: dict[tuple[int, int], float],
-    candidate_pairs: list[tuple[int, int]],
-    blocks1,
-    blocks2,
-    target,
-    inputs,
-    iterations: int,
-) -> tuple[dict[tuple[int, int], float], float]:
-    """Convex minimization of the average trace distance over pair mixtures."""
-    pair_index = {pair: i for i, pair in enumerate(candidate_pairs)}
-    # Y[s, p, :] = (U_j (x) V_l) z_s for candidate pair p = (j, l).
-    y = _stack_outputs(_pair_operators(blocks1, blocks2, np.array(candidate_pairs)), inputs)
+def _frank_wolfe(blocks1, blocks2, target, inputs, start: np.ndarray, iterations: int):
+    """Minimize the mean trace distance to the target over pair mixtures.
+
+    The weights w [n1, n2] of the mixture sum_jl w_jl W_jl . W_jl^dag range
+    over the whole pair simplex, where f(w) = mean_s ||T rho_s T^dag - out_s||_1
+    is convex.  Each step takes S_s = sign(T rho_s T^dag - out_s) and the
+    subgradient g = -``_pair_scores``(S) / S, and moves toward the best vertex
+    by the largest step of a fixed ladder that lowers f; it stops when none
+    does, or after ``iterations`` steps.  As ||S_s||_op <= 1, weak duality
+    gives every mixture f >= mean_s tr[S_s T rho_s T^dag] + min g (the
+    Frank-Wolfe gap, Jaggi 2013) with no slack for eigenvalues that
+    ``spectral_sign`` zeroes.  Returns (w, f, the best such bound seen), the
+    bound capped at f, which a gap closed to rounding could otherwise pass.
+    """
     tz = inputs @ target.T
-    targets = tz[:, :, None] * tz.conj()[:, None, :]
-
-    w = np.zeros(len(candidate_pairs))
-    for pair, weight in start.items():
-        w[pair_index[pair]] = weight
-    used = np.nonzero(w)[0]
-    out = (np.swapaxes(y[:, used], 1, 2) * w[used]) @ y[:, used].conj()
+    targets = _projectors(tz)
+    w = np.array(start, dtype=float)
+    used = np.argwhere(w > 0)
+    y = _stack_outputs(_pair_operators(blocks1, blocks2, used), inputs)
+    out = (np.swapaxes(y, 1, 2) * w[tuple(used.T)]) @ y.conj()
     value = float(np.mean(qmath.hermitian_trace_norm(targets - out)))
+    bound = -math.inf
     # The step-size ladder is evaluated at once; the largest improving step wins.
-    gammas = np.array([1.0, 0.5, 0.25, 0.1, 0.05, 0.02, 0.008])
-    for _ in range(iterations):
+    gammas = np.array([1.0, 0.5, 0.25, 0.1, 0.05, 0.02, 0.008])[:, None, None, None]
+    for step in range(iterations + 1):
         signs = qmath.spectral_sign(targets - out)
-        # -sum_s Re(y† sign_s y) for every pair: one batched matmul gives the
-        # rows sign_s y, and Re(y† v) is the dot of the float views of y and v.
-        grad = -np.einsum("spa,spa->p", y.view(float), (y @ np.swapaxes(signs, 1, 2)).view(float))
-        best = int(np.argmin(grad))
-        g = gammas[:, None, None, None]
-        trial_outs = (1.0 - g) * out + g * (y[:, best, :, None] * y[:, best, None, :].conj())
+        grad = -_pair_scores(blocks1, blocks2, inputs, signs) / len(inputs)
+        best = np.unravel_index(np.argmin(grad), grad.shape)
+        dual = np.einsum("sa,sab,sb->", tz.conj(), signs, tz).real / len(inputs)
+        bound = max(bound, float(dual + grad[best]))
+        if step == iterations:
+            break
+        vertex = _projectors(inputs @ _pair_operators(blocks1, blocks2, np.array([best]))[0].T)
+        trial_outs = (1.0 - gammas) * out + gammas * vertex
         trial_values = np.mean(qmath.hermitian_trace_norm(targets - trial_outs), axis=1)
         improving = np.nonzero(trial_values < value - 1e-12)[0]
         if not improving.size:
             break
-        step = int(improving[0])
-        w *= 1.0 - gammas[step]
-        w[best] += gammas[step]
-        out, value = trial_outs[step], float(trial_values[step])
-    weights = {candidate_pairs[i]: float(w[i]) for i in np.nonzero(w > 1e-10)[0]}
-    if not weights:
-        weights = dict(start)
-    return weights, value
+        gamma = float(gammas[improving[0], 0, 0, 0])
+        w *= 1.0 - gamma
+        w[best] += gamma
+        out, value = trial_outs[improving[0]], float(trial_values[improving[0]])
+    return w, value, min(bound, value)
 
 
 def _witness_control_path(g1, g2, target, cfg: WitnessConfig):
-    blocks1, blocks2 = g1.blocks, g2.blocks
-    n1, n2 = len(blocks1), len(blocks2)
-    d = g1.d_data * g2.d_data
-    rng = np.random.default_rng(cfg.seed)
-    inputs = qmath.haar_vectors(rng, cfg.n_inputs, d)
-    s, lefts, rights = operator_schmidt(target, g1.d_data, g2.d_data)
-
-    # Candidate pair selection: everything when small, otherwise per-factor
-    # shortlists around the target's operator-Schmidt factors plus a sample.
-    if n1 * n2 <= PAIR_BUDGET:
-        pairs = [(j, l) for j in range(n1) for l in range(n2)]
-        method = "pair-enumeration"
-    else:
-        shortlist1: set[int] = set()
-        shortlist2: set[int] = set()
-        for comp in range(min(3, s.size)):
-            if s[comp] < 1e-9:
-                break
-            for shortlist, factor, blocks in ((shortlist1, lefts[comp], blocks1),
-                                              (shortlist2, rights[comp], blocks2)):
-                fu, _, fvh = np.linalg.svd(factor)  # anchor: nearest unitary fu @ fvh
-                dists = _unitary_map_distances(fu @ fvh, blocks)
-                shortlist.update(int(i) for i in np.argsort(dists)[:PER_FACTOR_TOP])
-        extra = max(0, PAIR_BUDGET - len(shortlist1) * len(shortlist2))
-        pairs = [(j, l) for j in shortlist1 for l in shortlist2]
-        if extra:
-            js = rng.integers(0, n1, size=extra)
-            ls = rng.integers(0, n2, size=extra)
-            pairs.extend({(int(j), int(l)) for j, l in zip(js, ls)} - set(pairs))
-        method = "pair-shortlist"
-
-    # A pure pair maps z to y = (U_j (x) V_l) z, at trace distance
-    # 2 sqrt(1 - |<T z, y>|^2) from the target output.
-    overlaps = np.abs(
-        _stack_outputs(_pair_operators(blocks1, blocks2, np.array(pairs)), inputs)
-        @ (inputs @ target.T).conj()[:, :, None]
-    )[..., 0]
-    errors = np.mean(2.0 * np.sqrt(np.clip(1.0 - overlaps**2, 0.0, None)), axis=0)
-    best_idx = int(np.argmin(errors))
-    best_weights = {pairs[best_idx]: 1.0}
-    best_value = float(errors[best_idx])
-
-    # Product-target candidate: compose per-factor mixture programs.
-    if s.size == 1 or (s.size > 1 and s[1] <= 1e-9 * s[0]):
-        factor_weights = []
-        for i, (gate, factor) in enumerate(((g1, lefts[0]), (g2, rights[0]))):
-            unit = factor / (np.linalg.norm(factor) / math.sqrt(gate.d_data))
-            factor_program, _ = program_for_target(gate, unit, seed=cfg.seed + 11 + i)
-            factor_weights.append(np.abs(factor_program.amplitudes) ** 2)
-        w1, w2 = factor_weights
-        prod_weights = {
-            (int(j), int(l)): float(w1[j] * w2[l])
-            for j in np.nonzero(w1 > 1e-10)[0]
-            for l in np.nonzero(w2 > 1e-10)[0]
-        }
-        val = _mixture_avg_error(prod_weights, blocks1, blocks2, target, inputs)
-        if val < best_value:
-            best_value, best_weights = val, prod_weights
-
-    # Convex polish over the candidate pairs.
-    scanned = set(pairs)
-    polish_pairs = pairs + [pair for pair in best_weights if pair not in scanned]
-    weights, value = _frank_wolfe_polish(
-        best_weights, polish_pairs, blocks1, blocks2, target, inputs, cfg.fw_iterations
-    )
-    if value > best_value:
-        weights, value = best_weights, best_value
-
-    kraus = _mixture_kraus(weights, blocks1, blocks2)
+    blocks1, blocks2 = np.asarray(g1.blocks), np.asarray(g2.blocks)
+    inputs = qmath.haar_vectors(np.random.default_rng(cfg.seed), cfg.n_inputs, len(target))
+    # Start at the pair of best mean fidelity sum_s |<T z_s, W z_s>|^2.
+    fidelities = _pair_scores(blocks1, blocks2, inputs, _projectors(inputs @ target.T))
+    start = np.zeros(fidelities.shape)
+    start.flat[np.argmax(fidelities)] = 1.0
+    weights, value, bound = _frank_wolfe(blocks1, blocks2, target, inputs, start, cfg.fw_iterations)
+    pairs = np.argwhere(weights > 1e-10)
+    kept = weights[tuple(pairs.T)]
+    kraus = np.sqrt(kept)[:, None, None] * _pair_operators(blocks1, blocks2, pairs)
     sup = estimate_sup_error(kraus, target, cfg.sup_samples, cfg.seed + 1)
     return WitnessReport(
-        best_error=float(value),
-        program_weights=sorted(((pair, float(w)) for pair, w in weights.items()),
+        best_error=value,
+        program_weights=sorted((((int(j), int(l)), float(w)) for (j, l), w in zip(pairs, kept)),
                                key=lambda item: -item[1]),
         sup_estimate=sup,
         n_inputs=cfg.n_inputs,
         seed=cfg.seed,
-        method=f"control-blocks/{method}+frank-wolfe",
+        method="control-blocks/frank-wolfe",
         program_dims=(g1.d_program, g2.d_program),
+        lower_bound=ErrorEstimate(bound, "frank-wolfe-dual", cfg.n_inputs),
     )
 
 
@@ -1123,9 +1068,14 @@ def scalability_witness(
 
     Minimizes the average-over-inputs trace distance between the induced map
     of the tensored gate and the target conjugation; the worst-case estimate
-    of the winning program is reported alongside.  Product targets compose
-    per-factor programs; entangling targets stay bounded away from zero no
-    matter the program, which is the no-go this witnesses.
+    of the winning program is reported alongside.  On controlled-block gates
+    every joint program induces a mixture over the block pairs U_j (x) V_l,
+    so a Frank-Wolfe descent over the whole pair simplex finds the program
+    and its duality gap bounds the mean error of every program from below
+    (``lower_bound``).  A mean over inputs never exceeds the worst case, so
+    the bound holds for the sup error too: entangling targets stay bounded
+    away from zero no matter the program, which is the no-go this witnesses.
+    Other gates take a sphere descent over program vectors, with no bound.
     """
     cfg = cfg or WitnessConfig()
     target = np.asarray(target, dtype=complex)

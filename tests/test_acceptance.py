@@ -221,9 +221,8 @@ def _pauli_cnot_grid_oracle(blocks, inputs, n_points=10_000, seed=0):
         val = value_of(w)
         if val < best:
             best, best_w = val, w
-    start = {pairs[i]: best_w[i] for i in range(16) if best_w[i] > 1e-12}
-    _, polished = pqg._frank_wolfe_polish(
-        start, pairs, blocks, blocks, CNOT, inputs, 120
+    _, polished, _ = pqg._frank_wolfe(
+        np.asarray(blocks), np.asarray(blocks), CNOT, inputs, best_w.reshape(4, 4), 120
     )
     return min(best, polished)
 
@@ -241,6 +240,8 @@ def test_criterion_10_scalability_witness(pauli_gate, net_gates):
         report = pqg.scalability_witness(pauli_gate, pauli_gate, CNOT, cfg)
         assert report.best_error > 0.1
         assert abs(report.best_error - oracle) < 0.05
+        # The dual bound certifies the no-go: no joint program gets below it.
+        assert 0.1 < report.lower_bound.value <= min(report.best_error, oracle)
         target = np.kron(PAULI_X, PAULI_Z)
         previous = math.inf
         cnot_cfg = pqg.WitnessConfig(seed=0, fw_iterations=40)
@@ -250,9 +251,11 @@ def test_criterion_10_scalability_witness(pauli_gate, net_gates):
             prod = pqg.scalability_witness(gate, gate, target, cfg)
             assert prod.best_error <= 2 * eps + 0.05
             assert prod.best_error <= previous + 1e-6
+            assert prod.lower_bound.value <= prod.best_error
             previous = prod.best_error
             entangling = pqg.scalability_witness(gate, gate, CNOT, cnot_cfg)
             assert entangling.best_error > 0.1
+            assert 0.1 < entangling.lower_bound.value <= entangling.best_error
 
 
 def test_criterion_11_emulation_of_depolarizing():

@@ -224,6 +224,25 @@ class TestPqgCommands:
         )
         assert code == 0
         assert doc["best_error"] > 0.1
+        bound = doc["lower_bound"]
+        assert bound["method"] == "frank-wolfe-dual"
+        assert bound["n_samples"] == doc["n_inputs"]
+        assert 0.1 < bound["value"] <= doc["best_error"]
+
+    def test_witness_general_path_has_null_lower_bound(self, capsys, tmp_path):
+        from densecode import pqg, serialize
+
+        swap = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
+        gate_file = tmp_path / "swap.json"
+        serialize.dump(serialize.gate_to_json(pqg.ProgrammableGate(2, 2, unitary=swap)), gate_file)
+        code, doc, _ = run_json(
+            capsys,
+            ["pqg", "witness", "--target", "cnot", "--gates", str(gate_file), str(gate_file),
+             "--inputs", "4"],
+        )
+        assert code == 0
+        assert doc["method"] == "general-sphere-descent"
+        assert doc["lower_bound"] is None
 
     def test_witness_product_target(self, capsys):
         code, doc, _ = run_json(

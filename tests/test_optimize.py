@@ -56,8 +56,9 @@ class TestStiefelMinimize:
     def test_step_underflow_reported(self):
         # On a flat f no candidate lies below the reference, so a step whose
         # required decrease ARMIJO * t * |g|^2 is lost in rounding must not
-        # pass: each restart halves t from 1 to below 1e-14 (47 candidates
-        # after its start value) and ends on step underflow, not converged.
+        # pass: each restart halves t from 1 until that decrease falls below
+        # the rounding of C (about 42 candidates after its start value) and
+        # ends on step underflow, not converged.
         calls = [0]
 
         def fun(v):
@@ -71,6 +72,27 @@ class TestStiefelMinimize:
         assert report.value == 1.0
         assert report.restart_reasons == ["step_underflow", "step_underflow"]
         assert calls[0] <= 2 * 48
+
+    def test_flat_minimum_ends_after_one_candidate(self):
+        # |g| = 3e-8 is just above grad_tol, so ARMIJO * t * |g|^2 is below the
+        # rounding of C = f from the first step: one refused candidate ends the
+        # restart, where halving t down to MIN_STEP took 47.
+        calls = [0]
+
+        def fun(v):
+            calls[0] += 1
+            return 1.0
+
+        start = np.zeros((4, 1), dtype=complex)
+        start[0, 0] = 1.0
+        direction = np.zeros((4, 1), dtype=complex)
+        direction[1, 0] = 3e-8
+        report = opt.stiefel_minimize(
+            fun, lambda v: direction, 4, 1, opt.OptConfig(restarts=0), initial_points=[start]
+        )
+        assert report.restart_reasons == ["step_underflow"]
+        assert report.value == 1.0
+        assert calls[0] == 2
 
     def test_non_finite_restart_is_never_best(self):
         # The objective is NaN near e0, which is also a critical point, so the

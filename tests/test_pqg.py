@@ -386,17 +386,20 @@ class TestScalabilityWitness:
         for s in range(cfg.n_inputs):
             z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             inputs[s] = z / np.linalg.norm(z)
-        blocks = list(pauli_gate.blocks)
-        pairs = [(j, l) for j in range(4) for l in range(4)]
+        blocks = np.asarray(pauli_gate.blocks)
+        y = np.stack([inputs @ np.kron(blocks[j], blocks[l]).T
+                      for j in range(4) for l in range(4)])
+        t_out = inputs @ CNOT.T
+        targets = np.einsum("sa,sb->sab", t_out, t_out.conj())
         best_value, best_weights = np.inf, None
         for _ in range(10_000):
             w = rng.dirichlet(np.full(16, 0.3))
-            weights = {pairs[i]: w[i] for i in range(16) if w[i] > 1e-12}
-            val = pqg._mixture_avg_error(weights, blocks, blocks, CNOT, inputs)
+            out = np.einsum("p,psa,psb->sab", w, y, y.conj())
+            val = float(np.mean(qmath.hermitian_trace_norm(targets - out)))
             if val < best_value:
-                best_value, best_weights = val, weights
-        polished, value = pqg._frank_wolfe_polish(
-            best_weights, pairs, blocks, blocks, CNOT, inputs, 120
+                best_value, best_weights = val, w
+        _, value, _ = pqg._frank_wolfe(
+            blocks, blocks, CNOT, inputs, best_weights.reshape(4, 4), 120
         )
         assert value > 0.1
         report = pqg.scalability_witness(pauli_gate, pauli_gate, CNOT, cfg)
@@ -426,6 +429,72 @@ class TestScalabilityWitness:
         assert report.best_program.dims == (5, 3)
         assert np.array_equal(report.best_program.amplitudes, amps)
         assert report.best_program is report.best_program
+
+    def test_witness_determinism(self, net_gates):
+        # One seed, one report: weights, errors and the dual bound included.
+        gate, _ = net_gates(0.3)
+        cfg = pqg.WitnessConfig(seed=5, fw_iterations=30)
+        first = pqg.scalability_witness(gate, gate, CNOT, cfg)
+        second = pqg.scalability_witness(gate, gate, CNOT, cfg)
+        assert first.lower_bound is not None
+        assert first == second
+
+    def test_general_path_has_no_lower_bound(self):
+        gate = pqg.ProgrammableGate(2, 2, unitary=np.kron(PAULI_X, np.eye(2)))
+        report = pqg.scalability_witness(
+            gate, gate, CNOT, pqg.WitnessConfig(general_restarts=1, sup_samples=10)
+        )
+        assert report.method == "general-sphere-descent"
+        assert report.lower_bound is None
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n1=st.integers(1, 4),
+        n2=st.integers(1, 4),
+        d1=st.sampled_from([2, 3]),
+        d2=st.sampled_from([2, 3]),
+    )
+    def test_lower_bound_is_below_every_mixture(self, seed, n1, n2, d1, d2):
+        rng = np.random.default_rng(seed)
+        blocks1 = np.array([ch.random_unitary(d1, rng) for _ in range(n1)])
+        blocks2 = np.array([ch.random_unitary(d2, rng) for _ in range(n2)])
+        target = ch.random_unitary(d1 * d2, rng)
+        cfg = pqg.WitnessConfig(n_inputs=6, seed=seed, sup_samples=10, fw_iterations=15)
+        report = pqg.scalability_witness(
+            pqg.control_gate(blocks1), pqg.control_gate(blocks2), target, cfg
+        )
+        bound = report.lower_bound
+        assert bound.method == "frank-wolfe-dual" and bound.n_samples == 6
+        assert bound.value <= report.best_error
+        # Independent scoring of pair mixtures on the witness's inputs.
+        inputs = qmath.haar_vectors(np.random.default_rng(seed), 6, d1 * d2)
+        y = np.stack([inputs @ np.kron(u, v).T for u in blocks1 for v in blocks2])
+        t_out = inputs @ target.T
+        targets = np.einsum("sa,sb->sab", t_out, t_out.conj())
+
+        def mixture_error(w):
+            out = np.einsum("p,psa,psb->sab", w, y, y.conj())
+            return float(np.mean(qmath.hermitian_trace_norm(targets - out)))
+
+        values = [report.best_error] + [
+            mixture_error(w) for w in rng.dirichlet(np.full(n1 * n2, 0.5), size=20)
+        ]
+        # The slack covers rounding where a mixture is the optimum (one pair).
+        assert bound.value <= min(values) + 1e-12
+        # With no step, the bound is the dual value at the start point,
+        # recomputed here pair by pair: mean tr[S T] - max_p mean tr[S A_p].
+        uniform = np.full(n1 * n2, 1.0 / (n1 * n2))
+        _, _, start_bound = pqg._frank_wolfe(
+            blocks1, blocks2, target, inputs, uniform.reshape(n1, n2), 0
+        )
+        out = np.einsum("p,psa,psb->sab", uniform, y, y.conj())
+        signs = qmath.spectral_sign(targets - out)
+        dual = np.mean([np.vdot(z, s @ z).real for z, s in zip(t_out, signs)])
+        scores = [np.mean([np.vdot(z, s @ z).real for z, s in zip(yp, signs)]) for yp in y]
+        expected = min(mixture_error(uniform), dual - max(scores))
+        assert start_bound == pytest.approx(expected, abs=1e-12)
+        assert start_bound <= min(values) + 1e-12
 
     def test_no_dense_program_past_the_guard(self):
         report = pqg.WitnessReport(0.0, [((0, 0), 1.0)], pqg.ErrorEstimate(0.0, "exact-unitary", 0),
@@ -560,6 +629,24 @@ def test_tensor_gates_blocks():
     for j, u in enumerate(a.blocks):
         for l, v in enumerate(b.blocks):
             assert np.max(np.abs(joint.blocks[j * 2 + l] - np.kron(u, v))) < 1e-12
+
+
+@pytest.mark.parametrize("d1, d2", [(2, 3), (3, 2)])
+def test_factored_pair_scores_match_direct_traces(d1, d2):
+    # sum_s tr[M_s W rho_s W^dag] per pair W = U_j (x) V_l, pair by pair.
+    rng = np.random.default_rng(20 + d1)
+    blocks1 = np.array([ch.random_unitary(d1, rng) for _ in range(3)])
+    blocks2 = np.array([ch.random_unitary(d2, rng) for _ in range(4)])
+    inputs = qmath.haar_vectors(rng, 5, d1 * d2)
+    g = rng.standard_normal((5, 2, d1 * d2, d1 * d2))
+    m = qmath.hermitize(g[:, 0] + 1j * g[:, 1])
+    scores = pqg._pair_scores(blocks1, blocks2, inputs, m)
+    assert scores.shape == (3, 4)
+    for j, u in enumerate(blocks1):
+        for l, v in enumerate(blocks2):
+            outs = inputs @ np.kron(u, v).T
+            direct = sum(np.vdot(y, ms @ y).real for y, ms in zip(outs, m))
+            assert abs(scores[j, l] - direct) <= 1e-12
 
 
 def test_operator_schmidt_rank():
