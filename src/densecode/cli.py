@@ -241,15 +241,15 @@ def cmd_dc(args, argv, timestamp) -> int:
     elif args.copies > 1:
         result = cap.dc_capacity_multicopy(args.copies, args.d, rho, cfg, a_factors)
         quantity = "dc_capacity_multicopy"
-        diagnostics = _opt_diagnostics(result.report)
+        diagnostics = ser._opt_diagnostics(result.report)
     elif args.block > 1:
         result = cap.dc_capacity_block(args.block, args.d, rho, cfg, a_factors)
         quantity = "dc_capacity_block"
-        diagnostics = _opt_diagnostics(result.report)
+        diagnostics = ser._opt_diagnostics(result.report)
     else:
         result = cap.dc_capacity(args.d, rho, cfg, a_factors)
         quantity = "dc_capacity"
-        diagnostics = _opt_diagnostics(result.report)
+        diagnostics = ser._opt_diagnostics(result.report)
     converged = bool(result.metadata.get("converged", True))
     if args.strict and not converged:
         raise ConvergenceError("optimizer did not converge and --strict is set")
@@ -275,18 +275,6 @@ def cmd_dc(args, argv, timestamp) -> int:
         doc["report"] = ser.opt_report_to_json(result.report)
     _emit(doc, [f"{quantity} >= {result.value:.6f} bits (lower bound)"])
     return EXIT_OK
-
-
-def _opt_diagnostics(report) -> dict:
-    return {
-        "restart_values": report.restart_values,
-        "converged": report.converged,
-        "iterations": report.iterations,
-        "best_restart": report.best_restart,
-        "skipped_restarts": report.skipped_restarts,
-        "dropped_probes": report.dropped_probes,
-        "restart_reasons": report.restart_reasons,
-    }
 
 
 def cmd_scan_additivity(args, argv, timestamp) -> int:

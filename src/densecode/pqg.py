@@ -17,8 +17,10 @@ exact; the method travels with every error value.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import accumulate, repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -80,6 +82,14 @@ class ProgrammableGate:
         q = np.arange(self.d_program)
         u[:, q, :, q] = self.blocks  # block q on the program diagonal (q, q)
         return u.reshape(side, side)
+
+
+def _as_target(target, d: int) -> np.ndarray:
+    """A target unitary as a complex array, checked to be d x d."""
+    target = np.asarray(target, dtype=complex)
+    if target.shape != (d, d):
+        raise DimensionMismatchError(f"target of shape {target.shape}, expected side {d}")
+    return target
 
 
 def _check_unitary(u: np.ndarray, side: int):
@@ -170,6 +180,12 @@ class WitnessConfig:
     fw_iterations: int = 80
     general_restarts: int = 12
 
+    def __post_init__(self):
+        if self.n_inputs < 1 or self.general_restarts < 1:
+            raise ValueError("n_inputs and general_restarts must be >= 1")
+        if self.fw_iterations < 0 or self.sup_samples < 0:
+            raise ValueError("fw_iterations and sup_samples must be >= 0")
+
 
 # ---------------------------------------------------------------------------
 # Construction and induced maps
@@ -253,18 +269,7 @@ def unitary_map_distance(u: np.ndarray, v: np.ndarray) -> float:
     the spread reaches pi).  For qubits this reduces to the trace formula
     2 sqrt(1 - |Tr(u^dag v)|^2 / 4).
     """
-    if u.shape == (2, 2):
-        overlap = abs(np.einsum("ab,ab->", u.conj(), v)) / 2.0
-        return 2.0 * math.sqrt(max(0.0, 1.0 - min(1.0, overlap) ** 2))
-    phases = np.sort(np.angle(np.linalg.eigvals(u.conj().T @ v)))
-    if phases.size == 1:
-        return 0.0
-    gaps = np.diff(phases)
-    wrap = 2.0 * math.pi - (phases[-1] - phases[0])
-    span = 2.0 * math.pi - max(float(gaps.max()), float(wrap))
-    if span >= math.pi:
-        return 2.0
-    return 2.0 * math.sin(span / 2.0)
+    return float(_unitary_map_distances(u, np.asarray(v)[None])[0])
 
 
 def _unitary_map_distances(u: np.ndarray, stack) -> np.ndarray:
@@ -276,7 +281,6 @@ def _unitary_map_distances(u: np.ndarray, stack) -> np.ndarray:
     stack = np.asarray(stack)
     if u.shape == (2, 2):
         trace = np.einsum("ab,kab->k", u.conj(), stack)
-        # hypot, like the scalar abs(), keeps the two bit-identical.
         overlap = np.minimum(1.0, np.hypot(trace.real, trace.imag) / 2.0)
         return 2.0 * np.sqrt(np.maximum(0.0, 1.0 - overlap**2))
     if u.shape[0] == 1:
@@ -366,11 +370,7 @@ def approximation_error(
     seed=0,
 ) -> ErrorEstimate:
     """Estimated worst-case trace distance of the induced map to a unitary target."""
-    target = np.asarray(target, dtype=complex)
-    if target.shape != (gate.d_data, gate.d_data):
-        raise DimensionMismatchError(
-            f"target of shape {target.shape}, expected side {gate.d_data}"
-        )
+    target = _as_target(target, gate.d_data)
     chan = induced_map(gate, psi)
     if len(chan.kraus) == 1:
         # Unitary-vs-unitary distances have a closed form; tag accordingly.
@@ -624,11 +624,7 @@ def program_for_target(
     """
     if gate.blocks is None:
         raise InvariantError("program_for_target needs a controlled-block gate")
-    target = np.asarray(target, dtype=complex)
-    if target.shape != (gate.d_data, gate.d_data):
-        raise DimensionMismatchError(
-            f"target of shape {target.shape}, expected side {gate.d_data}"
-        )
+    target = _as_target(target, gate.d_data)
     program, err, _ = next(_programs_for_targets(gate, [target], n_nearest, n_samples, [seed]))
     return program, err
 
@@ -738,96 +734,83 @@ def _hopf_grid(spacing: float) -> list[np.ndarray]:
     return atoms
 
 
-def _measure_net(
-    atoms: Sequence[np.ndarray],
-    d: int,
-    epsilon: float,
-    n_targets: int,
-    seed,
-) -> tuple[float, float, str]:
-    """(max program error, max atom distance, error methods) over Haar targets."""
-    rng = np.random.default_rng(seed)
-    gate = control_gate(atoms)
-    targets = [ch.random_unitary(d, rng) for _ in range(n_targets)]
-    seeds = [seed + 7919 * t + 1 for t in range(n_targets)]
-    max_prog = 0.0
-    max_atom = 0.0
-    methods = set()
-    for _, err, nearest in _programs_for_targets(gate, targets, 12, 200, seeds):
-        max_prog = max(max_prog, err.value)
-        max_atom = max(max_atom, nearest)
-        methods.add(err.method)
-        if max_prog > epsilon:
-            break
-    return max_prog, max_atom, ", ".join(sorted(methods))
+def _calibrate(pools, targets, epsilon: float, n_nearest: int, seeds, method: str, seed,
+               covering: bool = True) -> tuple[ProgrammableGate, UnitaryNet]:
+    """The gate and net of the first pool whose programs reach every target within epsilon.
+
+    ``pools`` yields atom lists lazily, so a pool's random draws happen only
+    once every pool before it has missed.  A pool past ``MAX_PROGRAM_DIM``
+    atoms trips the size guard, and a pool is dropped at the first target
+    whose best program (``_programs_for_targets``) misses epsilon; pools that
+    run out raise ``InvariantError``.  The certificate is the largest program
+    error over the targets; the covering radius, NaN unless ``covering``, is
+    the largest distance from a target to its nearest atom.
+    """
+    d = len(targets[0])
+    max_err = math.inf
+    for atoms in pools:
+        if len(atoms) > MAX_PROGRAM_DIM:
+            raise SizeGuardError(f"net for epsilon={epsilon}, d={d} needs {len(atoms)} "
+                                 f"programs (> {MAX_PROGRAM_DIM})")
+        gate = control_gate(atoms)
+        max_err, radius, methods = 0.0, 0.0, set()
+        for _, err, nearest in _programs_for_targets(gate, targets, n_nearest, 200, seeds):
+            max_err, radius = max(max_err, err.value), max(radius, nearest)
+            methods.add(err.method)
+            if max_err > epsilon:
+                break
+        else:
+            return gate, UnitaryNet(
+                elements=tuple(atoms),
+                covering_radius=radius if covering else math.nan,
+                method=method,
+                metadata={
+                    "requested_epsilon": epsilon,
+                    "certificate_max_program_error": max_err,
+                    "certificate_method": ", ".join(sorted(methods)),
+                    "certificate_targets": len(targets),
+                    "seed": seed,
+                    "d": d,
+                    "size": len(atoms),
+                },
+            )
+    raise InvariantError(f"certification failed: measured {max_err:.4g} > epsilon {epsilon}")
 
 
 def net_gate(epsilon: float, d: int, seed=0, n_targets: int = 100) -> tuple[ProgrammableGate, UnitaryNet]:
     """A gate whose programs reach every unitary on C^d within epsilon.
 
-    For qubits the net is an Euler-angle grid whose spacing is calibrated
-    until the measured certificate (best-program error on Haar targets)
-    drops below epsilon; in higher dimensions random pools are grown with
-    the covering only ever measured, never derived.  The program register is
-    capped at 4096; requesting an epsilon that would need more trips the
-    size guard.  ``seed=None`` draws one integer seed, kept in ``metadata``,
-    and ``metadata["certificate_method"]`` names how the program errors were
-    measured (``exact-bloch`` on qubits).
+    The certificate is the best-program error on ``n_targets`` Haar targets,
+    drawn once from ``default_rng(seed)``; ``_calibrate`` accepts the first
+    pool that meets epsilon on all of them.  For qubits the pools are
+    Euler-angle grids whose spacing shrinks by 0.8 per miss; in higher
+    dimensions they are random pools, drawn from a child stream of the seed
+    and grown by 1.6 per miss, with the covering only ever measured, never
+    derived.  The program register is capped at 4096; requesting an epsilon
+    that would need more trips the size guard.  ``seed=None`` draws one
+    integer seed, kept in ``metadata``, and ``metadata["certificate_method"]``
+    names how the program errors were measured (``exact-bloch`` on qubits).
     """
     if not (0.0 < epsilon <= 2.0):
         raise InvariantError("epsilon must lie in (0, 2]")
     if d < 2:
         raise DimensionMismatchError("net_gate needs d >= 2")
+    if n_targets < 1:
+        raise InvariantError("net_gate needs n_targets >= 1")
     seed = np.random.SeedSequence().entropy if seed is None else seed
-
+    rng = np.random.default_rng(seed)
+    targets = [ch.random_unitary(d, rng) for _ in range(n_targets)]
+    seeds = [seed + 7919 * t + 1 for t in range(n_targets)]
     if d == 2:
-        spacing = min(1.2, 1.35 * math.sqrt(epsilon))
-        atoms = _hopf_grid(spacing)
-        while True:
-            if len(atoms) > MAX_PROGRAM_DIM:
-                raise SizeGuardError(
-                    f"net for epsilon={epsilon} needs {len(atoms)} programs (> {MAX_PROGRAM_DIM})"
-                )
-            max_prog, max_atom, cert_method = _measure_net(atoms, d, epsilon, n_targets, seed)
-            if max_prog <= epsilon:
-                break
-            spacing *= 0.8
-            atoms = _hopf_grid(spacing)
-        method = "euler-grid, program-certified"
-    else:
-        # The pool comes from a child stream: _measure_net draws its Haar
-        # targets from default_rng(seed), and a shared stream would make the
-        # first atoms the targets themselves.
-        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-        n = 4 * d * d
-        while True:
-            if n > MAX_PROGRAM_DIM:
-                raise SizeGuardError(
-                    f"net for epsilon={epsilon}, d={d} exceeds {MAX_PROGRAM_DIM} programs"
-                )
-            atoms = [ch.random_unitary(d, rng) for _ in range(n)]
-            max_prog, max_atom, cert_method = _measure_net(atoms, d, epsilon, n_targets, seed)
-            if max_prog <= epsilon:
-                break
-            n = int(n * 1.6) + 1
-        method = "random-pool, program-certified"
-
-    gate = control_gate(atoms)
-    net = UnitaryNet(
-        elements=tuple(atoms),
-        covering_radius=max_atom,
-        method=method,
-        metadata={
-            "requested_epsilon": epsilon,
-            "certificate_max_program_error": max_prog,
-            "certificate_method": cert_method,
-            "certificate_targets": n_targets,
-            "seed": seed,
-            "d": d,
-            "size": len(atoms),
-        },
-    )
-    return gate, net
+        start = min(1.2, 1.35 * math.sqrt(epsilon))
+        spacings = accumulate(repeat(0.8), operator.mul, initial=start)
+        return _calibrate(map(_hopf_grid, spacings), targets, epsilon, 12, seeds,
+                          "euler-grid, program-certified", seed)
+    # A pool drawn from the targets' own stream would start with the targets.
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    sizes = accumulate(repeat(1.6), lambda n, grow: int(n * grow) + 1, initial=4 * d * d)
+    pools = ([ch.random_unitary(d, rng) for _ in range(n)] for n in sizes)
+    return _calibrate(pools, targets, epsilon, 12, seeds, "random-pool, program-certified", seed)
 
 
 def net_gate_around(
@@ -841,58 +824,38 @@ def net_gate_around(
 
     Full nets grow with the manifold dimension, so emulating encodings on
     composite registers uses pools of perturbed copies of each target (plus
-    Haar decoys); the certificate measures the best-program error per target.
-    ``seed=None`` draws one integer seed, kept in ``metadata``.
+    Haar decoys).  ``_calibrate`` accepts the first of eight such pools whose
+    best programs reach every target within epsilon, the perturbation spread
+    shrinking by 0.7 per miss, and raises ``InvariantError`` once all eight
+    miss.  ``seed=None`` draws one integer seed, kept in ``metadata``.
     """
     if not (0.0 < epsilon <= 2.0):
         raise InvariantError("epsilon must lie in (0, 2]")
+    if not len(targets):
+        raise InvariantError("net_gate_around needs at least one target")
+    d = math.isqrt(np.size(targets[0]))  # the side of a square target
+    targets = [_as_target(t, d) for t in targets]
     seed = np.random.SeedSequence().entropy if seed is None else seed
     rng = np.random.default_rng(seed)
-    targets = [np.asarray(t, dtype=complex) for t in targets]
-    d = targets[0].shape[0]
-    spread = 0.75 * math.sqrt(epsilon)
-    max_err = math.inf
-    gate = None
-    atoms: list[np.ndarray] = []
-    for _ in range(8):
-        atoms = []
-        for t in targets:
-            # Hermitian generators of spectral radius ``spread``; atoms t exp(-iH).
-            g = rng.standard_normal((n_atoms_per_target, 2, d, d))
-            h = hermitize(g[:, 0] + 1j * g[:, 1])
-            radius = np.abs(np.linalg.eigvalsh(h)).max(axis=-1)
-            h *= (spread / np.maximum(1e-30, radius))[:, None, None]
-            atoms.extend(t @ qmath.hermitian_function(h, lambda lam: np.exp(-1j * lam)))
-        atoms.extend(ch.random_unitary(d, rng) for _ in range(n_decoys))
-        if len(atoms) > MAX_PROGRAM_DIM:
-            raise SizeGuardError("target-local net exceeds the program register guard")
-        gate = control_gate(atoms)
-        seeds = [seed + i for i in range(len(targets))]
-        programs = _programs_for_targets(gate, targets, n_atoms_per_target, 200, seeds)
-        errors = [err for _, err, _ in programs]
-        max_err = max(err.value for err in errors)
-        if max_err <= epsilon:
-            break
-        spread *= 0.7
-    if max_err > epsilon:
-        raise InvariantError(
-            f"target-local certification failed: measured {max_err:.4f} > epsilon {epsilon}"
-        )
-    net = UnitaryNet(
-        elements=tuple(atoms),
-        covering_radius=math.nan,
-        method="target-local pool, program-certified",
-        metadata={
-            "requested_epsilon": epsilon,
-            "certificate_max_program_error": max_err,
-            "certificate_method": ", ".join(sorted({err.method for err in errors})),
-            "certificate_targets": len(targets),
-            "seed": seed,
-            "d": d,
-            "size": len(atoms),
-        },
-    )
-    return gate, net
+
+    def pools():
+        spread = 0.75 * math.sqrt(epsilon)
+        for _ in range(8):
+            atoms = []
+            for t in targets:
+                # Hermitian generators of spectral radius ``spread``; atoms t exp(-iH).
+                g = rng.standard_normal((n_atoms_per_target, 2, d, d))
+                h = hermitize(g[:, 0] + 1j * g[:, 1])
+                radius = np.abs(np.linalg.eigvalsh(h)).max(axis=-1)
+                h *= (spread / np.maximum(1e-30, radius))[:, None, None]
+                atoms.extend(t @ qmath.hermitian_function(h, lambda lam: np.exp(-1j * lam)))
+            atoms.extend(ch.random_unitary(d, rng) for _ in range(n_decoys))
+            yield atoms
+            spread *= 0.7
+
+    seeds = [seed + i for i in range(len(targets))]
+    return _calibrate(pools(), targets, epsilon, n_atoms_per_target, seeds,
+                      "target-local pool, program-certified", seed, covering=False)
 
 
 # ---------------------------------------------------------------------------
@@ -1078,10 +1041,7 @@ def scalability_witness(
     Other gates take a sphere descent over program vectors, with no bound.
     """
     cfg = cfg or WitnessConfig()
-    target = np.asarray(target, dtype=complex)
-    d = g1.d_data * g2.d_data
-    if target.shape != (d, d):
-        raise DimensionMismatchError(f"target of shape {target.shape}, expected side {d}")
+    target = _as_target(target, g1.d_data * g2.d_data)
     if g1.blocks is not None and g2.blocks is not None:
         return _witness_control_path(g1, g2, target, cfg)
     return _witness_general_path(g1, g2, target, cfg)

@@ -137,11 +137,9 @@ def ensemble_from_json(obj) -> Ensemble:
     return Ensemble("encodings", items)
 
 
-def opt_report_to_json(report) -> dict:
-    """OptReport as a JSON document (value, per-restart values, isometry)."""
-    iso = report.isometry
-    doc = {
-        "value": report.value,
+def _opt_diagnostics(report) -> dict:
+    """The OptReport fields of the CLI's ``diagnostics`` and of ``opt_report_to_json``."""
+    return {
         "restart_values": list(report.restart_values),
         "converged": report.converged,
         "iterations": report.iterations,
@@ -150,6 +148,12 @@ def opt_report_to_json(report) -> dict:
         "dropped_probes": report.dropped_probes,
         "restart_reasons": list(report.restart_reasons),
     }
+
+
+def opt_report_to_json(report) -> dict:
+    """OptReport as a JSON document (value, per-restart values, isometry)."""
+    iso = report.isometry
+    doc = {"value": report.value, **_opt_diagnostics(report)}
     if hasattr(iso, "v"):
         doc["isometry"] = {
             "d_in": iso.d_in,

@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 from densecode import channels as ch
 from densecode import pqg
 from densecode import qmath
-from densecode.errors import NotAProgramError, SizeGuardError
+from densecode.errors import (
+    DimensionMismatchError,
+    InvariantError,
+    NotAProgramError,
+    SizeGuardError,
+)
 
 from conftest import CNOT, PAULI_X, PAULI_Z
 
@@ -310,6 +315,16 @@ class TestProgramOrthogonality:
         assert hits > 30
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Atom counts of the pools that net calibration tries, in order."""
+    sizes = []
+    build = pqg.control_gate
+    monkeypatch.setattr(pqg, "control_gate",
+                        lambda atoms: sizes.append(len(atoms)) or build(atoms))
+    return sizes
+
+
 class TestNetGate:
     def test_vacuous_epsilon_accepts_tiny_net(self):
         gate, net = pqg.net_gate(2.0, 2, seed=1, n_targets=20)
@@ -345,6 +360,41 @@ class TestNetGate:
         with pytest.raises(SizeGuardError):
             pqg.net_gate(0.05, 3, seed=0, n_targets=10)
 
+    # Size, certificate and covering radius of the seed-42 qubit nets.
+    QUBIT_PINS = {
+        0.5: (42, 0.4719559571219482, 1.050997525889224),
+        0.3: (103, 0.26714340028063965, 0.7564713181972887),
+        0.2: (254, 0.14559193331679998, 0.5461225114894517),
+        0.1: (616, 0.08892419486521651, 0.4365422250857447),
+    }
+
+    def test_calibration_pins(self, net_gates, pool_sizes):
+        # Which pool calibration accepts: a changed pool order, spacing, growth
+        # or spread rule moves these far past the tolerances.
+        for eps, (size, certificate, radius) in self.QUBIT_PINS.items():
+            _, net = net_gates(eps)
+            assert len(net.elements) == net.metadata["size"] == size
+            assert net.metadata["certificate_max_program_error"] == pytest.approx(
+                certificate, abs=1e-9)
+            assert net.covering_radius == pytest.approx(radius, abs=1e-9)
+        _, net = pqg.net_gate(1.2, 3, seed=0, n_targets=10)
+        assert len(net.elements) == 383
+        assert net.metadata["certificate_max_program_error"] == pytest.approx(
+            1.1923400974429366, abs=1e-9)
+        assert net.covering_radius == pytest.approx(1.506286079161764, abs=1e-9)
+        pool_sizes.clear()
+        targets = [np.eye(3), ch.random_unitary(3, np.random.default_rng(0))]
+        _, net = pqg.net_gate_around(targets, 3e-6, seed=0)
+        assert pool_sizes == [56] * 3  # the spread shrinks twice
+        assert net.metadata["certificate_max_program_error"] == pytest.approx(
+            1.5764670128704331e-6, rel=1e-6)
+        assert math.isnan(net.covering_radius)
+
+    def test_target_local_failure_after_eight_pools(self, pool_sizes):
+        with pytest.raises(InvariantError, match="certification failed"):
+            pqg.net_gate_around([np.eye(4)], 1e-6)
+        assert pool_sizes == [32] * 8
+
     @pytest.mark.parametrize("build", ["net_gate", "net_gate_around"])
     def test_unseeded_net_records_its_seed(self, build):
         # seed=None draws one integer seed, recorded so the net can be rebuilt.
@@ -368,6 +418,35 @@ class TestNetGate:
         program, err = pqg.program_for_target(gate, target, seed=8)
         best_atom = min(pqg.unitary_map_distance(target, b) for b in gate.blocks)
         assert err.value <= best_atom + 1e-9
+
+
+class TestValidation:
+    def test_nets_need_a_target(self):
+        with pytest.raises(InvariantError):
+            pqg.net_gate_around([], 0.1)
+        with pytest.raises(InvariantError):
+            pqg.net_gate(0.5, 2, n_targets=0)
+
+    @pytest.mark.parametrize("call", [
+        lambda gate: pqg.net_gate_around([np.ones((2, 3))], 0.5),
+        lambda gate: pqg.net_gate_around([np.eye(2), np.eye(3)], 0.5),
+        lambda gate: pqg.net_gate_around([np.ones(4)], 0.5),
+        lambda gate: pqg.approximation_error(gate, qmath.basis_state(4, 0), np.ones((2, 3))),
+        lambda gate: pqg.program_for_target(gate, np.ones((3, 2))),
+        lambda gate: pqg.scalability_witness(gate, gate, np.eye(2)),
+    ], ids=["around-non-square", "around-mixed-sides", "around-vector", "approximation_error",
+            "program_for_target", "scalability_witness"])
+    def test_target_shape_is_checked(self, pauli_gate, call):
+        with pytest.raises(DimensionMismatchError):
+            call(pauli_gate)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_inputs", 0), ("fw_iterations", -1), ("sup_samples", -1), ("general_restarts", 0),
+    ])
+    def test_witness_config_rejects_out_of_range_fields(self, field, value):
+        with pytest.raises(ValueError):
+            pqg.WitnessConfig(**{field: value})
+        pqg.WitnessConfig(n_inputs=1, fw_iterations=0, sup_samples=0, general_restarts=1)
 
 
 class TestScalabilityWitness:
@@ -673,6 +752,16 @@ def test_batched_unitary_map_distances_match_scalar_loop(d):
     # Haar atoms plus the exact target, a global phase of it and the identity.
     stack = np.array([ch.random_unitary(d, rng) for _ in range(200)] + [u, 1j * u, np.eye(d)])
     batched = pqg._unitary_map_distances(u, stack)
-    scalar = np.array([pqg.unitary_map_distance(u, v) for v in stack])
-    assert np.max(np.abs(batched - scalar)) <= 1e-12
+    # 2 sin(L / 2), L the shortest arc holding every eigenphase of u^dag v, and 2 once L >= pi.
+    expected = []
+    for v in stack:
+        phases = np.sort(np.angle(np.linalg.eigvals(u.conj().T @ v)))
+        wrap = 2 * math.pi - (phases[-1] - phases[0])
+        span = 2 * math.pi - max(np.diff(phases).max(), wrap)
+        expected.append(2.0 if span >= math.pi else 2 * math.sin(span / 2))
+    # The qubit trace formula is ill-conditioned at distance 0: sqrt of a rounding error.
+    exact = np.arange(len(stack)) >= len(stack) - 3
+    assert np.max(np.abs(batched - expected)[~exact]) <= 1e-12
+    assert np.max(np.abs(batched - expected)[exact]) <= 1e-7
     assert batched[-3] == pytest.approx(0.0, abs=1e-7)
+    assert [pqg.unitary_map_distance(u, v) for v in stack] == list(batched)
