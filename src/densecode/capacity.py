@@ -335,10 +335,10 @@ def additivity_gap(
     superadditivity.
     """
     cfg = cfg or opt.OptConfig()
+    _guard_side(rho.side * sigma.side)
     part1 = dc_capacity(d1, rho, cfg, rho_a)
     part2 = dc_capacity(d2, sigma, cfg, sigma_a)
     joint_state = qmath.tensor(rho, sigma)
-    _guard_side(joint_state.side)
     joint_a = [int(i) for i in sorted(rho_a)] + [
         rho.n_factors + int(i) for i in sorted(sigma_a)
     ]

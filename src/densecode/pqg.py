@@ -9,9 +9,9 @@ programs realize nearby-unitary mixtures whose first-order errors cancel, so
 useful approximation nets stay far smaller than pure-atom coverings would.
 
 All unitary comparisons are phase-quotiented (global phases are invisible in
-the induced maps).  Suprema over inputs are *estimated* (Haar sampling plus
-local ascent), except for qubit mixture programs, whose Bloch distortion is
-exact; the method travels with every error value.
+the induced maps).  Suprema over inputs are *estimated* (Haar sampling, then
+the Stiefel descent from the best sample), except for qubit mixture programs,
+whose Bloch distortion is exact; the method travels with every error value.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import channels as ch
+from . import optimize as opt
 from . import qmath
 from .channels import QuantumChannel
 from .errors import (
@@ -39,7 +40,7 @@ from .qmath import PureState, hermitize
 UNITARITY_TOL = 1e-10
 PROGRAM_TOL = 1e-6
 MAX_PROGRAM_DIM = 4096
-SUP_ASCENT_STEPS = 50
+SUP_ASCENT_STEPS = 30
 # Dense gate matrices are only materialized up to this side.
 MAX_DENSE_GATE_SIDE = 4096
 # The witness's general path searches program products up to this dimension.
@@ -316,9 +317,10 @@ def estimate_sup_error(
 ) -> ErrorEstimate:
     """Estimate sup over pure inputs of the trace distance to the target map.
 
-    Haar-samples inputs, then follows a projected subgradient ascent from the
-    best sample.  The result is a lower estimate of the true supremum; it
-    never exceeds 2.
+    Haar sampling, then the Stiefel descent (``optimize.stiefel_minimize``) of
+    minus the trace distance from the best sample, on d x 1 input columns.
+    The result is a lower estimate of the true supremum, never below the best
+    sample; it never exceeds 2.
     """
     rng = ch.as_rng(seed)
     kraus = np.asarray(kraus)
@@ -337,29 +339,25 @@ def estimate_sup_error(
         flat = stack.reshape(-1, d)
         return flat.conj().T @ ((flat @ z).reshape(len(stack), -1) @ sign.T).reshape(-1)
 
-    step = 0.2
-    delta = _conjugation_gaps(kraus, reference, z[None, :])[0]
-    td = float(qmath.hermitian_trace_norm(delta))
-    sign = qmath.spectral_sign(delta)
-    for _ in range(SUP_ASCENT_STEPS):
-        grad = 2.0 * (pullback(reference, sign, z) - pullback(kraus, sign, z))
-        grad -= z * np.vdot(z, grad)
-        gn = np.linalg.norm(grad)
-        if gn < 1e-12:
-            break
-        cand = z + step * grad / gn
-        cand /= np.linalg.norm(cand)
-        delta = _conjugation_gaps(kraus, reference, cand[None, :])[0]
-        td_c = float(qmath.hermitian_trace_norm(delta))
-        if td_c > td:
-            z, td = cand, td_c
-            sign = qmath.spectral_sign(delta)
-            step = min(0.5, step * 1.5)
-        else:
-            step *= 0.5
-            if step < 1e-6:
-                break
-    return ErrorEstimate(min(2.0, td), "haar-sampling+ascent", n_samples)
+    # The value and the sign matrix share the eigh of the point's gap.
+    cache: list = [None]
+
+    def spectrum(v: np.ndarray):
+        if cache[0] is not v:
+            cache[:] = [v, *np.linalg.eigh(hermitize(_conjugation_gaps(kraus, reference, v.T)[0]))]
+        return cache[1:]
+
+    def fun(v: np.ndarray) -> float:
+        return -float(np.abs(spectrum(v)[0]).sum())
+
+    def grad(v: np.ndarray) -> np.ndarray:
+        lam, vec = spectrum(v)
+        sign = qmath.from_spectrum(qmath.sign_of_spectrum(lam), vec)
+        return -2.0 * (pullback(reference, sign, v[:, 0]) - pullback(kraus, sign, v[:, 0]))[:, None]
+
+    cfg = opt.OptConfig(restarts=0, max_iterations=SUP_ASCENT_STEPS, grad_tol=1e-12)
+    report = opt.stiefel_minimize(fun, grad, d, 1, cfg, initial_points=[z[:, None]])
+    return ErrorEstimate(min(2.0, -report.value), "haar-sampling+ascent", n_samples)
 
 
 def approximation_error(
@@ -740,9 +738,10 @@ def _calibrate(pools, targets, epsilon: float, n_nearest: int, seeds, method: st
 
     ``pools`` yields atom lists lazily, so a pool's random draws happen only
     once every pool before it has missed.  A pool past ``MAX_PROGRAM_DIM``
-    atoms trips the size guard, and a pool is dropped at the first target
-    whose best program (``_programs_for_targets``) misses epsilon; pools that
-    run out raise ``InvariantError``.  The certificate is the largest program
+    atoms trips the size guard, which reads its length alone (``net_gate``
+    passes an undrawn range), and a pool is dropped at the first target whose
+    best program (``_programs_for_targets``) misses epsilon; pools that run
+    out raise ``InvariantError``.  The certificate is the largest program
     error over the targets; the covering radius, NaN unless ``covering``, is
     the largest distance from a target to its nearest atom.
     """
@@ -809,7 +808,9 @@ def net_gate(epsilon: float, d: int, seed=0, n_targets: int = 100) -> tuple[Prog
     # A pool drawn from the targets' own stream would start with the targets.
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     sizes = accumulate(repeat(1.6), lambda n, grow: int(n * grow) + 1, initial=4 * d * d)
-    pools = ([ch.random_unitary(d, rng) for _ in range(n)] for n in sizes)
+    # A pool past the size guard is never drawn: _calibrate reads the range's length alone.
+    pools = ([ch.random_unitary(d, rng) for _ in range(n)] if n <= MAX_PROGRAM_DIM else range(n)
+             for n in sizes)
     return _calibrate(pools, targets, epsilon, 12, seeds, "random-pool, program-certified", seed)
 
 
@@ -967,8 +968,6 @@ def _witness_control_path(g1, g2, target, cfg: WitnessConfig):
 
 
 def _witness_general_path(g1, g2, target, cfg: WitnessConfig):
-    from . import optimize as opt
-
     dp = g1.d_program * g2.d_program
     if dp > GENERAL_DIM_GUARD:
         raise SizeGuardError(

@@ -22,7 +22,7 @@ from densecode import qmath
 from densecode import serialize as ser
 from densecode.fixtures import fixture_path
 
-from conftest import CNOT, PAULI_X, PAULI_Z
+from conftest import CNOT, PAULI_X, PAULI_Z, pauli_cnot_grid_oracle
 
 # Capacities recorded by earlier criteria and consumed by criterion 8.
 CAPACITY_LOG: list[tuple[str, int, qmath.DensityMatrix, float]] = []
@@ -200,33 +200,6 @@ def test_criterion_09_program_orthogonality_dichotomy():
         assert nonorthogonal >= 100  # the dichotomy's nontrivial branch occurs
 
 
-def _pauli_cnot_grid_oracle(blocks, inputs, n_points=10_000, seed=0, chunk=500):
-    """Exhaustive Dirichlet grid over the 16 pair weights plus convex polish.
-
-    The points are scored in chunks: one product with the stacked output
-    projectors of every pair gives their outputs, and batched singular values
-    their trace distances to the CNOT outputs.
-    """
-    rng = np.random.default_rng(seed)
-    pairs = [(j, l) for j in range(4) for l in range(4)]
-    y = np.stack([inputs @ np.kron(blocks[j], blocks[l]).T for (j, l) in pairs])
-    projectors = (y[..., :, None] * y.conj()[..., None, :]).reshape(len(pairs), -1)
-    t_out = inputs @ CNOT.T
-    targets = t_out[:, :, None] * t_out.conj()[:, None, :]
-    draws = [rng.dirichlet(np.full(16, 0.3)) for _ in range(n_points)]
-    points = np.array([np.full(16, 1 / 16)] + draws)
-    values = np.concatenate([
-        np.linalg.svd(targets - (w @ projectors).reshape(len(w), *targets.shape),
-                      compute_uv=False).sum(-1).mean(-1)
-        for w in np.split(points, range(chunk, len(points), chunk))
-    ])
-    best = int(np.argmin(values))  # the first minimum, as a strict-improvement scan keeps
-    _, polished, _ = pqg._frank_wolfe(
-        np.asarray(blocks), np.asarray(blocks), CNOT, inputs, points[best].reshape(4, 4), 120
-    )
-    return min(float(values[best]), polished)
-
-
 def test_criterion_10_scalability_witness(pauli_gate, net_gates):
     with criterion(10, "CNOT witness above the oracle-frozen 0.1; product targets below e1+e2+0.05"):
         cfg = pqg.WitnessConfig(seed=0)
@@ -235,7 +208,7 @@ def test_criterion_10_scalability_witness(pauli_gate, net_gates):
         for s in range(cfg.n_inputs):
             z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             inputs[s] = z / np.linalg.norm(z)
-        oracle = _pauli_cnot_grid_oracle(list(pauli_gate.blocks), inputs)
+        oracle = pauli_cnot_grid_oracle(list(pauli_gate.blocks), inputs)
         assert oracle > 0.1  # validates the frozen threshold
         report = pqg.scalability_witness(pauli_gate, pauli_gate, CNOT, cfg)
         assert report.best_error > 0.1

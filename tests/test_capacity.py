@@ -154,9 +154,20 @@ class TestBlockAndMulticopy:
         assert cap.dc_capacity_block(2, 2, rho, CFG).value >= single - 5e-3
         assert cap.dc_capacity_multicopy(2, 2, rho, CFG).value >= single - 5e-3
 
-    def test_size_guard(self):
+    @pytest.mark.parametrize("call", [
+        lambda: cap.dc_capacity_multicopy(5, 2, bell_density(), CFG),
+        lambda: cap.dc_capacity_block(5, 2, bell_density(), CFG),
+        lambda: cap.additivity_gap(ch.random_state((4, 4), 2, seed=0), 4,
+                                   ch.random_state((4, 5), 2, seed=1), 4, CFG),
+    ], ids=["multicopy", "block", "additivity"])
+    def test_size_guard(self, call, monkeypatch):
+        # The guard trips before any part of the problem is solved.
+        solves = []
+        solve = cap.dc_capacity
+        monkeypatch.setattr(cap, "dc_capacity", lambda *a, **k: solves.append(a) or solve(*a, **k))
         with pytest.raises(SizeGuardError):
-            cap.dc_capacity_multicopy(5, 2, bell_density(), CFG)
+            call()
+        assert solves == []
 
     @pytest.mark.parametrize("seed", range(10))
     def test_multicopy_never_below_its_single_copy(self, seed):

@@ -19,7 +19,7 @@ from densecode.errors import (
     SizeGuardError,
 )
 
-from conftest import CNOT, PAULI_X, PAULI_Z
+from conftest import CNOT, PAULI_X, PAULI_Z, pauli_cnot_grid_oracle
 
 
 def plus_state():
@@ -235,6 +235,22 @@ class TestExactBlochError:
         assert grid <= exact + 1e-12
         assert exact <= grid + 2 * 0.045
 
+    def test_sup_estimate_reaches_exact_bloch_error(self):
+        # The exact qubit error is the oracle: the descent from the best Haar
+        # sample reaches it, and never ends below that sample.
+        for s in range(200):
+            rng = np.random.default_rng(s)
+            n_atoms = 1 + s % 6
+            gate = pqg.control_gate([ch.random_unitary(2, rng) for _ in range(n_atoms)])
+            psi = pqg.mixture_program(gate, dict(enumerate(rng.dirichlet(np.ones(n_atoms)))))
+            target = ch.random_unitary(2, rng)
+            kraus = pqg.induced_map(gate, psi).kraus
+            estimate = pqg.estimate_sup_error(kraus, target, 50, s).value
+            assert pqg._bloch_error(np.asarray(gate.blocks), psi, target) - estimate <= 1e-9
+            samples = qmath.haar_vectors(np.random.default_rng(s), 50, 2)
+            gaps = pqg._conjugation_gaps(np.asarray(kraus), target[None], samples)
+            assert estimate >= qmath.hermitian_trace_norm(gaps).max() - 1e-12
+
     def test_program_for_target_is_exact_on_qubits(self, net_gates):
         gate, net = net_gates(0.3)
         assert net.metadata["certificate_method"] == "exact-bloch"
@@ -356,9 +372,14 @@ class TestNetGate:
             target = ch.random_unitary(3, rng)
             assert not any(np.array_equal(target, atom) for atom in gate.blocks)
 
-    def test_qutrit_size_guard_trips_for_small_epsilon(self):
+    def test_qutrit_size_guard_trips_for_small_epsilon(self, monkeypatch):
+        draws = []
+        draw = ch.random_unitary
+        monkeypatch.setattr(ch, "random_unitary", lambda *a: draws.append(a) or draw(*a))
         with pytest.raises(SizeGuardError):
             pqg.net_gate(0.05, 3, seed=0, n_targets=10)
+        # 10 targets and the pools of 36 ... 4021 atoms; the 6434-atom pool is never drawn.
+        assert len(draws) == 10_666
 
     # Size, certificate and covering radius of the seed-42 qubit nets.
     QUBIT_PINS = {
@@ -456,30 +477,16 @@ class TestScalabilityWitness:
         assert report.sup_estimate.value > 0.1
 
     def test_grid_oracle_validates_threshold(self, pauli_gate):
-        # Independent oracle: exhaustive Dirichlet sampling over the 16 pair
-        # weights (10^4 points) plus convex polish must agree with the
-        # witness and stay above the frozen 0.1 threshold.
+        # Criterion 10's independent oracle: exhaustive Dirichlet sampling over
+        # the 16 pair weights (10^4 points) plus convex polish must agree with
+        # the witness and stay above the frozen 0.1 threshold.
         cfg = pqg.WitnessConfig(seed=0)
         rng = np.random.default_rng(0)
         inputs = np.empty((cfg.n_inputs, 4), dtype=complex)
         for s in range(cfg.n_inputs):
             z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             inputs[s] = z / np.linalg.norm(z)
-        blocks = np.asarray(pauli_gate.blocks)
-        y = np.stack([inputs @ np.kron(blocks[j], blocks[l]).T
-                      for j in range(4) for l in range(4)])
-        t_out = inputs @ CNOT.T
-        targets = np.einsum("sa,sb->sab", t_out, t_out.conj())
-        best_value, best_weights = np.inf, None
-        for _ in range(10_000):
-            w = rng.dirichlet(np.full(16, 0.3))
-            out = np.einsum("p,psa,psb->sab", w, y, y.conj())
-            val = float(np.mean(qmath.hermitian_trace_norm(targets - out)))
-            if val < best_value:
-                best_value, best_weights = val, w
-        _, value, _ = pqg._frank_wolfe(
-            blocks, blocks, CNOT, inputs, best_weights.reshape(4, 4), 120
-        )
+        value = pauli_cnot_grid_oracle(list(pauli_gate.blocks), inputs)
         assert value > 0.1
         report = pqg.scalability_witness(pauli_gate, pauli_gate, CNOT, cfg)
         assert report.best_error > 0.1
