@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
@@ -102,6 +103,7 @@ def holevo_information(ensemble: Ensemble) -> float:
 
 
 def _split_factors(rho: DensityMatrix, a_factors: Sequence[int]):
+    """rho on (sender, receiver): the optimizer acts on the first factor."""
     a = tuple(sorted(int(i) for i in a_factors))
     b = tuple(i for i in range(rho.n_factors) if i not in a)
     if not a or not b:
@@ -168,7 +170,7 @@ def dc_capacity(
     work, a_dims = _split_factors(rho, a_factors)
     h_b = qmath.von_neumann_entropy(qmath.partial_trace(work, {1}))
     all_probes = _subset_probes(a_dims, d) + list(probes)
-    report = opt.min_local_output_entropy(work, 0, d, cfg, probes=all_probes)
+    report = opt.min_local_output_entropy(work, d, cfg, probes=all_probes)
     log_term = math.log2(d)
     value = log_term + h_b - report.value
     decomposition = {
@@ -187,23 +189,17 @@ def dc_capacity(
     return CapacityResult(value, decomposition, report, True, metadata)
 
 
-def _power_state(rho: DensityMatrix, n: int) -> DensityMatrix:
-    joint = rho
-    for _ in range(n - 1):
-        joint = qmath.tensor(joint, rho)
-    return joint
-
-
-def _guard_side(side: int):
+def _joint_state(parts: Sequence[tuple[DensityMatrix, Sequence[int]]]):
+    """Joint state and sender factors of (state, a_factors) parts, after the size guard."""
+    side = math.prod(rho.side for rho, _ in parts)
     if side > MAX_JOINT_SIDE:
         raise SizeGuardError(f"joint problem side {side} exceeds the guard {MAX_JOINT_SIDE}")
-
-
-def _product_probe(parts: Sequence[QuantumChannel]) -> QuantumChannel:
-    chan = parts[0]
-    for nxt in parts[1:]:
-        chan = ch.tensor_channels(chan, nxt)
-    return chan
+    joint_a: list[int] = []
+    offset = 0
+    for rho, a_factors in parts:
+        joint_a += [offset + int(i) for i in sorted(a_factors)]
+        offset += rho.n_factors
+    return reduce(qmath.tensor, [rho for rho, _ in parts]), joint_a
 
 
 def dc_capacity_block(
@@ -223,13 +219,9 @@ def dc_capacity_block(
     cfg = cfg or opt.OptConfig()
     if n == 1:
         return dc_capacity(d, rho, cfg, a_factors)
-    _guard_side(rho.side**n)
-    joint = _power_state(rho, n)
-    shift = rho.n_factors
-    joint_a = [f + c * shift for c in range(n) for f in sorted(a_factors)]
+    joint, joint_a = _joint_state([(rho, a_factors)] * n)
     single = dc_capacity(d, rho, cfg, a_factors)
-    t_star = ch.undilate(single.report.isometry)
-    probe = _product_probe([t_star] * n)
+    probe = reduce(ch.tensor_channels, [ch.undilate(single.report.isometry)] * n)
     inner = dc_capacity(d**n, joint, cfg, joint_a, probes=[probe])
     dec = inner.decomposition
     value = math.log2(d) + dec["marginal_entropy"] / n - dec["min_output_entropy"] / n
@@ -261,10 +253,7 @@ def dc_capacity_multicopy(
     cfg = cfg or opt.OptConfig()
     if k == 1:
         return dc_capacity(d, rho, cfg, a_factors)
-    _guard_side(rho.side**k)
-    joint = _power_state(rho, k)
-    shift = rho.n_factors
-    joint_a = [f + c * shift for c in range(k) for f in sorted(a_factors)]
+    joint, joint_a = _joint_state([(rho, a_factors)] * k)
     single = dc_capacity(d, rho, cfg, a_factors)
     d_a = single.report.isometry.d_in
     tracer = QuantumChannel.trace_out_factor((d_a, d_a ** (k - 1)), (1,))
@@ -335,16 +324,10 @@ def additivity_gap(
     superadditivity.
     """
     cfg = cfg or opt.OptConfig()
-    _guard_side(rho.side * sigma.side)
+    joint_state, joint_a = _joint_state([(rho, rho_a), (sigma, sigma_a)])
     part1 = dc_capacity(d1, rho, cfg, rho_a)
     part2 = dc_capacity(d2, sigma, cfg, sigma_a)
-    joint_state = qmath.tensor(rho, sigma)
-    joint_a = [int(i) for i in sorted(rho_a)] + [
-        rho.n_factors + int(i) for i in sorted(sigma_a)
-    ]
-    probe = ch.tensor_channels(
-        ch.undilate(part1.report.isometry), ch.undilate(part2.report.isometry)
-    )
+    probe = reduce(ch.tensor_channels, [ch.undilate(p.report.isometry) for p in (part1, part2)])
     joint = dc_capacity(d1 * d2, joint_state, cfg, joint_a, probes=[probe])
     gap = joint.value - part1.value - part2.value
     return GapResult(gap, joint, (part1, part2))

@@ -193,8 +193,7 @@ def cmd_entropy(args, argv, timestamp) -> int:
         "manifest": _manifest(argv, {"state": _file_ref(args.state)}, {}, timestamp),
     }
     if rho.n_factors >= 2:
-        work, _ = cap._split_factors(rho, (0,))
-        doc["H_B"] = qmath.von_neumann_entropy(qmath.partial_trace(work, {1}))
+        doc["H_B"] = qmath.von_neumann_entropy(qmath.partial_trace(rho, range(1, rho.n_factors)))
         doc["coherent"] = cap.coherent_information(rho, (0,))
     _emit(doc, [f"H = {doc['H']:.6f} bits"])
     return EXIT_OK
@@ -422,6 +421,7 @@ def cmd_pqg_emulate(args, argv, timestamp) -> int:
     _require_at_least(args, 1, "samples")
     _check_epsilon(args.epsilon, "--epsilon")
     channel = ser.load_channel(args.channel)
+    channel_ref = {"channel": _file_ref(args.channel)}
     target, _ = pqg.dilation_unitary(channel)
     gate, net = pqg.net_gate_around([target], args.epsilon, seed=args.seed)
     report = pqg.emulate_encoding(channel, gate, args.epsilon, n_samples=args.samples, seed=args.seed)
@@ -434,10 +434,10 @@ def cmd_pqg_emulate(args, argv, timestamp) -> int:
             "method": report.program_error.method,
         },
         "gate_certificate": net.metadata,
-        "inputs": {"channel": _file_ref(args.channel)},
+        "inputs": channel_ref,
         "manifest": _manifest(
             argv,
-            {"channel": _file_ref(args.channel)},
+            channel_ref,
             {"epsilon": args.epsilon, "seed": args.seed, "samples": args.samples},
             timestamp,
         ),

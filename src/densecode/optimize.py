@@ -240,10 +240,11 @@ def stiefel_minimize(
 class _OutputEntropyProblem:
     """H((phi o T (x) id) rho) as a function of the Stinespring isometry of T.
 
-    The acted factor of rho is moved to the front and the others merged, so
-    the working state lives on [d_in, d_rest].  rho is eigen-factored once
-    into per-rest-index blocks F_s, and every contraction is a matmul on a
-    reshaped view: no lifted V (x) I or post-channel Kraus operator is built.
+    T acts on the first factor of rho (``capacity`` puts the sender there), and
+    the factors after it, fused by a reshape, are the rest: the working state
+    lives on [d_in, d_rest].  rho is eigen-factored once into per-rest-index
+    blocks F_s, and every contraction is a matmul on a reshaped view: no
+    lifted V (x) I or post-channel Kraus operator is built.
     The signal state lives on [d_rest, d_out] (rest first).
 
     ``value`` keeps its point, output tensor, signal state and the signal's
@@ -255,30 +256,22 @@ class _OutputEntropyProblem:
     def __init__(
         self,
         rho: DensityMatrix,
-        factor: int,
         d_out: int,
         d_env: int,
         post_channel: QuantumChannel | None = None,
     ):
-        if factor < 0 or factor >= rho.n_factors:
-            raise DimensionMismatchError(f"factor {factor} out of range for dims {rho.dims}")
         if post_channel is not None and post_channel.d_in != d_out:
             raise DimensionMismatchError(
                 f"post channel input {post_channel.d_in} vs encoding output {d_out}"
             )
-        rest = [i for i in range(rho.n_factors) if i != factor]
-        if rest:
-            work = qmath.merge_factors(rho, [[factor], rest])
-        else:
-            work = DensityMatrix((rho.dims[factor], 1), rho.entries)
-        self.d_in = work.dims[0]
-        self.d_rest = work.dims[1]
+        self.d_in = rho.dims[0]
+        self.d_rest = rho.side // self.d_in
         self.d_out = d_out
         self.d_env = d_env
         self.post = post_channel
         if post_channel is not None:
             self.post_adjoint = tuple(k.conj().T for k in post_channel.kraus)
-        lam, vec = np.linalg.eigh(hermitize(work.entries))
+        lam, vec = np.linalg.eigh(hermitize(rho.entries))
         keep = lam > 1e-14
         lam, vec = lam[keep], vec[:, keep]
         self.rank = int(lam.size)
@@ -286,9 +279,9 @@ class _OutputEntropyProblem:
         factored = (vec * np.sqrt(lam)).reshape(self.d_in, self.d_rest, self.rank)
         self.factored = np.ascontiguousarray(factored.transpose(1, 0, 2))
         self.factored_adj = self.factored.conj().swapaxes(1, 2)
-        self.marginal_entropy = qmath.entropy_of_spectrum(
-            np.linalg.eigvalsh(hermitize(qmath.partial_trace(work, {1}).entries))
-        )
+        rest = np.trace(rho.entries.reshape(self.d_in, self.d_rest, self.d_in, self.d_rest),
+                        axis1=0, axis2=2)
+        self.marginal_entropy = qmath.entropy_of_spectrum(np.linalg.eigvalsh(hermitize(rest)))
         self._forward_cache: tuple | None = None
 
     # -- forward pass ------------------------------------------------------
@@ -367,25 +360,25 @@ def default_probes(d_in: int, d_out: int) -> list[QuantumChannel]:
 
 def min_local_output_entropy(
     rho: DensityMatrix,
-    factor: int,
     d_out: int,
     cfg: OptConfig | None = None,
     probes: Sequence[QuantumChannel] = (),
     post_channel: QuantumChannel | None = None,
 ) -> OptReport:
-    """Minimize H((phi o T (x) id) rho) over channels T out of one factor.
+    """Minimize H((phi o T (x) id) rho) over channels T out of the first factor.
 
-    The reported value is an upper bound on the true minimum (it is attained
+    ``capacity`` puts the sender's factors first; the factors after it are the
+    rest.  The reported value is an upper bound on the true minimum (attained
     by the returned isometry) and never exceeds the value of any probe.  A
     ``post_channel`` phi, when given, is applied after the encoding.
     """
     cfg = cfg or OptConfig()
-    d_in = rho.dims[factor]
+    d_in = rho.dims[0]
     dilations = _dilate_probes(list(default_probes(d_in, d_out)) + list(probes), d_in, d_out)
     # An extreme channel has at most d_in Kraus operators (module docstring);
     # the environment grows only so that every probe fits.
     d_env = cfg.d_env or max([d_in] + [iso.d_env for iso in dilations])
-    problem = _OutputEntropyProblem(rho, factor, d_out, d_env, post_channel)
+    problem = _OutputEntropyProblem(rho, d_out, d_env, post_channel)
     starts = [_padded_isometry(iso, d_env) for iso in dilations if iso.d_env <= d_env]
 
     d_acted_out = post_channel.d_out if post_channel is not None else d_out
@@ -405,15 +398,13 @@ def min_local_output_entropy(
     return report
 
 
-def entropy_gradient(
-    iso: StinespringIsometry, rho: DensityMatrix, factor: int
-) -> np.ndarray:
-    """Euclidean gradient of V -> H(Tr_env (V (x) I) rho (V (x) I)^dag).
+def entropy_gradient(iso: StinespringIsometry, rho: DensityMatrix) -> np.ndarray:
+    """Euclidean gradient of V -> H(Tr_env (V (x) I) rho (V (x) I)^dag), V on rho's first factor.
 
     Returned with the convention df = Re <grad, dV>; it agrees with central
     finite differences and is orthogonal to the global-phase direction iV.
     """
-    problem = _OutputEntropyProblem(rho, factor, iso.d_out, iso.d_env)
+    problem = _OutputEntropyProblem(rho, iso.d_out, iso.d_env)
     return problem.gradient(iso.v)
 
 
@@ -467,12 +458,12 @@ def optimize_ensemble(
     m: int,
     cfg: OptConfig | None = None,
     initial_encodings: Sequence[QuantumChannel] | None = None,
-    factor: int = 0,
 ) -> EnsembleResult:
     """Alternating maximization of the encoding mutual information.
 
     Climbs I(mu) = H(avg signal) - sum p_i H(signal_i) over m encoding
-    isometries and the probability simplex.  A sweep reweights p
+    isometries, which act on the first factor of rho (``capacity`` puts the
+    sender there), and the probability simplex.  A sweep reweights p
     (``BLAHUT_STEPS`` Blahut-style steps), then runs ``stiefel_minimize`` on
     -I over each member for ``ENSEMBLE_INNER_STEPS`` iterations, p and the
     other members fixed, and keeps the result only if I rose.  The value is
@@ -482,9 +473,9 @@ def optimize_ensemble(
     if m < 1:
         raise ValueError("ensemble size m must be >= 1")
     cfg = cfg or OptConfig()
-    d_in = rho.dims[factor]
+    d_in = rho.dims[0]
     d_env = cfg.d_env or d_in * phi.d_in
-    problem = _OutputEntropyProblem(rho, factor, phi.d_in, d_env, post_channel=phi)
+    problem = _OutputEntropyProblem(rho, phi.d_in, d_env, post_channel=phi)
 
     isometries: list[np.ndarray] = []
     for iso in _dilate_probes(initial_encodings or (), d_in, phi.d_in):
@@ -499,7 +490,7 @@ def optimize_ensemble(
         # Holevo objective is not concave in one member, so the ensemble keeps
         # its larger environment and hands it to the seeding descent.
         inner_cfg = replace(cfg, restarts=max(4, cfg.restarts // 2), d_env=d_env)
-        base = min_local_output_entropy(rho, factor, phi.d_in, inner_cfg, post_channel=phi)
+        base = min_local_output_entropy(rho, phi.d_in, inner_cfg, post_channel=phi)
         v_star = base.isometry.v
         for w in ch.weyl_basis(phi.d_in):
             if len(isometries) >= m:

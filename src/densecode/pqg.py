@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from itertools import accumulate, repeat
 from typing import NamedTuple, Sequence
@@ -70,6 +70,10 @@ class ProgrammableGate:
             u = np.asarray(self.unitary, dtype=complex)
             object.__setattr__(self, "unitary", u)
             _check_unitary(u, self.d_data * self.d_program)
+            if self.blocks is not None:
+                defect = float(np.max(np.abs(u - replace(self, unitary=None).matrix)))
+                if defect > UNITARITY_TOL:
+                    raise InvariantError(f"unitary contradicts the blocks (defect {defect:.3e})")
 
     @property
     def matrix(self) -> np.ndarray:

@@ -46,6 +46,17 @@ def pauli_gate():
 
 
 @pytest.fixture(scope="session")
+def pauli_cnot_oracle(pauli_gate):
+    """The grid oracle on the Pauli gate's seed-0 witness inputs, scored once per session."""
+    rng = np.random.default_rng(0)
+    inputs = np.empty((pqg.WitnessConfig(seed=0).n_inputs, 4), dtype=complex)
+    for s in range(len(inputs)):
+        z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        inputs[s] = z / np.linalg.norm(z)
+    return pauli_cnot_grid_oracle(list(pauli_gate.blocks), inputs)
+
+
+@pytest.fixture(scope="session")
 def net_gates():
     """Calibrated qubit nets reused across modules (expensive to build)."""
     cache = {}

@@ -22,7 +22,7 @@ from densecode import qmath
 from densecode import serialize as ser
 from densecode.fixtures import fixture_path
 
-from conftest import CNOT, PAULI_X, PAULI_Z, pauli_cnot_grid_oracle
+from conftest import CNOT, PAULI_X, PAULI_Z
 
 # Capacities recorded by earlier criteria and consumed by criterion 8.
 CAPACITY_LOG: list[tuple[str, int, qmath.DensityMatrix, float]] = []
@@ -200,15 +200,10 @@ def test_criterion_09_program_orthogonality_dichotomy():
         assert nonorthogonal >= 100  # the dichotomy's nontrivial branch occurs
 
 
-def test_criterion_10_scalability_witness(pauli_gate, net_gates):
+def test_criterion_10_scalability_witness(pauli_gate, net_gates, pauli_cnot_oracle):
     with criterion(10, "CNOT witness above the oracle-frozen 0.1; product targets below e1+e2+0.05"):
         cfg = pqg.WitnessConfig(seed=0)
-        rng = np.random.default_rng(0)
-        inputs = np.empty((cfg.n_inputs, 4), dtype=complex)
-        for s in range(cfg.n_inputs):
-            z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            inputs[s] = z / np.linalg.norm(z)
-        oracle = pauli_cnot_grid_oracle(list(pauli_gate.blocks), inputs)
+        oracle = pauli_cnot_oracle
         assert oracle > 0.1  # validates the frozen threshold
         report = pqg.scalability_witness(pauli_gate, pauli_gate, CNOT, cfg)
         assert report.best_error > 0.1
@@ -252,7 +247,7 @@ def test_criterion_12_numerical_hygiene():
             d_out = int(rng.integers(2, 4))
             d_env = -(-d_in // d_out) + int(rng.integers(0, 3))
             rho = ch.random_state((d_in, d_rest), int(rng.integers(2, 5)), rng)
-            problem = opt._OutputEntropyProblem(rho, 0, d_out, d_env)
+            problem = opt._OutputEntropyProblem(rho, d_out, d_env)
             v = ch.random_isometry(d_out * d_env, d_in, rng)
             grad = problem.gradient(v)
             direction = rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)

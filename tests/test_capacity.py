@@ -181,6 +181,56 @@ class TestBlockAndMulticopy:
         assert result.value >= single - 1e-9
 
 
+class TestJointWiring:
+    """Block, multicopy and additivity solve exactly the joint problem built by hand.
+
+    Each channel is narrower than the sender, so the seeded probe is no unitary
+    and the joint descent depends on it.
+    """
+
+    cfg = opt.OptConfig(restarts=2, max_iterations=30, seed=41)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_block_wiring(self, n):
+        rho = ch.random_state((3, 2), 2, seed=40 + n)
+        result = cap.dc_capacity_block(n, 2, rho, self.cfg)
+        t_star = ch.undilate(cap.dc_capacity(2, rho, self.cfg).report.isometry)
+        joint, probe = rho, t_star
+        for _ in range(n - 1):
+            joint = qmath.tensor(joint, rho)
+            probe = ch.tensor_channels(probe, t_star)
+        hand = cap.dc_capacity(2**n, joint, self.cfg, [2 * c for c in range(n)], probes=[probe])
+        assert result.report.restart_values == hand.report.restart_values
+        assert np.array_equal(result.report.isometry.v, hand.report.isometry.v)
+        assert result.decomposition["min_output_entropy"] == hand.report.value / n
+
+    def test_multicopy_wiring(self):
+        rho = ch.random_state((3, 3), 2, seed=45)
+        result = cap.dc_capacity_multicopy(2, 2, rho, self.cfg)
+        single = cap.dc_capacity(2, rho, self.cfg)
+        tracer = ch.QuantumChannel.trace_out_factor((3, 3), (1,))
+        probe = ch.compose(ch.undilate(single.report.isometry), tracer)
+        hand = cap.dc_capacity(2, qmath.tensor(rho, rho), self.cfg, [0, 2], probes=[probe])
+        assert result.value == hand.value
+        assert result.report.restart_values == hand.report.restart_values
+        assert np.array_equal(result.report.isometry.v, hand.report.isometry.v)
+
+    def test_additivity_wiring(self):
+        rho = ch.random_state((3, 2), 2, seed=46)
+        sigma = ch.random_state((2, 2, 2), 3, seed=47)
+        result = cap.additivity_gap(rho, 2, sigma, 2, self.cfg, sigma_a=(0, 2))
+        part1 = cap.dc_capacity(2, rho, self.cfg)
+        part2 = cap.dc_capacity(2, sigma, self.cfg, (0, 2))
+        probe = ch.tensor_channels(
+            ch.undilate(part1.report.isometry), ch.undilate(part2.report.isometry)
+        )
+        hand = cap.dc_capacity(4, qmath.tensor(rho, sigma), self.cfg, [0, 2, 4], probes=[probe])
+        assert result.joint.value == hand.value
+        assert result.gap == hand.value - part1.value - part2.value
+        assert result.joint.report.restart_values == hand.report.restart_values
+        assert np.array_equal(result.joint.report.isometry.v, hand.report.isometry.v)
+
+
 class TestAchievingEnsemble:
     def test_reproduces_bell_capacity(self):
         result = cap.dc_capacity(2, bell_density(), CFG)

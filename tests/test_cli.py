@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from densecode import cli
@@ -216,6 +217,20 @@ class TestPqgCommands:
              "--program1", "0.7071,0.7071", "--program2", "0"],
         )
         assert code == 6
+
+    def test_check_orthogonality_rejects_contradicting_gate_file(self, capsys, tmp_path):
+        from densecode import pqg, serialize
+
+        doc = serialize.gate_to_json(pqg.control_gate([np.eye(2), np.array([[0, 1], [1, 0]])]))
+        doc["unitary"] = serialize.matrix_to_json(np.eye(4))
+        gate_file = tmp_path / "bad.json"
+        serialize.dump(doc, gate_file)
+        code, _, _ = run_cli(
+            capsys,
+            ["pqg", "check-orthogonality", "--gate", str(gate_file),
+             "--program1", "0", "--program2", "1"],
+        )
+        assert code == 3
 
     def test_witness_cnot_on_pauli(self, capsys):
         code, doc, _ = run_json(

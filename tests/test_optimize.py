@@ -24,14 +24,14 @@ class TestStiefelMinimize:
 
     def test_min_output_entropy_of_singlet(self):
         rho = qmath.singlet().to_density()
-        report = opt.min_local_output_entropy(rho, 0, 2, opt.OptConfig(seed=2))
+        report = opt.min_local_output_entropy(rho, 2, opt.OptConfig(seed=2))
         assert report.value == pytest.approx(0.0, abs=1e-4)
 
     def test_unitary_invariant_objective_restarts_agree(self):
         # H(V D V^dag) does not depend on the unitary V at all.
         d = np.diag([0.5, 0.3, 0.2]).astype(complex)
         rho = qmath.DensityMatrix((3,), d)
-        problem = opt._OutputEntropyProblem(rho, 0, 3, 1)
+        problem = opt._OutputEntropyProblem(rho, 3, 1)
         cfg = opt.OptConfig(restarts=6, seed=3, stop_at_floor=False)
         report = opt.stiefel_minimize(problem.value, problem.gradient, 3, 3, cfg)
         values = np.array(report.restart_values)
@@ -40,7 +40,7 @@ class TestStiefelMinimize:
 
     def test_report_invariants(self):
         rho = ch.random_state((2, 2), 3, seed=4)
-        report = opt.min_local_output_entropy(rho, 0, 2, opt.OptConfig(restarts=4, seed=5))
+        report = opt.min_local_output_entropy(rho, 2, opt.OptConfig(restarts=4, seed=5))
         assert report.value == min(report.restart_values)
         iso = report.isometry
         assert np.max(np.abs(iso.v.conj().T @ iso.v - np.eye(iso.d_in))) < 1e-8
@@ -48,8 +48,18 @@ class TestStiefelMinimize:
     def test_determinism(self):
         rho = ch.random_state((2, 2), 3, seed=6)
         cfg = opt.OptConfig(restarts=4, seed=7)
-        a = opt.min_local_output_entropy(rho, 0, 2, cfg)
-        b = opt.min_local_output_entropy(rho, 0, 2, cfg)
+        a = opt.min_local_output_entropy(rho, 2, cfg)
+        b = opt.min_local_output_entropy(rho, 2, cfg)
+        assert a.restart_values == b.restart_values
+        assert np.array_equal(a.isometry.v, b.isometry.v)
+
+    def test_first_factor_wiring(self):
+        # The factors after the first are the rest: fusing them changes nothing.
+        rho = ch.random_state((2, 2, 2), 3, seed=8)
+        cfg = opt.OptConfig(restarts=3, seed=9)
+        a = opt.min_local_output_entropy(rho, 2, cfg)
+        b = opt.min_local_output_entropy(qmath.merge_factors(rho, [[0], [1, 2]]), 2, cfg)
+        assert a.value == b.value
         assert a.restart_values == b.restart_values
         assert np.array_equal(a.isometry.v, b.isometry.v)
 
@@ -149,7 +159,7 @@ class TestNonmonotoneDescent:
 
     def test_restart_value_never_above_its_probe_start(self):
         rho = ch.random_state((2, 3), 4, seed=90)
-        problem = opt._OutputEntropyProblem(rho, 0, 3, 3)
+        problem = opt._OutputEntropyProblem(rho, 3, 3)
         probes = [ch.random_isometry(9, 2, seed=91 + k) for k in range(4)]
         cfg = opt.OptConfig(restarts=0, max_iterations=25, stop_at_floor=False)
         report = opt.stiefel_minimize(
@@ -161,8 +171,8 @@ class TestNonmonotoneDescent:
     def test_seeded_report_determinism(self):
         rho = ch.random_state((2, 3), 4, seed=92)
         cfg = opt.OptConfig(restarts=4, max_iterations=80, seed=93)
-        a = opt.min_local_output_entropy(rho, 0, 3, cfg)
-        b = opt.min_local_output_entropy(rho, 0, 3, cfg)
+        a = opt.min_local_output_entropy(rho, 3, cfg)
+        b = opt.min_local_output_entropy(rho, 3, cfg)
         assert a.value == b.value
         assert a.restart_values == b.restart_values
         assert a.restart_reasons == b.restart_reasons
@@ -177,7 +187,7 @@ class TestNonmonotoneDescent:
         # the senders merged, so d_in = d_out = 9.
         rho = ch.random_state((3, 3), 3, seed=seed)
         joint = qmath.merge_factors(qmath.tensor(rho, rho), [[0, 2], [1, 3]])
-        problem = opt._OutputEntropyProblem(joint, 0, 9, 9)
+        problem = opt._OutputEntropyProblem(joint, 9, 9)
         calls = [0]
 
         def fun(v):
@@ -204,7 +214,7 @@ class TestRestartReasons:
     def test_floor_then_skipped(self):
         # Random restarts only: the first descends to the floor H = 0 of the
         # singlet, and the other two are skipped, not given a reason.
-        problem = opt._OutputEntropyProblem(qmath.singlet().to_density(), 0, 2, 2)
+        problem = opt._OutputEntropyProblem(qmath.singlet().to_density(), 2, 2)
         cfg = opt.OptConfig(restarts=3, seed=2)
         report = opt.stiefel_minimize(problem.value, problem.gradient, 4, 2, cfg, floor=0.0)
         assert report.restart_reasons == ["floor"]
@@ -251,7 +261,7 @@ class TestEntropyGradient:
     def test_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
         rho = ch.random_state((3, 2), 4, seed=seed + 20)
-        problem = opt._OutputEntropyProblem(rho, 0, 2, 3)
+        problem = opt._OutputEntropyProblem(rho, 2, 3)
         v = ch.random_isometry(6, 3, seed=seed + 40)
         g = problem.gradient(v)
         for _ in range(3):
@@ -264,13 +274,13 @@ class TestEntropyGradient:
     def test_public_entry_point(self):
         rho = ch.random_state((2, 2), 3, seed=30)
         iso = ch.dilate(ch.random_channel(2, 2, 2, seed=31))
-        g = opt.entropy_gradient(iso, rho, 0)
+        g = opt.entropy_gradient(iso, rho)
         assert g.shape == iso.v.shape
 
     def test_zero_along_global_phase(self):
         rho = ch.random_state((2, 2), 3, seed=32)
         iso = ch.dilate(ch.random_channel(2, 2, 3, seed=33))
-        g = opt.entropy_gradient(iso, rho, 0)
+        g = opt.entropy_gradient(iso, rho)
         assert abs(np.real(np.vdot(g, 1j * iso.v))) < 1e-8
 
     def test_small_riemannian_gradient_at_minimizer(self):
@@ -278,7 +288,7 @@ class TestEntropyGradient:
         # A unitary encoding is a global minimizer of the output entropy.
         v = np.zeros((8, 2), dtype=complex)
         v[0::4, :] = np.eye(2)
-        problem = opt._OutputEntropyProblem(rho, 0, 2, 4)
+        problem = opt._OutputEntropyProblem(rho, 2, 4)
         g = opt.tangent_project(v, problem.gradient(v))
         assert np.linalg.norm(g) < 1e-6
 
@@ -317,7 +327,7 @@ class TestContractionsAgainstLifts:
         work = qmath.merge_factors(rho, [factors, [i for i in range(len(dims)) if i not in factors]])
         d_in, d_rest = work.dims
         post = None if post_out is None else ch.random_channel(d_out, post_out, 3, seed=seed + 1)
-        problem = opt._OutputEntropyProblem(work, 0, d_out, d_env, post)
+        problem = opt._OutputEntropyProblem(work, d_out, d_env, post)
         assert problem.rank == rank
         v = ch.random_isometry(d_out * d_env, d_in, seed=seed + 2)
         lift, lift_rho = _lifted(v, work, d_out, d_env)
@@ -365,19 +375,19 @@ class TestContractionsAgainstLifts:
 class TestMinLocalOutputEntropy:
     def test_product_pure_state(self):
         rho = qmath.tensor_pure(qmath.basis_state(2, 0), qmath.basis_state(2, 0)).to_density()
-        report = opt.min_local_output_entropy(rho, 0, 2, opt.OptConfig(restarts=4, seed=10))
+        report = opt.min_local_output_entropy(rho, 2, opt.OptConfig(restarts=4, seed=10))
         assert report.value == pytest.approx(0.0, abs=1e-9)
 
     def test_maximally_mixed_two_qubits(self):
         rho = qmath.maximally_mixed((2, 2))
-        report = opt.min_local_output_entropy(rho, 0, 2, opt.OptConfig(restarts=6, seed=11))
+        report = opt.min_local_output_entropy(rho, 2, opt.OptConfig(restarts=6, seed=11))
         assert report.value == pytest.approx(1.0, abs=1e-3)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_value_within_analytic_bracket(self, seed):
         rho = ch.random_state((2, 2), 3, seed=seed + 50)
         h_b = qmath.von_neumann_entropy(qmath.partial_trace(rho, {1}))
-        report = opt.min_local_output_entropy(rho, 0, 2, opt.OptConfig(restarts=4, seed=seed))
+        report = opt.min_local_output_entropy(rho, 2, opt.OptConfig(restarts=4, seed=seed))
         assert max(0.0, h_b - 1.0) - 1e-9 <= report.value <= h_b + 1e-9
 
     def test_never_above_any_probe(self):
@@ -387,7 +397,7 @@ class TestMinLocalOutputEntropy:
         rng = np.random.default_rng(61)
         probes = [ch.random_channel(2, 2, int(rng.integers(1, 5)), rng) for _ in range(50)]
         report = opt.min_local_output_entropy(
-            rho, 0, 2, opt.OptConfig(restarts=2, seed=62), probes=probes
+            rho, 2, opt.OptConfig(restarts=2, seed=62), probes=probes
         )
         work = rho
         candidates = probes + [
@@ -404,7 +414,7 @@ class TestExtremePointEnvironment:
 
     def test_default_environment_is_d_in(self):
         rho = ch.random_state((2, 3), 4, seed=70)
-        report = opt.min_local_output_entropy(rho, 0, 3, opt.OptConfig(restarts=2, seed=71))
+        report = opt.min_local_output_entropy(rho, 3, opt.OptConfig(restarts=2, seed=71))
         assert report.isometry.d_env == 2
         assert report.dropped_probes == 0
         block = cap.dc_capacity_block(2, 2, ch.random_state((2, 2), 2, seed=72),
@@ -432,7 +442,7 @@ class TestExtremePointEnvironment:
         rho = ch.random_state((2, 2), 3, seed=77)
         cfg = opt.OptConfig(restarts=1, seed=78, d_env=1)
         probe = ch.random_channel(2, 2, 4, seed=79)
-        report = opt.min_local_output_entropy(rho, 0, 2, cfg, probes=[probe])
+        report = opt.min_local_output_entropy(rho, 2, cfg, probes=[probe])
         assert report.isometry.d_env == 1
         assert report.dropped_probes == 2
 
@@ -440,7 +450,7 @@ class TestExtremePointEnvironment:
         rho = ch.random_state((2, 2), 3, seed=80)
         with pytest.raises(DimensionMismatchError):
             opt.min_local_output_entropy(
-                rho, 0, 2, opt.OptConfig(restarts=1), probes=[ch.QuantumChannel.identity(3)]
+                rho, 2, opt.OptConfig(restarts=1), probes=[ch.QuantumChannel.identity(3)]
             )
 
 
@@ -451,7 +461,7 @@ class TestForwardCache:
     def _problem(post=False):
         rho = ch.random_state((3, 2), 5, seed=81)
         phi = ch.random_channel(3, 2, 2, seed=82) if post else None
-        return opt._OutputEntropyProblem(rho, 0, 3, 3, phi)
+        return opt._OutputEntropyProblem(rho, 3, 3, phi)
 
     @pytest.mark.parametrize("post", [False, True])
     def test_gradient_at_another_point_is_not_stale(self, post):

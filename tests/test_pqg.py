@@ -19,7 +19,7 @@ from densecode.errors import (
     SizeGuardError,
 )
 
-from conftest import CNOT, PAULI_X, PAULI_Z, pauli_cnot_grid_oracle
+from conftest import CNOT, PAULI_X, PAULI_Z
 
 
 def plus_state():
@@ -76,6 +76,12 @@ class TestInducedMap:
         assert ch.channels_equal(
             pqg.induced_map(gate, psi), pqg.induced_map(dense, psi), tol=1e-10
         )
+
+    def test_unitary_contradicting_blocks_is_rejected(self):
+        with pytest.raises(InvariantError):
+            pqg.ProgrammableGate(2, 2, unitary=np.eye(4), blocks=(PAULI_X, PAULI_Z))
+        gate = pqg.control_gate([PAULI_X, PAULI_Z])
+        pqg.ProgrammableGate(2, 2, unitary=gate.matrix, blocks=gate.blocks)
 
 
 class TestApproximationError:
@@ -476,17 +482,12 @@ class TestScalabilityWitness:
         assert report.best_error > 0.1
         assert report.sup_estimate.value > 0.1
 
-    def test_grid_oracle_validates_threshold(self, pauli_gate):
+    def test_grid_oracle_validates_threshold(self, pauli_gate, pauli_cnot_oracle):
         # Criterion 10's independent oracle: exhaustive Dirichlet sampling over
         # the 16 pair weights (10^4 points) plus convex polish must agree with
         # the witness and stay above the frozen 0.1 threshold.
         cfg = pqg.WitnessConfig(seed=0)
-        rng = np.random.default_rng(0)
-        inputs = np.empty((cfg.n_inputs, 4), dtype=complex)
-        for s in range(cfg.n_inputs):
-            z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            inputs[s] = z / np.linalg.norm(z)
-        value = pauli_cnot_grid_oracle(list(pauli_gate.blocks), inputs)
+        value = pauli_cnot_oracle
         assert value > 0.1
         report = pqg.scalability_witness(pauli_gate, pauli_gate, CNOT, cfg)
         assert report.best_error > 0.1

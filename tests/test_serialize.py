@@ -34,6 +34,15 @@ def test_gate_roundtrip_with_blocks():
     assert np.allclose(back.matrix, gate.matrix)
 
 
+def test_pauli_gate_file_roundtrip(pauli_gate, tmp_path):
+    # At side <= 64 the file carries both the dense unitary and the blocks.
+    path = tmp_path / "gate.json"
+    ser.dump(ser.gate_to_json(pauli_gate), path)
+    back = ser.load_gate(path)
+    assert back.unitary is not None and back.blocks is not None
+    assert np.array_equal(back.matrix, pauli_gate.matrix)
+
+
 def test_ensemble_roundtrip():
     ens = cap.Ensemble(
         "encodings",
