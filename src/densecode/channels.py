@@ -3,12 +3,15 @@
 Conventions fixed here (they make file interchange unambiguous):
 
 * A channel maps d_in x d_in density matrices to d_out x d_out ones via
-  rho -> sum_k K_k rho K_k^dag with sum_k K_k^dag K_k = I.
+  rho -> sum_k K_k rho K_k^dag.  Its Kraus family is one read-only complex
+  stack K[k, out, in]; flattened to F[(k, out), in], the completeness
+  condition sum_k K_k^dag K_k = I says exactly that F is an isometry.
 * The Choi operator is C(T) = sum_ij T(|i><j|) (x) |i><j| on the factor pair
   [d_out, d_in]; it is unnormalized, so tracing out the output factor gives
   the d_in identity.  Two channels are equal iff their Choi operators are.
 * Stinespring isometries map C^{d_in} into C^{d_out} (x) C^{d_env} with the
-  environment as the *second* factor, V[(out, env), in].
+  environment as the *second* factor, V[(out, env), in].  V is the Kraus
+  stack with its first two axes swapped: V[(out, e), in] = K[e, out, in].
 * Every sampling routine takes an explicit seed (or Generator); the contract
   is "same seed, bit-identical stream" within one build.
 """
@@ -40,69 +43,63 @@ def as_rng(seed) -> np.random.Generator:
 
 @dataclass(frozen=True, eq=False)
 class QuantumChannel:
-    """CPTP map given by a Kraus family of d_out x d_in matrices."""
+    """CPTP map with Kraus family ``kraus``: a read-only complex stack [k, d_out, d_in].
+
+    Any sequence of d_out x d_in matrices is accepted and copied into the stack.
+    """
 
     d_in: int
     d_out: int
-    kraus: tuple[np.ndarray, ...] = field(repr=False)
+    kraus: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        kraus = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
-        object.__setattr__(self, "kraus", kraus)
-        if not kraus:
+        members = [np.asarray(k, dtype=complex) for k in self.kraus]
+        if not members:
             raise InvariantError("a channel needs at least one Kraus operator")
-        for k in kraus:
+        for k in members:
             if k.shape != (self.d_out, self.d_in):
                 raise DimensionMismatchError(
                     f"Kraus operator of shape {k.shape}, expected {(self.d_out, self.d_in)}"
                 )
-        total = sum(k.conj().T @ k for k in kraus)
-        defect = float(np.max(np.abs(total - np.eye(self.d_in))))
+        kraus = np.stack(members)
+        kraus.flags.writeable = False
+        object.__setattr__(self, "kraus", kraus)
+        defect = qmath.isometry_defect(kraus.reshape(-1, self.d_in))
         if defect > COMPLETENESS_TOL:
             raise InvariantError(f"Kraus completeness defect {defect:.3e}")
 
     @classmethod
     def identity(cls, d: int) -> "QuantumChannel":
-        return cls(d, d, (np.eye(d, dtype=complex),))
+        return cls(d, d, np.eye(d, dtype=complex)[None])
 
     @classmethod
     def from_unitary(cls, u) -> "QuantumChannel":
         u = np.asarray(u, dtype=complex)
-        return cls(u.shape[1], u.shape[0], (u,))
+        return cls(u.shape[1], u.shape[0], u[None])
 
     @classmethod
     def constant_replacement(cls, d_in: int, output: DensityMatrix) -> "QuantumChannel":
-        """The map rho -> output (e.g. the constant map onto I/2)."""
+        """The map rho -> output (e.g. the constant map onto I/2), Kraus sqrt(lam_i) |v_i><j|."""
         lam, vec = np.linalg.eigh(hermitize(output.entries))
-        ops = []
-        for i in range(lam.size):
-            if lam[i] <= KRAUS_CUTOFF:
-                continue
-            col = np.sqrt(lam[i]) * vec[:, i]
-            for j in range(d_in):
-                k = np.zeros((output.side, d_in), dtype=complex)
-                k[:, j] = col
-                ops.append(k)
-        return cls(d_in, output.side, tuple(ops))
+        keep = lam > KRAUS_CUTOFF
+        cols = (np.sqrt(lam[keep]) * vec[:, keep]).T
+        ops = np.zeros((len(cols), d_in, output.side, d_in), dtype=complex)
+        ops[:, np.arange(d_in), :, np.arange(d_in)] = cols
+        return cls(d_in, output.side, ops.reshape(-1, output.side, d_in))
 
     @classmethod
     def projection_onto(cls, d_in: int, d_out: int, index: int = 0) -> "QuantumChannel":
         """rho -> |index><index|, discarding all input information."""
-        ops = []
-        for j in range(d_in):
-            k = np.zeros((d_out, d_in), dtype=complex)
-            k[index, j] = 1.0
-            ops.append(k)
-        return cls(d_in, d_out, tuple(ops))
+        ops = np.zeros((d_in, d_out, d_in), dtype=complex)
+        ops[np.arange(d_in), index, np.arange(d_in)] = 1.0
+        return cls(d_in, d_out, ops)
 
     @classmethod
     def embedding(cls, d_in: int, d_out: int) -> "QuantumChannel":
         """Isometric embedding of C^{d_in} into the first d_in levels of C^{d_out}."""
         if d_out < d_in:
             raise DimensionMismatchError("embedding needs d_out >= d_in")
-        k = np.zeros((d_out, d_in), dtype=complex)
-        k[:d_in, :] = np.eye(d_in)
-        return cls(d_in, d_out, (k,))
+        return cls(d_in, d_out, np.eye(d_out, d_in, dtype=complex)[None])
 
     @classmethod
     def depolarizing(cls, lam: float = 1.0) -> "QuantumChannel":
@@ -126,21 +123,11 @@ class QuantumChannel:
         d_in = int(np.prod(dims))
         d_keep = int(np.prod([dims[i] for i in keep]))
         d_drop = d_in // d_keep
-        # Kraus operator j: rows (keep, j) of the permutation sorting kept factors first.
-        perm = _permutation_matrix(dims, list(keep) + list(drop))
-        ops = np.ascontiguousarray(perm.reshape(d_keep, d_drop, d_in).swapaxes(0, 1))
-        return cls(d_in, d_keep, tuple(ops))
-
-
-def _permutation_matrix(dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
-    """Unitary that reorders tensor factors of C^{prod dims} into ``order``."""
-    dims = list(dims)
-    side = int(np.prod(dims))
-    perm = np.zeros((side, side), dtype=complex)
-    src = np.arange(side).reshape(dims)
-    dst = src.transpose(order).reshape(-1)
-    perm[np.arange(side), dst] = 1.0
-    return perm
+        # Kraus operator j is <j| on the dropped factors: rows of the identity
+        # indexed by (dropped, kept) factors.
+        eye = np.eye(d_in, dtype=complex).reshape(dims + (d_in,))
+        ops = eye.transpose(drop + keep + (len(dims),)).reshape(d_drop, d_keep, d_in)
+        return cls(d_in, d_keep, ops)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,7 +146,7 @@ class StinespringIsometry:
             raise DimensionMismatchError(
                 f"isometry of shape {v.shape}, expected {(self.d_out * self.d_env, self.d_in)}"
             )
-        defect = float(np.max(np.abs(v.conj().T @ v - np.eye(self.d_in))))
+        defect = qmath.isometry_defect(v)
         if defect > ISOMETRY_TOL:
             raise InvariantError(f"isometry defect {defect:.3e}")
 
@@ -204,14 +191,14 @@ def apply_local(channel: QuantumChannel, rho: DensityMatrix, factor: int) -> Den
 
 
 def local_kraus_sum(
-    kraus: Sequence[np.ndarray], matrix: np.ndarray, d_before: int, d_after: int
+    kraus: np.ndarray, matrix: np.ndarray, d_before: int, d_after: int
 ) -> np.ndarray:
     """sum_k L_k M L_k^dag with L_k = I_b (x) K_k (x) I_a, the lifts never built.
 
     M acts on [d_before, d_in, d_after].  L_k M is one matmul of K_k with the
     view M[b, i, (a, col)]; the right action reuses it: L M L^dag = (L (L M)^dag)^dag.
     """
-    d_out, d_in = kraus[0].shape
+    d_out, d_in = kraus.shape[1:]
     side_out = d_before * d_out * d_after
     acc = np.zeros((side_out, side_out), dtype=complex)
     for k in kraus:
@@ -243,32 +230,23 @@ def dilate(channel: QuantumChannel) -> StinespringIsometry:
     environment dimension is the Choi rank (at most d_in * d_out).
     """
     ops = canonical_kraus(channel)
-    d_env = len(ops)
-    v = np.zeros((channel.d_out * d_env, channel.d_in), dtype=complex)
-    for e, k in enumerate(ops):
-        # row (out, env) = out * d_env + e
-        v[e::d_env, :] = k
-    return StinespringIsometry(channel.d_in, channel.d_out, d_env, v)
+    v = ops.swapaxes(0, 1).reshape(channel.d_out * len(ops), channel.d_in)
+    return StinespringIsometry(channel.d_in, channel.d_out, len(ops), v)
 
 
-def canonical_kraus(channel: QuantumChannel) -> tuple[np.ndarray, ...]:
-    c = choi(channel)
-    lam, vec = np.linalg.eigh(hermitize(c.matrix))
-    ops = []
-    for i in range(lam.size - 1, -1, -1):
-        if lam[i] <= KRAUS_CUTOFF:
-            break
-        ops.append(np.sqrt(lam[i]) * vec[:, i].reshape(channel.d_out, channel.d_in))
-    if not ops:
+def canonical_kraus(channel: QuantumChannel) -> np.ndarray:
+    """Kraus stack from the Choi eigenvectors above KRAUS_CUTOFF, largest first."""
+    lam, vec = np.linalg.eigh(hermitize(choi(channel).matrix))
+    order = np.flatnonzero(lam > KRAUS_CUTOFF)[::-1]
+    if not order.size:
         raise InvariantError("channel has numerically vanishing Choi matrix")
-    return tuple(ops)
+    return (np.sqrt(lam[order]) * vec[:, order]).T.reshape(-1, channel.d_out, channel.d_in)
 
 
 def undilate(iso: StinespringIsometry) -> QuantumChannel:
     """Recover the Kraus family K_e = (I (x) <e|) V."""
     v = iso.v.reshape(iso.d_out, iso.d_env, iso.d_in)
-    ops = tuple(v[:, e, :] for e in range(iso.d_env))
-    return QuantumChannel(iso.d_in, iso.d_out, ops)
+    return QuantumChannel(iso.d_in, iso.d_out, v.swapaxes(0, 1))
 
 
 def random_unitary(d: int, seed) -> np.ndarray:
@@ -341,10 +319,7 @@ def weyl_basis(d: int) -> list[np.ndarray]:
 def weyl_twirl(rho: DensityMatrix, factor: int) -> DensityMatrix:
     """Average (W (x) I) rho (W (x) I)^dag over the Weyl basis of the factor."""
     d = rho.dims[factor]
-    acc = np.zeros_like(rho.entries)
-    for w in weyl_basis(d):
-        acc += apply_local(QuantumChannel.from_unitary(w), rho, factor).entries
-    return DensityMatrix(rho.dims, hermitize(acc / (d * d)))
+    return apply_local(QuantumChannel(d, d, np.stack(weyl_basis(d)) / d), rho, factor)
 
 
 def compose(after: QuantumChannel, before: QuantumChannel) -> QuantumChannel:
@@ -353,7 +328,7 @@ def compose(after: QuantumChannel, before: QuantumChannel) -> QuantumChannel:
         raise DimensionMismatchError(
             f"cannot compose: inner output {before.d_out} vs outer input {after.d_in}"
         )
-    ops = tuple(a @ b for a in after.kraus for b in before.kraus)
+    ops = (after.kraus[:, None] @ before.kraus).reshape(-1, after.d_out, before.d_in)
     chan = QuantumChannel(before.d_in, after.d_out, ops)
     if len(ops) > before.d_in * after.d_out:
         chan = QuantumChannel(before.d_in, after.d_out, canonical_kraus(chan))
@@ -362,7 +337,9 @@ def compose(after: QuantumChannel, before: QuantumChannel) -> QuantumChannel:
 
 def tensor_channels(a: QuantumChannel, b: QuantumChannel) -> QuantumChannel:
     """The product channel acting as a on the first factor and b on the second."""
-    ops = tuple(np.kron(ka, kb) for ka in a.kraus for kb in b.kraus)
+    ka = a.kraus[:, None, :, None, :, None]
+    kb = b.kraus[None, :, None, :, None, :]
+    ops = (ka * kb).reshape(-1, a.d_out * b.d_out, a.d_in * b.d_in)
     chan = QuantumChannel(a.d_in * b.d_in, a.d_out * b.d_out, ops)
     if len(ops) > chan.d_in * chan.d_out:
         chan = QuantumChannel(chan.d_in, chan.d_out, canonical_kraus(chan))

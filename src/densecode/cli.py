@@ -145,19 +145,22 @@ def _named_unitary(name: str) -> np.ndarray:
     return NAMED_UNITARIES[key]
 
 
-def _parse_target(text: str) -> np.ndarray:
+def _parse_target(text: str) -> tuple[np.ndarray, dict]:
+    """A named target, a product of named unitaries or a matrix file; a file is a manifest input."""
     key = text.strip()
     if key.lower() in NAMED_TARGETS:
-        return NAMED_TARGETS[key.lower()]
+        return NAMED_TARGETS[key.lower()], {}
     sep = "⊗" if "⊗" in key else "@"
     if sep in key:
         out = np.eye(1, dtype=complex)
         for part in key.split(sep):
             out = np.kron(out, _named_unitary(part))
-        return out
+        return out, {}
     if key.upper() in NAMED_UNITARIES:
-        return NAMED_UNITARIES[key.upper()]
-    return ser.matrix_from_json(ser.load_json(key).get("matrix", ser.load_json(key)))
+        return NAMED_UNITARIES[key.upper()], {}
+    doc = ser.load_json(key)  # {"matrix": M} or a bare M
+    matrix = doc.get("matrix") if isinstance(doc, dict) else doc
+    return ser.matrix_from_json(matrix), {"target": _file_ref(key)}
 
 
 def _parse_gate_token(token: str, seed: int) -> tuple[pqg.ProgrammableGate, dict]:
@@ -394,7 +397,7 @@ def cmd_pqg_check_orthogonality(args, argv, timestamp) -> int:
 
 def cmd_pqg_witness(args, argv, timestamp) -> int:
     _require_at_least(args, 1, "inputs")
-    target = _parse_target(args.target)
+    target, inputs = _parse_target(args.target)
     g1, info1 = _parse_gate_token(args.gates[0], args.seed)
     g2, info2 = _parse_gate_token(args.gates[1], args.seed + 1)
     cfg = pqg.WitnessConfig(seed=args.seed, n_inputs=args.inputs)
@@ -410,7 +413,8 @@ def cmd_pqg_witness(args, argv, timestamp) -> int:
             {"pair": list(pair), "w": w} for pair, w in (report.program_weights or [])[:16]
         ],
         "manifest": _manifest(
-            argv, {}, {"target": args.target, "seed": args.seed, "inputs": args.inputs}, timestamp
+            argv, inputs, {"target": args.target, "seed": args.seed, "inputs": args.inputs},
+            timestamp,
         ),
     }
     _emit(doc, [f"witness best_error = {report.best_error:.6f}"])

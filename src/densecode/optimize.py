@@ -270,7 +270,7 @@ class _OutputEntropyProblem:
         self.d_env = d_env
         self.post = post_channel
         if post_channel is not None:
-            self.post_adjoint = tuple(k.conj().T for k in post_channel.kraus)
+            self.post_adjoint = post_channel.kraus.conj().swapaxes(1, 2)
         lam, vec = np.linalg.eigh(hermitize(rho.entries))
         keep = lam > 1e-14
         lam, vec = lam[keep], vec[:, keep]

@@ -90,17 +90,16 @@ class ProgrammableGate:
 
 
 def _as_target(target, d: int) -> np.ndarray:
-    """A target unitary as a complex array, checked to be d x d."""
+    """A target unitary as a complex array, checked to be a d x d unitary."""
     target = np.asarray(target, dtype=complex)
-    if target.shape != (d, d):
-        raise DimensionMismatchError(f"target of shape {target.shape}, expected side {d}")
+    _check_unitary(target, d)
     return target
 
 
 def _check_unitary(u: np.ndarray, side: int):
     if u.shape != (side, side):
         raise DimensionMismatchError(f"matrix of shape {u.shape}, expected side {side}")
-    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(side))))
+    defect = qmath.isometry_defect(u)
     if defect > UNITARITY_TOL:
         raise InvariantError(f"matrix is not unitary (defect {defect:.3e})")
 
@@ -240,13 +239,12 @@ def induced_map(gate: ProgrammableGate, psi: PureState) -> QuantumChannel:
         )
     if gate.blocks is not None:
         amps = psi.amplitudes
-        ops = tuple(
-            amps[q] * gate.blocks[q] for q in range(gate.d_program) if abs(amps[q]) > 1e-16
-        )
-        return QuantumChannel(gate.d_data, gate.d_data, ops)
-    g4 = gate.matrix.reshape(gate.d_data, gate.d_program, gate.d_data, gate.d_program)
-    kraus = np.einsum("akbq,q->kab", g4, psi.amplitudes)
-    return QuantumChannel(gate.d_data, gate.d_data, tuple(kraus))
+        keep = np.abs(amps) > 1e-16
+        kraus = amps[keep, None, None] * np.asarray(gate.blocks)[keep]
+    else:
+        g4 = gate.matrix.reshape(gate.d_data, gate.d_program, gate.d_data, gate.d_program)
+        kraus = np.einsum("akbq,q->kab", g4, psi.amplitudes)
+    return QuantumChannel(gate.d_data, gate.d_data, kraus)
 
 
 def mixture_program(gate: ProgrammableGate, weights: dict[int, float]) -> PureState:
@@ -309,25 +307,25 @@ def _conjugation_gaps(kraus, reference, inputs: np.ndarray) -> np.ndarray:
     (``qmath.hermitian_trace_norm``) is the trace distance of the two
     channels on that input.
     """
-    rz, kz = (_stack_outputs(np.asarray(ops), inputs) for ops in (reference, kraus))
+    rz, kz = (_stack_outputs(ops, inputs) for ops in (reference, kraus))
     return np.swapaxes(rz, 1, 2) @ rz.conj() - np.swapaxes(kz, 1, 2) @ kz.conj()
 
 
 def estimate_sup_error(
-    kraus: Sequence[np.ndarray],
+    kraus: np.ndarray,
     target: np.ndarray,
     n_samples: int = 200,
     seed=0,
 ) -> ErrorEstimate:
     """Estimate sup over pure inputs of the trace distance to the target map.
 
-    Haar sampling, then the Stiefel descent (``optimize.stiefel_minimize``) of
-    minus the trace distance from the best sample, on d x 1 input columns.
-    The result is a lower estimate of the true supremum, never below the best
-    sample; it never exceeds 2.
+    The channel is the Kraus stack ``kraus`` [k, d, d].  Haar sampling, then
+    the Stiefel descent (``optimize.stiefel_minimize``) of minus the trace
+    distance from the best sample, on d x 1 input columns.  The result is a
+    lower estimate of the true supremum, never below the best sample; it
+    never exceeds 2.
     """
     rng = ch.as_rng(seed)
-    kraus = np.asarray(kraus)
     reference = target[None]
     d = target.shape[0]
     samples = qmath.haar_vectors(rng, n_samples, d)
@@ -1010,8 +1008,7 @@ def _witness_general_path(g1, g2, target, cfg: WitnessConfig):
     )
     psi = report.point()[:, 0]
     psi /= np.linalg.norm(psi)
-    kraus = list(channel_of(psi))
-    sup = estimate_sup_error(kraus, target, cfg.sup_samples, cfg.seed + 1)
+    sup = estimate_sup_error(channel_of(psi), target, cfg.sup_samples, cfg.seed + 1)
     return WitnessReport(
         best_error=float(report.value),
         program_weights=None,
@@ -1109,7 +1106,7 @@ def emulate_encoding(
 
     # Emulated channel: M_{k,e} = (I (x) <e|) K_k (I (x) |0>) on the data register.
     d_in = channel.d_in
-    from_zero = np.asarray(induced.kraus).reshape(-1, d_in, d_env, d_in, d_env)[..., 0]
+    from_zero = induced.kraus.reshape(-1, d_in, d_env, d_in, d_env)[..., 0]
     emulated = from_zero.transpose(0, 2, 1, 3).reshape(-1, d_in, d_in)
     samples = qmath.haar_vectors(np.random.default_rng(seed), n_samples, d_in)
     gaps = _conjugation_gaps(emulated, channel.kraus, samples)

@@ -82,6 +82,11 @@ def hermitian_trace_norm(matrix: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(hermitize(matrix))).sum(axis=-1)
 
 
+def isometry_defect(matrix: np.ndarray) -> float:
+    """max |M†M - I|: unitarity of a square M, completeness of a Kraus stack as [(k, out), in]."""
+    return float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[1]))))
+
+
 def positive_qr(matrix: np.ndarray) -> np.ndarray:
     """Q factor of a QR decomposition with the diagonal of R made real positive.
 
@@ -260,16 +265,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
 
 def permute_factors(rho: DensityMatrix, order: Sequence[int]) -> DensityMatrix:
     """Reorder the tensor factors of a density matrix."""
-    order = _check_factors(rho.dims, order)
-    if len(order) != rho.n_factors:
-        raise DimensionMismatchError("order must be a permutation of all factors")
-    n = rho.n_factors
-    dims = list(rho.dims)
-    perm = list(order) + [n + i for i in order]
-    tens = rho.entries.reshape(dims + dims).transpose(perm)
-    new_dims = tuple(rho.dims[i] for i in order)
-    side = rho.side
-    return DensityMatrix(new_dims, tens.reshape(side, side))
+    return merge_factors(rho, [[i] for i in order])
 
 
 def permute_factors_pure(psi: PureState, order: Sequence[int]) -> PureState:
@@ -286,10 +282,13 @@ def merge_factors(rho: DensityMatrix, groups: Sequence[Sequence[int]]) -> Densit
     Every factor must appear in exactly one group.  Useful for reducing a
     multi-register problem to a bipartite one.
     """
-    flat = [f for g in groups for f in g]
-    permuted = permute_factors(rho, flat)
+    order = _check_factors(rho.dims, [f for g in groups for f in g])
+    if len(order) != rho.n_factors:
+        raise DimensionMismatchError("groups must cover every factor exactly once")
+    perm = list(order) + [rho.n_factors + i for i in order]
+    tens = rho.entries.reshape(rho.dims + rho.dims).transpose(perm)
     new_dims = tuple(int(np.prod([rho.dims[f] for f in g])) for g in groups)
-    return DensityMatrix(new_dims, permuted.entries)
+    return DensityMatrix(new_dims, tens.reshape(rho.side, rho.side))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

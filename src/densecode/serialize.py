@@ -32,6 +32,9 @@ from .errors import FormatError
 from .pqg import ProgrammableGate
 from .qmath import DensityMatrix
 
+# Gate files carry the dense unitary alongside the blocks up to this side.
+DENSE_GATE_SIDE = 64
+
 
 def matrix_to_json(matrix: np.ndarray) -> list:
     matrix = np.asarray(matrix, dtype=complex)
@@ -91,12 +94,12 @@ def channel_from_json(obj) -> QuantumChannel:
             raise FormatError(
                 f"Kraus operator of shape {k.shape}, expected {(obj['d_out'], obj['d_in'])}"
             )
-    return QuantumChannel(int(obj["d_in"]), int(obj["d_out"]), tuple(kraus))
+    return QuantumChannel(int(obj["d_in"]), int(obj["d_out"]), kraus)
 
 
-def gate_to_json(gate: ProgrammableGate, dense_limit: int = 64) -> dict:
+def gate_to_json(gate: ProgrammableGate) -> dict:
     doc = {"d_D": gate.d_data, "d_P": gate.d_program, "unitary": None}
-    if gate.d_data * gate.d_program <= dense_limit:
+    if gate.d_data * gate.d_program <= DENSE_GATE_SIDE:
         doc["unitary"] = matrix_to_json(gate.matrix)
     if gate.blocks is not None:
         doc["blocks"] = [matrix_to_json(b) for b in gate.blocks]

@@ -201,6 +201,11 @@ class TestWeyl:
 def test_completeness_validation():
     with pytest.raises(InvariantError):
         ch.QuantumChannel(2, 2, (np.eye(2) * 0.5,))
+    with pytest.raises(InvariantError):
+        ch.QuantumChannel(2, 2, ())
+    # Ragged members are caught before stacking, not by numpy.
+    with pytest.raises(DimensionMismatchError):
+        ch.QuantumChannel(2, 2, (np.eye(2) / np.sqrt(2), np.eye(2, 3) / np.sqrt(2)))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -220,3 +225,75 @@ def test_compose_and_tensor():
     joint = ch.tensor_channels(xc, ch.QuantumChannel.identity(2))
     lifted = ch.QuantumChannel.from_unitary(np.kron(x, np.eye(2)))
     assert ch.channels_equal(joint, lifted)
+
+
+def _max_gap(stack, reference) -> float:
+    return float(np.max(np.abs(np.asarray(stack) - np.array(reference))))
+
+
+class TestKrausStack:
+    """Each channels function that works on the whole Kraus stack at once, against
+    a per-operator reference formula written out here."""
+
+    def test_stack_is_read_only_complex_array(self):
+        for chan in (ch.QuantumChannel(2, 2, [[[1, 0], [0, 1]]]),
+                     ch.random_channel(2, 3, 2, seed=0),
+                     ch.QuantumChannel.trace_out_factor((2, 3), (0,))):
+            k = chan.kraus
+            assert k.dtype == complex and k.flags.c_contiguous
+            assert k.shape == (len(k), chan.d_out, chan.d_in)
+            with pytest.raises(ValueError):
+                k[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stack_matches_per_operator_reference(self, seed):
+        chan = ch.random_channel(2, 3, 4, seed)
+        ops = list(chan.kraus)
+        choi = sum(np.outer(k.reshape(-1), k.reshape(-1).conj()) for k in ops)
+        assert _max_gap(ch.choi(chan).matrix, choi) < 1e-12
+
+        lam, vec = np.linalg.eigh(qmath.hermitize(choi))
+        canon = [np.sqrt(lam[i]) * vec[:, i].reshape(3, 2)
+                 for i in range(lam.size - 1, -1, -1) if lam[i] > ch.KRAUS_CUTOFF]
+        assert _max_gap(ch.canonical_kraus(chan), canon) < 1e-12
+
+        iso = ch.dilate(chan)
+        v = np.zeros((3 * len(canon), 2), dtype=complex)
+        for e, k in enumerate(canon):
+            v[e::len(canon)] = k  # row (out, env) = out * d_env + e
+        assert iso.d_env == len(canon) and _max_gap(iso.v, v) < 1e-12
+        env = np.eye(iso.d_env)
+        undilated = [np.kron(np.eye(3), env[e][None]) @ iso.v for e in range(iso.d_env)]
+        assert _max_gap(ch.undilate(iso).kraus, undilated) < 1e-12
+
+        # 2 x 2 products fit the 2 -> 2 Choi rank; 2 x 4 are canonicalized.
+        after, before = ch.random_channel(3, 2, 2, seed + 10), ch.random_channel(2, 3, 2, seed + 20)
+        composed = [a @ b for a in after.kraus for b in before.kraus]
+        assert _max_gap(ch.compose(after, before).kraus, composed) < 1e-12
+        composed = [a @ b for a in after.kraus for b in ops]
+        choi = sum(np.outer(k.reshape(-1), k.reshape(-1).conj()) for k in composed)
+        assert _max_gap(ch.choi(ch.compose(after, chan)).matrix, choi) < 1e-12
+
+        tensored = [np.kron(a, b) for a in ops for b in before.kraus]
+        assert _max_gap(ch.tensor_channels(chan, before).kraus, tensored) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stack_constructors_match_per_operator_reference(self, seed):
+        basis = np.eye(3)
+        proj = [np.outer(np.eye(2)[1], basis[j]) for j in range(3)]
+        assert _max_gap(ch.QuantumChannel.projection_onto(3, 2, 1).kraus, proj) < 1e-12
+
+        output = ch.random_state((2,), 1 + seed % 2, seed)
+        lam, vec = np.linalg.eigh(qmath.hermitize(output.entries))
+        const = [np.sqrt(lam[i]) * np.outer(vec[:, i], basis[j])
+                 for i in range(2) if lam[i] > ch.KRAUS_CUTOFF for j in range(3)]
+        assert _max_gap(ch.QuantumChannel.constant_replacement(3, output).kraus, const) < 1e-12
+
+        # <j| on the middle factor of (2, 3, 2).
+        traced = [np.kron(np.kron(np.eye(2), basis[j][None]), np.eye(2)) for j in range(3)]
+        assert _max_gap(ch.QuantumChannel.trace_out_factor((2, 3, 2), (1,)).kraus, traced) < 1e-12
+
+        rho = ch.random_state((2, 3), 4, seed + 30)
+        lifts = [np.kron(np.eye(2), w) for w in ch.weyl_basis(3)]
+        twirl = sum(u @ rho.entries @ u.conj().T for u in lifts) / 9
+        assert _max_gap(ch.weyl_twirl(rho, 1).entries, twirl) < 1e-12

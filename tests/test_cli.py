@@ -259,6 +259,40 @@ class TestPqgCommands:
         assert doc["method"] == "general-sphere-descent"
         assert doc["lower_bound"] is None
 
+    def test_witness_bare_matrix_target_file(self, capsys, tmp_path):
+        from densecode import serialize
+
+        argv = ["pqg", "witness", "--gates", "pauli", "pauli", "--inputs", "8", "--target"]
+        _, named, _ = run_json(capsys, argv + ["cnot"])
+        target = tmp_path / "cnot.json"
+        serialize.dump(serialize.matrix_to_json(np.eye(4)[[0, 1, 3, 2]]), target)
+        code, out, _ = run_cli(capsys, argv + [str(target)])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["best_error"] == named["best_error"]
+        ref = doc["manifest"]["inputs"]["target"]
+        assert ref["path"] == str(target) and len(ref["sha256"]) == 64
+        record = tmp_path / "record.json"
+        record.write_text(out)
+        code2, out2, _ = run_cli(capsys, ["replay", str(record)])
+        assert (code2, out2) == (0, out)
+
+    @pytest.mark.parametrize("content, code, message", [
+        ({"foo": 1}, 2, "error: "),
+        (3, 2, "error: "),
+        # 2 I scored a best_error of 3, above any trace distance.
+        ({"matrix": [[[2.0 * (i == j), 0.0] for j in range(4)] for i in range(4)]},
+         3, "invariant violation: matrix is not unitary"),
+    ], ids=["no-matrix", "number", "non-unitary"])
+    def test_witness_bad_target_file(self, capsys, tmp_path, content, code, message):
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps(content))
+        got, _, err = run_cli(
+            capsys, ["pqg", "witness", "--target", str(target), "--gates", "pauli", "pauli"]
+        )
+        assert got == code
+        assert err.startswith(message)
+
     def test_witness_product_target(self, capsys):
         code, doc, _ = run_json(
             capsys,

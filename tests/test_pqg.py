@@ -467,6 +467,17 @@ class TestValidation:
         with pytest.raises(DimensionMismatchError):
             call(pauli_gate)
 
+    @pytest.mark.parametrize("call", [
+        lambda gate: pqg.approximation_error(gate, qmath.basis_state(4, 0), 2 * np.eye(2)),
+        lambda gate: pqg.program_for_target(gate, 2 * np.eye(2)),
+        lambda gate: pqg.scalability_witness(gate, gate, 2 * np.eye(4)),
+        lambda gate: pqg.net_gate_around([2 * np.eye(2)], 0.5),
+    ], ids=["approximation_error", "program_for_target", "scalability_witness", "around"])
+    def test_non_unitary_target_is_rejected(self, pauli_gate, call):
+        # 2 I would score trace distances above 2 (or 0 as an "exact unitary").
+        with pytest.raises(InvariantError, match="not unitary"):
+            call(pauli_gate)
+
     @pytest.mark.parametrize("field, value", [
         ("n_inputs", 0), ("fw_iterations", -1), ("sup_samples", -1), ("general_restarts", 0),
     ])

@@ -287,3 +287,21 @@ class TestValidation:
     def test_rejects_unnormalized_vector(self):
         with pytest.raises(InvariantError):
             qmath.PureState((2,), np.array([1.0, 1.0]))
+
+
+def test_merge_factors_validates_one_state(monkeypatch):
+    rho = ch.random_state((2, 3, 2), 4, seed=5)
+    built = []
+    check = qmath.DensityMatrix.__post_init__
+
+    def counting(self):
+        built.append(self.dims)
+        check(self)
+
+    monkeypatch.setattr(qmath.DensityMatrix, "__post_init__", counting)
+    merged = qmath.merge_factors(rho, [[0, 2], [1]])
+    permuted = qmath.permute_factors(rho, (2, 0, 1))
+    assert built == [(4, 3), (2, 2, 3)]
+    tens = rho.entries.reshape(2, 3, 2, 2, 3, 2)
+    assert np.array_equal(merged.entries, tens.transpose(0, 2, 1, 3, 5, 4).reshape(12, 12))
+    assert np.array_equal(permuted.entries, tens.transpose(2, 0, 1, 5, 3, 4).reshape(12, 12))
