@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import accumulate, repeat
 from typing import NamedTuple, Sequence
@@ -49,66 +49,69 @@ GENERAL_DIM_GUARD = 64
 
 @dataclass(frozen=True, eq=False)
 class ProgrammableGate:
-    """Unitary on data (x) program; ``blocks`` is set for controlled-unitary gates."""
+    """Unitary on data (x) program; ``blocks`` is set for controlled-unitary gates.
+
+    Both are read-only complex copies, checked here; ``blocks`` is one stack
+    [d_program, d_data, d_data], copied from any sequence of d x d matrices.
+    """
 
     d_data: int
     d_program: int
     unitary: np.ndarray | None = field(repr=False, default=None)
-    blocks: tuple[np.ndarray, ...] | None = field(repr=False, default=None)
+    blocks: np.ndarray | None = field(repr=False, default=None)
 
     def __post_init__(self):
         if self.unitary is None and self.blocks is None:
             raise InvariantError("gate needs a unitary matrix or controlled blocks")
         if self.blocks is not None:
-            blocks = tuple(np.asarray(b, dtype=complex) for b in self.blocks)
-            object.__setattr__(self, "blocks", blocks)
-            if len(blocks) != self.d_program:
-                raise DimensionMismatchError("number of blocks must equal d_program")
-            for b in blocks:
-                _check_unitary(b, self.d_data)
+            shape = (self.d_program, self.d_data, self.d_data)
+            object.__setattr__(self, "blocks", _unitaries(self.blocks, shape))
         if self.unitary is not None:
-            u = np.asarray(self.unitary, dtype=complex)
-            object.__setattr__(self, "unitary", u)
-            _check_unitary(u, self.d_data * self.d_program)
+            side = self.d_data * self.d_program
+            object.__setattr__(self, "unitary", _unitaries(self.unitary, (side, side)))
             if self.blocks is not None:
-                defect = float(np.max(np.abs(u - replace(self, unitary=None).matrix)))
+                defect = float(np.max(np.abs(self.unitary - _block_matrix(self.blocks))))
                 if defect > UNITARITY_TOL:
                     raise InvariantError(f"unitary contradicts the blocks (defect {defect:.3e})")
 
     @property
     def matrix(self) -> np.ndarray:
         """Dense gate unitary (built from blocks on demand, size permitting)."""
-        if self.unitary is not None:
-            return self.unitary
-        side = self.d_data * self.d_program
-        if side > MAX_DENSE_GATE_SIDE:
-            raise SizeGuardError(f"dense gate of side {side} exceeds {MAX_DENSE_GATE_SIDE}")
-        u = np.zeros((self.d_data, self.d_program, self.d_data, self.d_program), dtype=complex)
-        q = np.arange(self.d_program)
-        u[:, q, :, q] = self.blocks  # block q on the program diagonal (q, q)
-        return u.reshape(side, side)
+        return self.unitary if self.unitary is not None else _block_matrix(self.blocks)
 
 
-def _as_target(target, d: int) -> np.ndarray:
-    """A target unitary as a complex array, checked to be a d x d unitary."""
-    target = np.asarray(target, dtype=complex)
-    _check_unitary(target, d)
-    return target
+def _block_matrix(blocks: np.ndarray) -> np.ndarray:
+    """sum_q B_q (x) |q><q| for a block stack [d_program, d, d], as a dense matrix."""
+    d_program, d, _ = blocks.shape
+    side = d * d_program
+    if side > MAX_DENSE_GATE_SIDE:
+        raise SizeGuardError(f"dense gate of side {side} exceeds {MAX_DENSE_GATE_SIDE}")
+    u = np.zeros((d, d_program, d, d_program), dtype=complex)
+    q = np.arange(d_program)
+    u[:, q, :, q] = blocks  # block q on the program diagonal (q, q)
+    return u.reshape(side, side)
 
 
-def _check_unitary(u: np.ndarray, side: int):
-    if u.shape != (side, side):
-        raise DimensionMismatchError(f"matrix of shape {u.shape}, expected side {side}")
+def _unitaries(matrices, shape: tuple[int, ...]) -> np.ndarray:
+    """Read-only complex copy of a unitary or a stack of them, checked in one batched product."""
+    try:
+        u = np.array(matrices, dtype=complex)
+    except ValueError:
+        raise DimensionMismatchError(f"ragged matrices, expected shape {shape}") from None
+    if u.shape != shape:
+        raise DimensionMismatchError(f"matrix of shape {u.shape}, expected {shape}")
     defect = qmath.isometry_defect(u)
     if defect > UNITARITY_TOL:
         raise InvariantError(f"matrix is not unitary (defect {defect:.3e})")
+    u.flags.writeable = False
+    return u
 
 
 @dataclass(frozen=True, eq=False)
 class UnitaryNet:
-    """A finite set of unitaries with an estimated covering radius."""
+    """A net's unitaries, its gate's read-only block stack, with an estimated covering radius."""
 
-    elements: tuple[np.ndarray, ...] = field(repr=False)
+    elements: np.ndarray = field(repr=False)
     covering_radius: float = math.nan
     method: str = "unset"
     metadata: dict = field(default_factory=dict)
@@ -198,10 +201,9 @@ class WitnessConfig:
 
 def control_gate(units: Sequence[np.ndarray]) -> ProgrammableGate:
     """sum_i U_i (x) |i><i|: each basis program implements its block exactly."""
-    units = tuple(np.asarray(u, dtype=complex) for u in units)
-    if not units:
+    if not len(units):
         raise InvariantError("control_gate needs at least one unitary")
-    return ProgrammableGate(units[0].shape[0], len(units), blocks=units)
+    return ProgrammableGate(len(units[0]), len(units), blocks=units)
 
 
 def tensor_gates(a: ProgrammableGate, b: ProgrammableGate) -> ProgrammableGate:
@@ -212,7 +214,7 @@ def tensor_gates(a: ProgrammableGate, b: ProgrammableGate) -> ProgrammableGate:
     """
     if a.blocks is not None and b.blocks is not None:
         grid = np.indices((a.d_program, b.d_program)).reshape(2, -1).T
-        blocks = tuple(_pair_operators(a.blocks, b.blocks, grid))
+        blocks = _pair_operators(a.blocks, b.blocks, grid)
         return ProgrammableGate(a.d_data * b.d_data, a.d_program * b.d_program, blocks=blocks)
     side = a.d_data * b.d_data * a.d_program * b.d_program
     if side > MAX_DENSE_GATE_SIDE:
@@ -223,10 +225,10 @@ def tensor_gates(a: ProgrammableGate, b: ProgrammableGate) -> ProgrammableGate:
     return ProgrammableGate(a.d_data * b.d_data, a.d_program * b.d_program, unitary=perm)
 
 
-def _pair_operators(blocks1, blocks2, pairs: np.ndarray) -> np.ndarray:
-    """U_j (x) V_l for every row (j, l) of ``pairs``, stacked as [pair, a, b]."""
-    u = np.asarray(blocks1)[pairs[:, 0]]
-    v = np.asarray(blocks2)[pairs[:, 1]]
+def _pair_operators(blocks1: np.ndarray, blocks2: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """U_j (x) V_l for every row (j, l) of ``pairs``, from two block stacks, as [pair, a, b]."""
+    u = blocks1[pairs[:, 0]]
+    v = blocks2[pairs[:, 1]]
     d = u.shape[-1] * v.shape[-1]
     return (u[:, :, None, :, None] * v[:, None, :, None, :]).reshape(len(pairs), d, d)
 
@@ -237,14 +239,16 @@ def induced_map(gate: ProgrammableGate, psi: PureState) -> QuantumChannel:
         raise DimensionMismatchError(
             f"program of dimension {psi.side}, gate expects {gate.d_program}"
         )
+    return QuantumChannel(gate.d_data, gate.d_data, _program_kraus(gate, psi.amplitudes))
+
+
+def _program_kraus(gate: ProgrammableGate, amps: np.ndarray) -> np.ndarray:
+    """Unvalidated Kraus stack [k, d, d] of the map that program amplitudes select."""
     if gate.blocks is not None:
-        amps = psi.amplitudes
         keep = np.abs(amps) > 1e-16
-        kraus = amps[keep, None, None] * np.asarray(gate.blocks)[keep]
-    else:
-        g4 = gate.matrix.reshape(gate.d_data, gate.d_program, gate.d_data, gate.d_program)
-        kraus = np.einsum("akbq,q->kab", g4, psi.amplitudes)
-    return QuantumChannel(gate.d_data, gate.d_data, kraus)
+        return amps[keep, None, None] * gate.blocks[keep]
+    g4 = gate.matrix.reshape(gate.d_data, gate.d_program, gate.d_data, gate.d_program)
+    return np.einsum("akbq,q->kab", g4, amps)
 
 
 def mixture_program(gate: ProgrammableGate, weights: dict[int, float]) -> PureState:
@@ -275,13 +279,12 @@ def unitary_map_distance(u: np.ndarray, v: np.ndarray) -> float:
     return float(_unitary_map_distances(u, np.asarray(v)[None])[0])
 
 
-def _unitary_map_distances(u: np.ndarray, stack) -> np.ndarray:
+def _unitary_map_distances(u: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """``unitary_map_distance(u, v)`` for every v in a stack [n, d, d], batched.
 
     Qubits take |Tr(u^dag v)| over the whole stack in one contraction; larger d
     takes the eigenphases of the stacked u^dag v from one ``eigvals`` call.
     """
-    stack = np.asarray(stack)
     if u.shape == (2, 2):
         trace = np.einsum("ab,kab->k", u.conj(), stack)
         overlap = np.minimum(1.0, np.hypot(trace.real, trace.imag) / 2.0)
@@ -370,7 +373,7 @@ def approximation_error(
     seed=0,
 ) -> ErrorEstimate:
     """Estimated worst-case trace distance of the induced map to a unitary target."""
-    target = _as_target(target, gate.d_data)
+    target = _unitaries(target, (gate.d_data, gate.d_data))
     chan = induced_map(gate, psi)
     if len(chan.kraus) == 1:
         # Unitary-vs-unitary distances have a closed form; tag accordingly.
@@ -582,7 +585,7 @@ def _programs_for_targets(gate: ProgrammableGate, targets, n_nearest: int, n_sam
     estimates each error, and a target is solved and measured only when the
     caller reaches it: calibration stops at the first target that misses.
     """
-    blocks = np.asarray(gate.blocks)
+    blocks = gate.blocks
     chunk = len(targets) if gate.d_data == 2 else 1
     for first in range(0, len(targets), chunk):
         batch = np.asarray(targets[first : first + chunk])
@@ -624,7 +627,7 @@ def program_for_target(
     """
     if gate.blocks is None:
         raise InvariantError("program_for_target needs a controlled-block gate")
-    target = _as_target(target, gate.d_data)
+    target = _unitaries(target, (gate.d_data, gate.d_data))
     program, err, _ = next(_programs_for_targets(gate, [target], n_nearest, n_samples, [seed]))
     return program, err
 
@@ -762,7 +765,7 @@ def _calibrate(pools, targets, epsilon: float, n_nearest: int, seeds, method: st
                 break
         else:
             return gate, UnitaryNet(
-                elements=tuple(atoms),
+                elements=gate.blocks,
                 covering_radius=radius if covering else math.nan,
                 method=method,
                 metadata={
@@ -837,7 +840,7 @@ def net_gate_around(
     if not len(targets):
         raise InvariantError("net_gate_around needs at least one target")
     d = math.isqrt(np.size(targets[0]))  # the side of a square target
-    targets = [_as_target(t, d) for t in targets]
+    targets = _unitaries(targets, (len(targets), d, d))
     seed = np.random.SeedSequence().entropy if seed is None else seed
     rng = np.random.default_rng(seed)
 
@@ -945,7 +948,7 @@ def _frank_wolfe(blocks1, blocks2, target, inputs, start: np.ndarray, iterations
 
 
 def _witness_control_path(g1, g2, target, cfg: WitnessConfig):
-    blocks1, blocks2 = np.asarray(g1.blocks), np.asarray(g2.blocks)
+    blocks1, blocks2 = g1.blocks, g2.blocks
     inputs = qmath.haar_vectors(np.random.default_rng(cfg.seed), cfg.n_inputs, len(target))
     # Start at the pair of best mean fidelity sum_s |<T z_s, W z_s>|^2.
     fidelities = _pair_scores(blocks1, blocks2, inputs, _projectors(inputs @ target.T))
@@ -980,20 +983,16 @@ def _witness_general_path(g1, g2, target, cfg: WitnessConfig):
     rng = np.random.default_rng(cfg.seed)
     inputs = qmath.haar_vectors(rng, cfg.n_inputs, d)
     g4 = gate.matrix.reshape(d, dp, d, dp)
-
-    def channel_of(psi_vec: np.ndarray):
-        return np.einsum("akbq,q->kab", g4, psi_vec)
-
     reference = target[None]
 
     def fun(v: np.ndarray) -> float:
-        gaps = _conjugation_gaps(channel_of(v[:, 0]), reference, inputs)
+        gaps = _conjugation_gaps(_program_kraus(gate, v[:, 0]), reference, inputs)
         return float(np.mean(qmath.hermitian_trace_norm(gaps)))
 
     def grad(v: np.ndarray) -> np.ndarray:
         # d/dpsi of the mean trace distance, with sign(Delta_s) as subgradient:
         # -2/S sum_s z_s^b (K z_s)^*_d sign_s[d, a] g4[a, k, b, q].
-        kraus = channel_of(v[:, 0])
+        kraus = _program_kraus(gate, v[:, 0])
         signs = qmath.spectral_sign(_conjugation_gaps(kraus, reference, inputs))
         u = _stack_outputs(kraus, inputs).conj() @ signs
         acc = -np.einsum("sb,ska,akbq->q", inputs, u, g4, optimize=True)
@@ -1008,7 +1007,7 @@ def _witness_general_path(g1, g2, target, cfg: WitnessConfig):
     )
     psi = report.point()[:, 0]
     psi /= np.linalg.norm(psi)
-    sup = estimate_sup_error(channel_of(psi), target, cfg.sup_samples, cfg.seed + 1)
+    sup = estimate_sup_error(_program_kraus(gate, psi), target, cfg.sup_samples, cfg.seed + 1)
     return WitnessReport(
         best_error=float(report.value),
         program_weights=None,
@@ -1041,7 +1040,7 @@ def scalability_witness(
     Other gates take a sphere descent over program vectors, with no bound.
     """
     cfg = cfg or WitnessConfig()
-    target = _as_target(target, g1.d_data * g2.d_data)
+    target = _unitaries(target, (g1.d_data * g2.d_data,) * 2)
     if g1.blocks is not None and g2.blocks is not None:
         return _witness_control_path(g1, g2, target, cfg)
     return _witness_general_path(g1, g2, target, cfg)
@@ -1072,8 +1071,7 @@ def dilation_unitary(channel: QuantumChannel) -> tuple[np.ndarray, int]:
     u[:, ::e] = iso.v
     q, _ = np.linalg.qr(np.concatenate([iso.v, np.eye(side, dtype=complex)], axis=1))
     u[:, np.arange(side) % e != 0] = q[:, d:side]
-    _check_unitary(u, side)
-    return u, e
+    return _unitaries(u, (side, side)), e
 
 
 def emulate_encoding(

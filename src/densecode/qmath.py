@@ -83,8 +83,8 @@ def hermitian_trace_norm(matrix: np.ndarray) -> np.ndarray:
 
 
 def isometry_defect(matrix: np.ndarray) -> float:
-    """max |M†M - I|: unitarity of a square M, completeness of a Kraus stack as [(k, out), in]."""
-    return float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[1]))))
+    """max |M†M - I| over a stack [..., m, n]: unitarity, or Kraus completeness as [(k, out), in]."""
+    return float(np.max(np.abs(matrix.conj().swapaxes(-1, -2) @ matrix - np.eye(matrix.shape[-1]))))
 
 
 def positive_qr(matrix: np.ndarray) -> np.ndarray:

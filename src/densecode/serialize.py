@@ -111,7 +111,7 @@ def gate_from_json(obj) -> ProgrammableGate:
         raise FormatError("gate document needs 'd_D' and 'd_P'")
     blocks = None
     if obj.get("blocks") is not None:
-        blocks = tuple(matrix_from_json(b) for b in obj["blocks"])
+        blocks = [matrix_from_json(b) for b in obj["blocks"]]
     unitary = None
     if obj.get("unitary") is not None:
         unitary = matrix_from_json(obj["unitary"])

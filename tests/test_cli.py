@@ -232,6 +232,21 @@ class TestPqgCommands:
         )
         assert code == 3
 
+    def test_check_orthogonality_ragged_block_stack_exits_3(self, capsys, tmp_path):
+        from densecode import serialize
+
+        doc = {"d_D": 2, "d_P": 2, "unitary": None,
+               "blocks": [serialize.matrix_to_json(np.eye(2)), serialize.matrix_to_json(np.eye(3))]}
+        gate_file = tmp_path / "ragged.json"
+        serialize.dump(doc, gate_file)
+        code, _, err = run_cli(
+            capsys,
+            ["pqg", "check-orthogonality", "--gate", str(gate_file),
+             "--program1", "0", "--program2", "1"],
+        )
+        assert code == 3
+        assert err.startswith("invariant violation: ")
+
     def test_witness_cnot_on_pauli(self, capsys):
         code, doc, _ = run_json(
             capsys,

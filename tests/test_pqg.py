@@ -84,6 +84,79 @@ class TestInducedMap:
         pqg.ProgrammableGate(2, 2, unitary=gate.matrix, blocks=gate.blocks)
 
 
+class TestBlockStack:
+    def test_block_stack_is_read_only_complex_array(self, pauli_gate):
+        rng = np.random.default_rng(0)
+        qutrits = pqg.control_gate([ch.random_unitary(3, rng) for _ in range(5)])
+        real = pqg.control_gate([np.eye(2, dtype=int), [[0, 1], [1, 0]]])
+        joint = pqg.tensor_gates(pauli_gate, real)
+        dense = pqg.ProgrammableGate(2, 2, unitary=real.matrix, blocks=real.blocks)
+        for gate in (pauli_gate, qutrits, real, joint, dense):
+            blocks = gate.blocks
+            assert isinstance(blocks, np.ndarray)
+            assert blocks.shape == (gate.d_program, gate.d_data, gate.d_data)
+            assert blocks.dtype == complex
+            assert blocks.flags.c_contiguous and not blocks.flags.writeable
+            with pytest.raises(ValueError):
+                blocks[0, 0, 0] = 2.0
+        assert dense.unitary.dtype == complex and not dense.unitary.flags.writeable
+        with pytest.raises(ValueError):
+            dense.unitary[0, 0] = 2.0
+
+    def test_block_stack_is_a_copy_of_the_caller_blocks(self):
+        listed = [np.eye(2, dtype=complex), PAULI_X.copy()]
+        stacked = np.array(listed)
+        unitary = pqg.control_gate(listed).matrix
+        gates = [pqg.control_gate(listed), pqg.control_gate(stacked),
+                 pqg.ProgrammableGate(2, 2, unitary=unitary, blocks=stacked)]
+        expected = np.array(listed)
+        listed[1][0, 0] = 7.0
+        listed.append(PAULI_Z)
+        stacked[0] = PAULI_Z
+        unitary[0, 0] = 7.0
+        for gate in gates:
+            assert np.array_equal(gate.blocks, expected)
+            assert np.array_equal(gate.matrix, pqg.control_gate(expected).matrix)
+        assert stacked.flags.writeable and unitary.flags.writeable
+
+    def test_net_elements_are_the_gate_block_stack(self):
+        gate, net = pqg.net_gate(2.0, 2, seed=1, n_targets=2)
+        assert net.elements is gate.blocks
+        assert len(net.elements) == net.metadata["size"] == gate.d_program
+        assert np.array_equal(net.elements[0], gate.blocks[0])
+
+    @pytest.mark.parametrize("blocks", [
+        [np.eye(2), PAULI_X, PAULI_Z],
+        [np.eye(2), np.eye(3)],
+        [np.eye(2), np.eye(2)[:1]],
+        np.eye(2),
+    ], ids=["three-for-two", "ragged-sides", "ragged-rows", "one-matrix"])
+    def test_block_stack_shape_mismatch(self, blocks):
+        # A bare np.stack of ragged blocks raises ValueError; the gate reports the mismatch.
+        with pytest.raises(DimensionMismatchError):
+            pqg.ProgrammableGate(2, 2, blocks=blocks)
+
+    def test_block_stack_flags_one_non_unitary_block(self):
+        rng = np.random.default_rng(1)
+        blocks = np.array([ch.random_unitary(2, rng) for _ in range(400)])
+        blocks[237] *= 1.01
+        defect = qmath.isometry_defect(blocks[237])
+        assert defect > pqg.UNITARITY_TOL
+        with pytest.raises(InvariantError, match=f"not unitary \\(defect {defect:.3e}\\)"):
+            pqg.control_gate(blocks)
+
+    def test_block_stack_isometry_defect_is_max_of_per_matrix(self):
+        rng = np.random.default_rng(2)
+        stack = np.array([ch.random_unitary(3, rng) for _ in range(12)]).reshape(3, 4, 3, 3)
+        stack[1, 2] *= 1.5
+        stack[2, 0, :, 1] = 0.0
+        per_matrix = [qmath.isometry_defect(m) for m in stack.reshape(-1, 3, 3)]
+        assert qmath.isometry_defect(stack) == max(per_matrix)
+        flat = stack.reshape(-1, 3)  # a 2-D caller: one tall [(k, out), in] matrix
+        assert qmath.isometry_defect(flat) == float(
+            np.max(np.abs(flat.conj().T @ flat - np.eye(3))))
+
+
 class TestApproximationError:
     def test_exact_program(self):
         gate = pqg.control_gate([np.eye(2, dtype=complex), PAULI_X])
@@ -700,7 +773,8 @@ def test_pair_operators_match_kron(d1, d2):
     rng = np.random.default_rng(10 * d1 + d2)
 
     def blocks(n, d):
-        return [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(n)]
+        return np.array([rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                         for _ in range(n)])
 
     blocks1, blocks2 = blocks(4, d1), blocks(5, d2)
     grid = [(j, l) for j in range(4) for l in range(5)]
