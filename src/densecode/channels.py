@@ -53,19 +53,19 @@ class QuantumChannel:
     kraus: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        members = [np.asarray(k, dtype=complex) for k in self.kraus]
-        if not members:
+        expected = f"(k, {self.d_out}, {self.d_in})"
+        try:
+            kraus = np.array(self.kraus, dtype=complex, order="C")
+        except ValueError:
+            raise DimensionMismatchError(f"ragged Kraus operators, expected {expected}") from None
+        if not len(kraus):
             raise InvariantError("a channel needs at least one Kraus operator")
-        for k in members:
-            if k.shape != (self.d_out, self.d_in):
-                raise DimensionMismatchError(
-                    f"Kraus operator of shape {k.shape}, expected {(self.d_out, self.d_in)}"
-                )
-        kraus = np.stack(members)
+        if kraus.shape[1:] != (self.d_out, self.d_in):
+            raise DimensionMismatchError(f"Kraus stack of shape {kraus.shape}, expected {expected}")
         kraus.flags.writeable = False
         object.__setattr__(self, "kraus", kraus)
         defect = qmath.isometry_defect(kraus.reshape(-1, self.d_in))
-        if defect > COMPLETENESS_TOL:
+        if not defect <= COMPLETENESS_TOL:  # NaN fails too
             raise InvariantError(f"Kraus completeness defect {defect:.3e}")
 
     @classmethod
@@ -147,7 +147,7 @@ class StinespringIsometry:
                 f"isometry of shape {v.shape}, expected {(self.d_out * self.d_env, self.d_in)}"
             )
         defect = qmath.isometry_defect(v)
-        if defect > ISOMETRY_TOL:
+        if not defect <= ISOMETRY_TOL:  # NaN fails too
             raise InvariantError(f"isometry defect {defect:.3e}")
 
 

@@ -101,7 +101,7 @@ def _unitaries(matrices, shape: tuple[int, ...]) -> np.ndarray:
     if u.shape != shape:
         raise DimensionMismatchError(f"matrix of shape {u.shape}, expected {shape}")
     defect = qmath.isometry_defect(u)
-    if defect > UNITARITY_TOL:
+    if not defect <= UNITARITY_TOL:  # NaN fails too
         raise InvariantError(f"matrix is not unitary (defect {defect:.3e})")
     u.flags.writeable = False
     return u
@@ -115,6 +115,15 @@ class UnitaryNet:
     covering_radius: float = math.nan
     method: str = "unset"
     metadata: dict = field(default_factory=dict)
+
+
+class BarrierSolve(NamedTuple):
+    """Mixture weights, and per problem the Newton steps, stop reason and final nu / tau."""
+
+    weights: np.ndarray
+    steps: np.ndarray
+    reasons: np.ndarray
+    gaps: np.ndarray
 
 
 class ErrorEstimate(NamedTuple):
@@ -389,12 +398,14 @@ def approximation_error(
 
 
 _PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
-# The barrier solve's tau grows tenfold per stage, from nu / tau = 1 down to
-# 1e-10, its bound on the objective gap.
-BARRIER_STAGES = 10
+# tau / nu of the barrier stages, down to nu / tau = 1e-10, the bound on the
+# objective gap: short steps while the central path bends, long ones after.
+TAU_LADDER = 10.0 ** np.array([0, 1, 2, 4, 6, 8, 10])
+# Damped one-dimensional Newton steps of the line search.
+LINE_STEPS = 2
 # A stage is centered once the Newton decrement is this small.
 CENTERED = 1e-3
-# A solve takes about 110 Newton steps at n = 12 atoms and 380 at n = 200.
+# A solve takes 30-40 Newton steps at n = 12 atoms and 40-65 at n = 200.
 NEWTON_CAP = 1000
 # Ridge on the unit-diagonal Newton system: atoms that repeat (a qubit net
 # holds U and -U) leave their difference direction with curvature below the
@@ -460,8 +471,10 @@ def _mixture_objective(atoms: np.ndarray, target: np.ndarray):
             grad[:, n] += tau
             hess = whitened @ whitened.swapaxes(-1, -2)
             hess[:, diag, diag] += x[:, :n] ** -2
-            return grad, hess
+            return grad, hess, slope_of_t[: len(rows)], whitened
 
+        slope_of_t = np.zeros((len(stacked), n + 1))  # the objective t has gradient e_t
+        slope_of_t[:, n] = 1.0
         top = np.linalg.svd(stacked.mean(axis=1), compute_uv=False)[:, :1]
         start, nu = np.concatenate([uniform, top + 1.0], axis=1), 6.0 + n
         vertex_values = np.linalg.svd(distortions, compute_uv=False)[..., 0]
@@ -475,91 +488,137 @@ def _mixture_objective(atoms: np.ndarray, target: np.ndarray):
             return (w * gw).sum(-1) - 2.0 * (b * w).sum(-1) + 1.0, 2.0 * (gw - b)
 
         stacked_gram, stacked_b = gram.reshape(-1, n, n), b.reshape(-1, n)
+        no_lmi = np.zeros((len(stacked_b), n, 0))
 
         def derivatives(x, rows, tau):
-            gx = (stacked_gram[rows] @ x[..., None])[..., 0]
-            grad = 2.0 * tau[:, None] * (gx - stacked_b[rows]) - 1.0 / x
+            slope = 2.0 * ((stacked_gram[rows] @ x[..., None])[..., 0] - stacked_b[rows])
             hess = 2.0 * tau[:, None, None] * stacked_gram[rows]
             hess[:, diag, diag] += x**-2
-            return grad, hess
+            return tau[:, None] * slope - 1.0 / x, hess, slope, no_lmi[: len(rows)]
 
         start, nu = uniform, float(n)
         vertex_values = np.diagonal(gram, axis1=-2, axis2=-1) - 2.0 * b + 1.0
     return fun, partial(_barrier_newton, start, n, nu, derivatives), vertex_values
 
 
-def _barrier_newton(start, n: int, nu: float, derivatives, rows: np.ndarray) -> np.ndarray:
+def _line_search(slope, curvature, ratios) -> np.ndarray:
+    """Steps a toward the minimum of g(a) = slope a + curvature a^2 / 2 - sum_k log(1 + a ratios_k).
+
+    g is the barrier problem along a move that scales each barrier factor (a
+    weight, an LMI eigenvalue) by 1 + a ratios_k.  The start 1 / (1 + sigma),
+    sigma the largest relative decrease, lowers g along a Newton move (the
+    damped step with sigma for the decrement); damped 1-D Newton steps follow.
+    """
+    alpha = 1.0 / (1.0 + np.maximum(0.0, -ratios.min(-1)))
+    for _ in range(LINE_STEPS):
+        shrink = ratios / (1.0 + alpha[:, None] * ratios)
+        first = slope + curvature * alpha - shrink.sum(-1)
+        second = curvature + (shrink**2).sum(-1)
+        alpha -= first / (second + np.abs(first) * np.sqrt(second))
+    return alpha
+
+
+def _barrier_newton(start, n: int, nu: float, derivatives, rows: np.ndarray) -> BarrierSolve:
     """Simplex weights [len(rows), n] minimizing the problems ``rows`` of a stack.
 
-    Each problem is over x = (w, extra variables) with w on the simplex;
-    ``start`` [B, m] holds strictly feasible points and
-    ``derivatives(x, rows, tau)`` the gradient [b, m] and Hessian [b, m, m] of
-    tau * objective + barrier, nu the barrier parameter.  The log-barrier
-    method of Boyd & Vandenberghe (2004, *Convex Optimization*, section 11.3):
-    each problem is centered by Newton steps with sum(w) = 1 kept exactly.
-    The barrier is self-concordant, so the damped step 1 / (1 + lambda),
-    lambda the Newton decrement, stays in its domain without a line search;
-    steps are full once lambda < 0.1.  A centered problem multiplies tau by
-    10, from nu / tau = 1 down to 1e-10, which then bounds its gap to the
-    optimum.  A problem whose Newton system turns non-finite stops where it
-    is, and every problem stops at ``NEWTON_CAP`` iterations.
+    Each problem is over x = (w, extra variables) with w on the simplex and
+    a strictly feasible ``start`` [B, m]; ``derivatives(x, rows, tau)`` gives
+    the gradient and Hessian of tau * objective + barrier, the objective's
+    gradient, and the whitened LMI basis F^(-1/2) F_k F^(-1/2) as [b, m, k * k]
+    (k = 0 without an LMI); nu is the barrier parameter.  The log-barrier
+    method (Boyd & Vandenberghe 2004, *Convex Optimization*, section 11.3)
+    keeps sum(w) = 1 exactly.  One KKT solve gives the Newton step and the
+    central-path tangent tau dx/dtau.  A centered problem enters the next
+    ``TAU_LADDER`` stage with the tangent step linear in 1 / tau, which
+    predicts the next center.  Moves are line-searched (``_line_search``) on
+    the factor ratios: w and, for the LMI, one small eigvalsh; steps are full
+    once the decrement is below 0.1.  Each problem reports its Newton steps,
+    why it stopped (``centered``, ``newton_cap`` or ``non_finite``) and the
+    nu / tau of its stage, which bounds its gap when centered.
     """
     x = start[rows]
-    m = x.shape[1]
-    simplex = (np.arange(m) < n).astype(float)
-    stage = np.zeros(len(rows), dtype=int)
+    m, last = x.shape[1], len(TAU_LADDER) - 1
+    simplex, ridge = (np.arange(m) < n).astype(float), RIDGE * np.eye(m)
+    rise = np.concatenate([[1.0], TAU_LADDER[1:] / TAU_LADDER[:-1], [1.0]])  # into stage k
+    stage, steps = np.zeros(len(rows), dtype=int), np.zeros(len(rows), dtype=int)
+    reasons = np.full(len(rows), "newton_cap", dtype=object)
     live = np.arange(len(rows))
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for _ in range(NEWTON_CAP):
-            grad, hess = derivatives(x[live], rows[live], nu * 10.0 ** stage[live])
-            # The KKT system of the step under sum(w) = 1, scaled to a unit diagonal.
+            tau = nu * TAU_LADDER[stage[live]]
+            grad, hess, slope, lmi = derivatives(x[live], rows[live], tau)
+            steps[live] += 1
+            # The KKT system under sum(w) = 1, scaled to a unit diagonal.
             scale = np.diagonal(hess, axis1=-2, axis2=-1) ** -0.5
             edge = simplex * scale
-            edge /= np.linalg.norm(edge, axis=-1, keepdims=True)
             system = np.zeros((len(live), m + 1, m + 1))
-            system[:, :m, :m] = scale[:, :, None] * hess * scale[:, None, :] + RIDGE * np.eye(m)
-            system[:, :m, m] = system[:, m, :m] = edge
-            right = np.concatenate([-grad * scale, np.zeros((len(live), 1))], axis=1)[..., None]
-            ok = np.isfinite(system).all((-2, -1)) & np.isfinite(right).all((-2, -1))
-            live, grad, scale = live[ok], grad[ok], scale[ok]
-            step = np.linalg.solve(system[ok], right[ok])[:, :m, 0] * scale
-            decrement = np.sqrt(np.maximum(0.0, -(grad * step).sum(-1)))
-            x[live] += step * np.where(decrement < 0.1, 1.0, 1.0 / (1.0 + decrement))[:, None]
-            stage[live[decrement <= CENTERED]] += 1
-            live = live[stage[live] <= BARRIER_STAGES]
+            system[:, :m, :m] = scale[:, :, None] * hess * scale[:, None, :] + ridge
+            system[:, :m, m] = system[:, m, :m] = edge / np.sqrt((edge**2).sum(-1, keepdims=True))
+            right = np.zeros((len(live), m + 1, 2))
+            right[:, :m, 0], right[:, :m, 1] = -grad * scale, -tau[:, None] * slope * scale
+            bad = ~np.isfinite(system).all((-2, -1))
+            system[bad] = np.eye(m + 1)  # solved, then dropped
+            solved = np.linalg.solve(system, right)[:, :m] * scale[..., None]
+            bad |= ~np.isfinite(solved).all((-2, -1))
+            if bad.any():
+                reasons[live[bad]] = "non_finite"
+                live, tau, grad, hess, slope, lmi, solved = (
+                    a[~bad] for a in (live, tau, grad, hess, slope, lmi, solved))
+            newton, tangent = solved[..., 0], solved[..., 1]
+            # The squared Newton decrement as newton' H newton: -grad . newton cancels
+            # the huge multiplier part of grad only to rounding.
+            decrement = np.einsum("bi,bij,bj->b", newton, hess, newton)
+            centered = decrement <= CENTERED**2
+            stage[live[centered]] += 1
+            # A centered problem also moves along the central path to its next tau.
+            growth = np.where(centered, rise[stage[live]], 1.0)
+            move = newton + (1.0 - 1.0 / growth)[:, None] * tangent
+            ratios = move[:, :n] / x[live, :n]
+            if side := math.isqrt(lmi.shape[-1]):
+                spread = (move[:, None] @ lmi).reshape(len(live), side, side)
+                ratios = np.concatenate([ratios, np.linalg.eigvalsh(spread)], -1)
+            # move' H move less the barrier's part, sum ratios^2, is the objective's curvature.
+            curvature = growth * np.maximum(0.0, np.einsum("bi,bij,bj->b", move, hess, move)
+                                                - (ratios**2).sum(-1))
+            alpha = _line_search(growth * tau * (slope * move).sum(-1), curvature, ratios)
+            x[live] += move * np.where((decrement < 0.01) & (growth == 1.0), 1.0, alpha)[:, None]
+            live = live[stage[live] <= last]
             if not live.size:
                 break
-    return x[:, :n]
+    reasons[stage > last] = "centered"
+    return BarrierSolve(x[:, :n], steps, reasons, 1.0 / TAU_LADDER[np.minimum(stage, last)])
 
 
-def optimize_mixture_weights(atoms, target: np.ndarray) -> np.ndarray:
+def optimize_mixture_weights(atoms, target: np.ndarray) -> BarrierSolve:
     """Simplex weights making the atom mixture approximate the target map.
 
     ``atoms`` is [..., n, d, d] and ``target`` [..., d, d]: a stack of
     problems along the leading axes, solved together by the barrier method
     on ``_mixture_objective``.  The best single atom is returned when it does
-    at least as well, and without a solve when its objective is 0.
+    at least as well, and without a solve (0 steps, reason ``vertex``, gap 0)
+    when its objective is 0 or it is the only atom.
     """
     atoms = np.asarray(atoms, dtype=complex)
     target = np.asarray(target, dtype=complex)
     n = atoms.shape[-3]
-    if n == 1:
-        return np.ones(atoms.shape[:-2])
     fun, solve, vertex_values = _mixture_objective(atoms, target)
     vertex_values = vertex_values.reshape(-1, n)
     best = np.argmin(vertex_values, axis=-1)
     best_value = vertex_values[np.arange(len(best)), best]
-    weights = np.eye(n)[best]
-    rows = np.flatnonzero(best_value > EXACT_VERTEX)
+    result = BarrierSolve(np.eye(n)[best], np.zeros(len(best), dtype=int),
+                          np.full(len(best), "vertex", dtype=object), np.zeros(len(best)))
+    rows = np.flatnonzero((best_value > EXACT_VERTEX) & (n > 1))
     if rows.size:
-        candidate = weights.copy()
-        w = np.clip(solve(rows), 0.0, None)
+        solved = solve(rows)
+        candidate = result.weights.copy()
+        w = np.clip(solved.weights, 0.0, None)
         candidate[rows] = w / w.sum(-1, keepdims=True)
         with np.errstate(invalid="ignore"):
             values = fun(candidate.reshape(atoms.shape[:-2]))[0].reshape(-1)
         better = values <= best_value  # False on a NaN point too
-        weights[better] = candidate[better]
-    return weights.reshape(atoms.shape[:-2])
+        result.weights[better] = candidate[better]
+        result.steps[rows], result.reasons[rows], result.gaps[rows] = solved[1:]
+    return BarrierSolve(*(a.reshape(atoms.shape[:-3] + a.shape[1:]) for a in result))
 
 
 def _bloch_error(blocks: np.ndarray, psi: PureState, target: np.ndarray) -> float:
@@ -578,7 +637,10 @@ def _bloch_error(blocks: np.ndarray, psi: PureState, target: np.ndarray) -> floa
 
 
 def _programs_for_targets(gate: ProgrammableGate, targets, n_nearest: int, n_samples: int, seeds):
-    """``program_for_target`` for each target; yields (program, error, nearest-atom distance).
+    """``program_for_target`` for each target.
+
+    Yields (program, error, nearest-atom distance, (steps, reason, gap)), the
+    last the target's mixture solve (``optimize_mixture_weights``).
 
     Qubit errors are exact (``exact-bloch``) and cheap, so all qubit targets
     share one batched mixture solve.  For larger d, ``approximation_error``
@@ -591,13 +653,12 @@ def _programs_for_targets(gate: ProgrammableGate, targets, n_nearest: int, n_sam
         batch = np.asarray(targets[first : first + chunk])
         dists = np.array([_unitary_map_distances(t, blocks) for t in batch])
         order = np.argsort(dists, axis=-1)[:, :n_nearest]
-        if order.shape[1] >= 2:
-            weights = optimize_mixture_weights(blocks[order], batch)
+        solve = optimize_mixture_weights(blocks[order], batch)
         for t, target in enumerate(batch):
             chosen = order[t]
             candidates: list[dict[int, float]] = [{int(chosen[0]): 1.0}]
             if len(chosen) >= 2:
-                mixture = {int(i): float(w) for i, w in zip(chosen, weights[t]) if w > 1e-9}
+                mixture = {int(i): float(w) for i, w in zip(chosen, solve.weights[t]) if w > 1e-9}
                 candidates.append(mixture)
             best_prog, best_err = None, None
             for cand in candidates:
@@ -608,7 +669,7 @@ def _programs_for_targets(gate: ProgrammableGate, targets, n_nearest: int, n_sam
                     err = approximation_error(gate, prog, target, n_samples, seeds[first + t])
                 if best_err is None or err.value < best_err.value:
                     best_prog, best_err = prog, err
-            yield best_prog, best_err, float(dists[t, chosen[0]])
+            yield best_prog, best_err, float(dists[t, chosen[0]]), tuple(a[t] for a in solve[1:])
 
 
 def program_for_target(
@@ -628,7 +689,7 @@ def program_for_target(
     if gate.blocks is None:
         raise InvariantError("program_for_target needs a controlled-block gate")
     target = _unitaries(target, (gate.d_data, gate.d_data))
-    program, err, _ = next(_programs_for_targets(gate, [target], n_nearest, n_samples, [seed]))
+    program, err, *_ = next(_programs_for_targets(gate, [target], n_nearest, n_samples, [seed]))
     return program, err
 
 
@@ -748,7 +809,9 @@ def _calibrate(pools, targets, epsilon: float, n_nearest: int, seeds, method: st
     best program (``_programs_for_targets``) misses epsilon; pools that run
     out raise ``InvariantError``.  The certificate is the largest program
     error over the targets; the covering radius, NaN unless ``covering``, is
-    the largest distance from a target to its nearest atom.
+    the largest distance from a target to its nearest atom.  The metadata
+    also records the targets' mixture solves: the most Newton steps, every
+    stop reason and the largest final nu / tau.
     """
     d = len(targets[0])
     max_err = math.inf
@@ -757,13 +820,15 @@ def _calibrate(pools, targets, epsilon: float, n_nearest: int, seeds, method: st
             raise SizeGuardError(f"net for epsilon={epsilon}, d={d} needs {len(atoms)} "
                                  f"programs (> {MAX_PROGRAM_DIM})")
         gate = control_gate(atoms)
-        max_err, radius, methods = 0.0, 0.0, set()
-        for _, err, nearest in _programs_for_targets(gate, targets, n_nearest, 200, seeds):
+        max_err, radius, methods, solves = 0.0, 0.0, set(), []
+        for _, err, nearest, solve in _programs_for_targets(gate, targets, n_nearest, 200, seeds):
             max_err, radius = max(max_err, err.value), max(radius, nearest)
             methods.add(err.method)
+            solves.append(solve)
             if max_err > epsilon:
                 break
         else:
+            steps, reasons, gaps = zip(*solves)
             return gate, UnitaryNet(
                 elements=gate.blocks,
                 covering_radius=radius if covering else math.nan,
@@ -776,6 +841,9 @@ def _calibrate(pools, targets, epsilon: float, n_nearest: int, seeds, method: st
                     "seed": seed,
                     "d": d,
                     "size": len(atoms),
+                    "barrier_max_newton_steps": int(max(steps)),
+                    "barrier_stop_reasons": ", ".join(sorted(set(reasons))),
+                    "barrier_max_gap": float(max(gaps)),
                 },
             )
     raise InvariantError(f"certification failed: measured {max_err:.4g} > epsilon {epsilon}")

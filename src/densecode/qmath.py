@@ -83,7 +83,10 @@ def hermitian_trace_norm(matrix: np.ndarray) -> np.ndarray:
 
 
 def isometry_defect(matrix: np.ndarray) -> float:
-    """max |M†M - I| over a stack [..., m, n]: unitarity, or Kraus completeness as [(k, out), in]."""
+    """max |M†M - I| over a stack [..., m, n]: unitarity, or Kraus completeness as [(k, out), in].
+
+    NaN for a non-finite entry, which every caller rejects as ``not defect <= tol``.
+    """
     return float(np.max(np.abs(matrix.conj().swapaxes(-1, -2) @ matrix - np.eye(matrix.shape[-1]))))
 
 

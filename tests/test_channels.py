@@ -203,7 +203,7 @@ def test_completeness_validation():
         ch.QuantumChannel(2, 2, (np.eye(2) * 0.5,))
     with pytest.raises(InvariantError):
         ch.QuantumChannel(2, 2, ())
-    # Ragged members are caught before stacking, not by numpy.
+    # Ragged members raise DimensionMismatchError, not numpy's ValueError.
     with pytest.raises(DimensionMismatchError):
         ch.QuantumChannel(2, 2, (np.eye(2) / np.sqrt(2), np.eye(2, 3) / np.sqrt(2)))
 
@@ -244,6 +244,29 @@ class TestKrausStack:
             assert k.shape == (len(k), chan.d_out, chan.d_in)
             with pytest.raises(ValueError):
                 k[0, 0, 0] = 1.0
+
+    def test_stack_is_one_bit_identical_copy(self):
+        members = [k for k in ch.random_channel(3, 2, 4, seed=5).kraus]
+        as_list = [k.copy() for k in members]
+        chan = ch.QuantumChannel(3, 2, as_list)
+        assert np.array_equal(chan.kraus, np.stack(members))
+        as_list[0][0, 0] = 7.0
+        assert np.array_equal(chan.kraus, np.stack(members))
+        with pytest.raises(DimensionMismatchError):
+            ch.QuantumChannel(3, 2, np.stack(members)[:, :, :2])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_stack_is_rejected(self, bad):
+        # NaN compares False with every tolerance, so a check of the form
+        # "defect > tol" would let it through.
+        kraus = np.eye(2, dtype=complex)[None].copy()
+        kraus[0, 1, 1] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(InvariantError):
+            ch.QuantumChannel(2, 2, kraus)
+        with np.errstate(invalid="ignore"), pytest.raises(InvariantError):
+            ch.QuantumChannel(2, 2, [np.full((2, 2), bad)])
+        with np.errstate(invalid="ignore"), pytest.raises(InvariantError):
+            ch.StinespringIsometry(2, 2, 1, kraus[0])
 
     @pytest.mark.parametrize("seed", range(3))
     def test_stack_matches_per_operator_reference(self, seed):

@@ -316,6 +316,13 @@ class TestPqgCommands:
         assert code == 0
         assert doc["best_error"] <= 1e-9
 
+    def test_build_net_emits_its_barrier_solves(self, capsys):
+        code, doc, err = run_json(capsys, ["pqg", "build-net", "--epsilon", "1.0", "--d", "2"])
+        assert code == 0 and err.startswith("net of ")
+        cert = doc["certificate"]
+        assert cert["barrier_stop_reasons"] == "centered" and cert["barrier_max_gap"] <= 1e-10
+        assert 0 < cert["barrier_max_newton_steps"] < 1000
+
     def test_build_net_guard_exits_4(self, capsys):
         code, _, err = run_cli(
             capsys, ["pqg", "build-net", "--epsilon", "0.005", "--d", "2"]

@@ -145,6 +145,15 @@ class TestBlockStack:
         with pytest.raises(InvariantError, match=f"not unitary \\(defect {defect:.3e}\\)"):
             pqg.control_gate(blocks)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_block_stack_rejects_non_finite_blocks(self, bad):
+        block = np.eye(2, dtype=complex)
+        block[1, 1] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(InvariantError):
+            pqg.control_gate([np.eye(2), block])
+        with np.errstate(invalid="ignore"), pytest.raises(InvariantError):
+            pqg.control_gate([np.full((2, 2), bad)])
+
     def test_block_stack_isometry_defect_is_max_of_per_matrix(self):
         rng = np.random.default_rng(2)
         stack = np.array([ch.random_unitary(3, rng) for _ in range(12)]).reshape(3, 4, 3, 3)
@@ -249,7 +258,7 @@ class TestMixtureWeights:
         atoms = np.asarray(pauli_gate.blocks)
         fun, _, _ = pqg._mixture_objective(atoms, target)
         assert fun(np.full(4, 0.25))[0] == pytest.approx(1.0, abs=1e-12)
-        w = pqg.optimize_mixture_weights(pauli_gate.blocks, target)
+        w = pqg.optimize_mixture_weights(pauli_gate.blocks, target).weights
         assert fun(w)[0] <= 1e-9
 
     def test_target_among_atoms_gets_that_atom_alone(self):
@@ -257,18 +266,68 @@ class TestMixtureWeights:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             atoms = [ch.random_unitary(2, rng) for _ in range(6)]
-            w = pqg.optimize_mixture_weights(atoms, np.exp(0.3j) * atoms[seed])
+            w = pqg.optimize_mixture_weights(atoms, np.exp(0.3j) * atoms[seed]).weights
             assert np.array_equal(w, np.eye(6)[seed])
 
-    def test_never_worse_than_finite_difference_solve(self):
+    @staticmethod
+    def random_problems():
+        """Twelve Haar atoms and a Haar target: 20 qubit and 10 qutrit seeds."""
         for d, seed in [(2, seed) for seed in range(20)] + [(3, seed) for seed in range(10)]:
             rng = np.random.default_rng(seed)
             target = ch.random_unitary(d, rng)
-            atoms = [ch.random_unitary(d, rng) for _ in range(12)]
+            yield d, [ch.random_unitary(d, rng) for _ in range(12)], target
+
+    def test_never_worse_than_finite_difference_solve(self):
+        for d, atoms, target in self.random_problems():
             fun, _, _ = pqg._mixture_objective(np.asarray(atoms), target)
-            w = pqg.optimize_mixture_weights(atoms, target)
+            w = pqg.optimize_mixture_weights(atoms, target).weights
             assert w.min() >= 0.0 and w.sum() == pytest.approx(1.0, abs=1e-12)
             assert fun(w)[0] <= fun(fd_slsqp_weights(atoms, target))[0] + 1e-6
+
+    # Mean Newton steps per solve of random_problems under the damped-Newton
+    # solve with tenfold tau stages and no predictor: 98-118 at d = 2, 74-101 at d = 3.
+    DAMPED_NEWTON_STEPS = {2: 2161 / 20, 3: 856 / 10}
+
+    def test_barrier_solve_centers_in_2_5x_fewer_steps(self):
+        steps = {2: [], 3: []}
+        for d, atoms, target in self.random_problems():
+            solve = pqg.optimize_mixture_weights(atoms, target)
+            assert solve.reasons == "centered" and solve.gaps <= 1e-10
+            steps[d].append(int(solve.steps))
+            if d > 2:
+                # The quadratic's Frank-Wolfe gap max_i grad . (w - e_i) bounds its
+                # distance to the optimum, independently of the barrier.
+                _, grad = pqg._mixture_objective(np.asarray(atoms), target)[0](solve.weights)
+                assert grad @ solve.weights - grad.min() <= 1e-8
+        for d, damped in self.DAMPED_NEWTON_STEPS.items():
+            assert 2.5 * np.mean(steps[d]) <= damped
+
+    def test_barrier_solve_reports_the_newton_cap(self, monkeypatch):
+        monkeypatch.setattr(pqg, "NEWTON_CAP", 3)
+        _, atoms, target = next(self.random_problems())
+        solve = pqg.optimize_mixture_weights(atoms, target)
+        assert (solve.steps, solve.reasons) == (3, "newton_cap")
+
+    def test_barrier_solve_reports_a_non_finite_newton_system(self):
+        rng = np.random.default_rng(3)
+        atoms = np.stack([[ch.random_unitary(3, rng) for _ in range(6)] for _ in range(2)])
+        _, solve, _ = pqg._mixture_objective(atoms, np.stack([np.eye(3)] * 2))
+        start, n, nu, derivatives = solve.args
+
+        def poisoned(x, rows, tau):
+            grad, hess, slope, lmi = derivatives(x, rows, tau)
+            hess[rows == 1] = np.nan
+            return grad, hess, slope, lmi
+
+        result = pqg._barrier_newton(start, n, nu, poisoned, np.arange(2))
+        assert list(result.reasons) == ["centered", "non_finite"]
+        assert result.steps[1] == 1 and np.isfinite(result.weights).all()
+
+    def test_nets_record_their_barrier_solves(self, net_gates):
+        for net in (net_gates(0.3)[1], pqg.net_gate(1.2, 3, seed=0, n_targets=10)[1]):
+            assert net.metadata["barrier_stop_reasons"] == "centered"
+            assert net.metadata["barrier_max_gap"] <= 1e-10
+            assert 0 < net.metadata["barrier_max_newton_steps"] < pqg.NEWTON_CAP
 
     def test_batched_solve_equals_per_problem_solves(self):
         for d, n in ((2, 12), (3, 8)):
@@ -277,10 +336,10 @@ class TestMixtureWeights:
             atoms = np.stack([[ch.random_unitary(d, rng) for _ in range(n)] for _ in range(6)])
             # One problem whose target is an atom up to phase: the vertex, unsolved.
             targets[2] = 1j * atoms[2, 5]
-            batched = pqg.optimize_mixture_weights(atoms, targets)
+            batched = pqg.optimize_mixture_weights(atoms, targets).weights
             assert batched.shape == (6, n)
             for a, t, w in zip(atoms, targets, batched):
-                assert np.max(np.abs(w - pqg.optimize_mixture_weights(a, t))) <= 1e-12
+                assert np.max(np.abs(w - pqg.optimize_mixture_weights(a, t).weights)) <= 1e-12
             assert np.array_equal(batched[2], np.eye(n)[5])
 
 
