@@ -405,7 +405,7 @@ TAU_LADDER = 10.0 ** np.array([0, 1, 2, 4, 6, 8, 10])
 LINE_STEPS = 2
 # A stage is centered once the Newton decrement is this small.
 CENTERED = 1e-3
-# A solve takes 30-40 Newton steps at n = 12 atoms and 40-65 at n = 200.
+# A solve takes 27-42 Newton steps at n = 12 atoms and 40-65 at n = 200.
 NEWTON_CAP = 1000
 # Ridge on the unit-diagonal Newton system: atoms that repeat (a qubit net
 # holds U and -U) leave their difference direction with curvature below the
