@@ -27,7 +27,7 @@ from . import optimize as opt
 from . import qmath
 from .channels import QuantumChannel
 from .errors import DimensionMismatchError, InvariantError, SizeGuardError
-from .qmath import DensityMatrix
+from .qmath import DensityMatrix, coherent_information  # noqa: F401  (capacity keeps the name)
 
 # Joint problems (blocks, copies, additivity scans) refuse sides beyond this.
 MAX_JOINT_SIDE = 256
@@ -104,13 +104,8 @@ def holevo_information(ensemble: Ensemble) -> float:
 
 def _split_factors(rho: DensityMatrix, a_factors: Sequence[int]):
     """rho on (sender, receiver): the optimizer acts on the first factor."""
-    a = tuple(sorted(int(i) for i in a_factors))
-    b = tuple(i for i in range(rho.n_factors) if i not in a)
-    if not a or not b:
-        raise DimensionMismatchError("need a proper bipartition into sender/receiver factors")
-    work = qmath.merge_factors(rho, [list(a), list(b)])
-    a_dims = tuple(rho.dims[i] for i in a)
-    return work, a_dims
+    a = sorted(int(i) for i in a_factors)
+    return qmath.bipartition(rho, a), tuple(rho.dims[i] for i in a)
 
 
 def dc_mutual_information(
@@ -168,9 +163,9 @@ def dc_capacity(
     """
     cfg = cfg or opt.OptConfig()
     work, a_dims = _split_factors(rho, a_factors)
-    h_b = qmath.von_neumann_entropy(qmath.partial_trace(work, {1}))
     all_probes = _subset_probes(a_dims, d) + list(probes)
     report = opt.min_local_output_entropy(work, d, cfg, probes=all_probes)
+    h_b = report.marginal_entropy
     log_term = math.log2(d)
     value = log_term + h_b - report.value
     decomposition = {
@@ -280,14 +275,6 @@ def capacity_achieving_ensemble(
         (1.0 / (d * d), ch.compose(QuantumChannel.from_unitary(w), t_star)) for w in weyl
     )
     return Ensemble("encodings", items)
-
-
-def coherent_information(rho: DensityMatrix, a_factors: Sequence[int] = (0,)) -> float:
-    """H(rho_B) - H(rho); nonpositive on separable states."""
-    work, _ = _split_factors(rho, a_factors)
-    return qmath.von_neumann_entropy(qmath.partial_trace(work, {1})) - qmath.von_neumann_entropy(
-        work
-    )
 
 
 def ree_bound(

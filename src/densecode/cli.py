@@ -28,14 +28,11 @@ import math
 import os
 import sys
 from datetime import datetime, timezone
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from . import capacity as cap
-from . import channels as ch
-from . import optimize as opt
-from . import pqg
 from . import qmath
 from . import serialize as ser
 from .errors import (
@@ -45,6 +42,9 @@ from .errors import (
     NotAProgramError,
     SizeGuardError,
 )
+
+if TYPE_CHECKING:  # each handler imports the modules it runs
+    from . import optimize as opt, pqg
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -164,6 +164,7 @@ def _parse_target(text: str) -> tuple[np.ndarray, dict]:
 
 
 def _parse_gate_token(token: str, seed: int) -> tuple[pqg.ProgrammableGate, dict]:
+    from . import pqg
     if token == "pauli":
         units = [NAMED_UNITARIES[k] for k in ("I", "X", "XZ", "Z")]
         return pqg.control_gate(units), {"kind": "pauli"}
@@ -197,12 +198,13 @@ def cmd_entropy(args, argv, timestamp) -> int:
     }
     if rho.n_factors >= 2:
         doc["H_B"] = qmath.von_neumann_entropy(qmath.partial_trace(rho, range(1, rho.n_factors)))
-        doc["coherent"] = cap.coherent_information(rho, (0,))
+        doc["coherent"] = qmath.coherent_information(rho, (0,))
     _emit(doc, [f"H = {doc['H']:.6f} bits"])
     return EXIT_OK
 
 
 def _opt_config(args) -> opt.OptConfig:
+    from . import optimize as opt
     fields = {
         "restarts": args.restarts,
         "seed": args.seed,
@@ -226,6 +228,7 @@ def _opt_config(args) -> opt.OptConfig:
 
 
 def cmd_dc(args, argv, timestamp) -> int:
+    from . import capacity as cap
     _require_at_least(args, 1, "d", "copies", "block")
     rho = ser.load_state(args.state)
     cfg = _opt_config(args)
@@ -280,6 +283,7 @@ def cmd_dc(args, argv, timestamp) -> int:
 
 
 def cmd_scan_additivity(args, argv, timestamp) -> int:
+    from . import capacity as cap, channels as ch, optimize as opt
     _require_at_least(args, 0, "count", "restarts")
     _require_at_least(args, 1, "d1", "d2")
     cfg = opt.OptConfig(restarts=args.restarts, seed=args.seed)
@@ -353,6 +357,7 @@ def cmd_scan_additivity(args, argv, timestamp) -> int:
 
 
 def cmd_pqg_build_net(args, argv, timestamp) -> int:
+    from . import pqg
     _require_at_least(args, 2, "d")
     _check_epsilon(args.epsilon, "--epsilon")
     gate, net = pqg.net_gate(args.epsilon, args.d, seed=args.seed)
@@ -373,6 +378,7 @@ def cmd_pqg_build_net(args, argv, timestamp) -> int:
 
 
 def cmd_pqg_check_orthogonality(args, argv, timestamp) -> int:
+    from . import pqg
     inputs = {}
     if args.gate:
         gate = ser.load_gate(args.gate)
@@ -381,6 +387,8 @@ def cmd_pqg_check_orthogonality(args, argv, timestamp) -> int:
         gate = pqg.control_gate([_named_unitary(tok) for tok in args.units.split(",")])
     psi1 = _parse_program(gate, args.program1)
     psi2 = _parse_program(gate, args.program2)
+    if args.tol is None:
+        args.tol = pqg.PROGRAM_TOL
     verdict = pqg.program_orthogonality_check(gate, psi1, psi2, tol=args.tol)
     doc = {
         "consistent": verdict.consistent,
@@ -396,6 +404,7 @@ def cmd_pqg_check_orthogonality(args, argv, timestamp) -> int:
 
 
 def cmd_pqg_witness(args, argv, timestamp) -> int:
+    from . import pqg
     _require_at_least(args, 1, "inputs")
     target, inputs = _parse_target(args.target)
     g1, info1 = _parse_gate_token(args.gates[0], args.seed)
@@ -422,6 +431,7 @@ def cmd_pqg_witness(args, argv, timestamp) -> int:
 
 
 def cmd_pqg_emulate(args, argv, timestamp) -> int:
+    from . import pqg
     _require_at_least(args, 1, "samples")
     _check_epsilon(args.epsilon, "--epsilon")
     channel = ser.load_channel(args.channel)
@@ -532,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--units", default="I,X")
     q.add_argument("--program1", required=True)
     q.add_argument("--program2", required=True)
-    q.add_argument("--tol", type=float, default=pqg.PROGRAM_TOL)
+    q.add_argument("--tol", type=float, default=None)
     q.set_defaults(func=cmd_pqg_check_orthogonality)
 
     q = psub.add_parser("witness", help="scalability witness on a gate pair")

@@ -88,6 +88,9 @@ class OptReport:
     # floor, step_underflow, max_iterations or non_finite (a value or gradient
     # that is not finite).  Skipped restarts are counted in skipped_restarts.
     restart_reasons: list[str] = field(default_factory=list)
+    # H of the rest's marginal (the factors after the first), set by
+    # min_local_output_entropy; dc_capacity reports it as H(rho_B).
+    marginal_entropy: float | None = None
 
     def point(self) -> np.ndarray:
         if isinstance(self.isometry, StinespringIsometry):
@@ -140,9 +143,9 @@ def stiefel_minimize(
     """
     cfg = cfg or OptConfig()
     rng = np.random.default_rng(cfg.seed)
-    starts: list[np.ndarray] = [np.asarray(p, dtype=complex) for p in initial_points]
-    starts += [ch.random_isometry(d_rows, d_cols, rng) for _ in range(cfg.restarts)]
-    if not starts:
+    probes = [np.asarray(p, dtype=complex) for p in initial_points]
+    n_starts = len(probes) + cfg.restarts
+    if not n_starts:
         raise ValueError("need at least one restart or initial point")
 
     values: list[float] = []
@@ -151,7 +154,7 @@ def stiefel_minimize(
     total_iterations = 0
     skipped = 0
 
-    for idx, start in enumerate(starts):
+    for idx in range(n_starts):
         finite = [f for f in values if math.isfinite(f)]
         if (
             floor is not None
@@ -159,8 +162,10 @@ def stiefel_minimize(
             and finite
             and min(finite) <= floor + FLOOR_SLACK
         ):
-            skipped = len(starts) - idx
+            skipped = n_starts - idx
             break
+        # A random start is drawn when its restart begins, so skipped ones cost nothing.
+        start = probes[idx] if idx < len(probes) else ch.random_isometry(d_rows, d_cols, rng)
         v = qr_retract(start)
         f = fun(v)
         best_v, best_f = v, f
@@ -395,6 +400,7 @@ def min_local_output_entropy(
     )
     report.isometry = StinespringIsometry(d_in, d_out, d_env, qr_retract(report.point()))
     report.dropped_probes = len(dilations) - len(starts)
+    report.marginal_entropy = problem.marginal_entropy
     return report
 
 

@@ -294,6 +294,15 @@ def merge_factors(rho: DensityMatrix, groups: Sequence[Sequence[int]]) -> Densit
     return DensityMatrix(new_dims, tens.reshape(rho.side, rho.side))
 
 
+def bipartition(rho: DensityMatrix, a_factors: Iterable[int]) -> DensityMatrix:
+    """rho on (A, B): the factors in ``a_factors`` fused first, the others after."""
+    a = sorted(int(i) for i in a_factors)
+    b = [i for i in range(rho.n_factors) if i not in a]
+    if not a or not b:
+        raise DimensionMismatchError("need a proper bipartition into sender/receiver factors")
+    return merge_factors(rho, [a, b])
+
+
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-sum lambda log2 lambda over the spectrum, with the zero-eigenvalue limit."""
     return entropy_of_spectrum(np.linalg.eigvalsh(hermitize(rho.entries)))
@@ -305,6 +314,12 @@ def entropy_of_spectrum(eigs: np.ndarray) -> float:
     if lam.size == 0:
         return 0.0
     return float(-np.sum(lam * np.log2(lam)))
+
+
+def coherent_information(rho: DensityMatrix, a_factors: Iterable[int] = (0,)) -> float:
+    """H(rho_B) - H(rho), B the factors outside ``a_factors``; nonpositive on separable states."""
+    work = bipartition(rho, a_factors)
+    return von_neumann_entropy(partial_trace(work, {1})) - von_neumann_entropy(work)
 
 
 def holevo_quantity(probs: Sequence[float], matrices: Sequence[np.ndarray]) -> float:

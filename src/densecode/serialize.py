@@ -23,14 +23,17 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .capacity import Ensemble
-from .channels import QuantumChannel
 from .errors import FormatError
-from .pqg import ProgrammableGate
 from .qmath import DensityMatrix
+
+if TYPE_CHECKING:  # imported where they are constructed
+    from .capacity import Ensemble
+    from .channels import QuantumChannel
+    from .pqg import ProgrammableGate
 
 # Gate files carry the dense unitary alongside the blocks up to this side.
 DENSE_GATE_SIDE = 64
@@ -86,6 +89,7 @@ def channel_to_json(channel: QuantumChannel) -> dict:
 
 
 def channel_from_json(obj) -> QuantumChannel:
+    from .channels import QuantumChannel
     if not isinstance(obj, dict) or not {"d_in", "d_out", "kraus"} <= set(obj):
         raise FormatError("channel document needs 'd_in', 'd_out' and 'kraus'")
     kraus = [matrix_from_json(k) for k in obj["kraus"]]
@@ -107,6 +111,7 @@ def gate_to_json(gate: ProgrammableGate) -> dict:
 
 
 def gate_from_json(obj) -> ProgrammableGate:
+    from .pqg import ProgrammableGate
     if not isinstance(obj, dict) or not {"d_D", "d_P"} <= set(obj):
         raise FormatError("gate document needs 'd_D' and 'd_P'")
     blocks = None
@@ -132,6 +137,7 @@ def ensemble_to_json(ensemble: Ensemble) -> dict:
 
 
 def ensemble_from_json(obj) -> Ensemble:
+    from .capacity import Ensemble
     if not isinstance(obj, dict) or obj.get("kind") != "encodings" or "items" not in obj:
         raise FormatError("ensemble document needs kind 'encodings' and 'items'")
     items = tuple(

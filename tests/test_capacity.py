@@ -117,6 +117,25 @@ class TestDcCapacity:
         assert 1.0 - 1e-9 <= value <= 1.0 + h_b + 1e-9
 
 
+class TestMarginalEntropyOnce:
+    """dc_capacity takes H(B) from the descent instead of a second validated partial trace."""
+
+    @pytest.mark.parametrize(
+        "dims, a_factors",
+        [((2, 2), (0,)), ((3, 2), (0,)), ((4, 3), (0,)), ((2, 2, 2), (0,)), ((2, 2, 2), (0, 2))],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_the_partial_trace_bit_for_bit(self, dims, a_factors, seed):
+        side = int(np.prod(dims))
+        rank = [1, 2, side][seed]
+        rho = ch.random_state(dims, rank, seed=seed + 80)
+        work = qmath.bipartition(rho, a_factors)
+        want = qmath.von_neumann_entropy(qmath.partial_trace(work, {1}))
+        result = cap.dc_capacity(2, rho, opt.OptConfig(restarts=1, seed=seed), a_factors)
+        assert result.report.marginal_entropy == want
+        assert result.decomposition["marginal_entropy"] == want
+
+
 class TestBlockAndMulticopy:
     def test_block_reduces_at_n_one(self):
         rho = bell_density()

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 import os
@@ -9,8 +10,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from densecode import cli
+import densecode
+from densecode import cli, pqg
 from densecode.fixtures import fixture_path
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def python_last_line(script: str) -> str:
+    """Run a script in a fresh interpreter with src on the path; its last stdout line."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
 
 
 def run_cli(capsys, argv):
@@ -69,22 +88,12 @@ class TestEntropyCommand:
         assert json.loads(proc.stdout)["H"] == doc["H"]
 
     def test_entropy_does_not_import_scipy_optimize(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         script = (
             "import sys, densecode, densecode.cli\n"
             f"code = densecode.cli.main(['entropy', {str(fixture_path('bell.json'))!r}])\n"
             "print(code, 'scipy.optimize' in sys.modules)\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=path),
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 False"
+        assert python_last_line(script) == "0 False"
 
 
 class TestDcCommand:
@@ -201,6 +210,13 @@ class TestScanCommand:
 
 
 class TestPqgCommands:
+    def test_orthogonality_manifest_records_the_default_tol(self, capsys):
+        argv = ["pqg", "check-orthogonality", "--program1", "1", "--program2", "0"]
+        code, doc, _ = run_json(capsys, argv)
+        assert code == 0
+        assert doc["manifest"]["config"] == {"tol": pqg.PROGRAM_TOL}
+        assert doc["tol"] == pqg.PROGRAM_TOL
+
     def test_check_orthogonality_basis_programs(self, capsys):
         code, doc, _ = run_json(
             capsys,
@@ -469,3 +485,115 @@ class TestReplay:
         record.write_text("{}")
         code, _, err = run_cli(capsys, ["replay", str(record)])
         assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# Import isolation: a CLI process loads only the modules its subcommand runs
+# ---------------------------------------------------------------------------
+
+COMMON = {"cli", "errors", "qmath", "serialize"}
+CAPACITY_SIDE = COMMON | {"channels", "optimize", "capacity"}
+GATE_SIDE = COMMON | {"channels", "optimize", "pqg"}
+DEPOLARIZING = str(fixture_path("depolarizing-qubit.json"))
+
+
+class TestImportIsolation:
+    @staticmethod
+    def _loaded_after(argv):
+        script = (
+            "import json, sys\n"
+            "from densecode.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('densecode.'))]))\n"
+        )
+        return tuple(json.loads(python_last_line(script)))
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (["entropy", BELL], COMMON),
+        (["entropy", str(fixture_path("double-singlet.json"))], COMMON),
+        (["dc", BELL, "--restarts", "2"], CAPACITY_SIDE),
+        (["dc", BELL, "--channel", DEPOLARIZING, "--ensemble-size", "2", "--restarts", "1"],
+         CAPACITY_SIDE),
+        (["scan-additivity", "--count", "1", "--restarts", "1"], CAPACITY_SIDE),
+        (ORTHOGONALITY + ["--program1", "1"], GATE_SIDE),
+        (["pqg", "witness", "--target", "cnot", "--gates", "pauli", "pauli", "--inputs", "4"],
+         GATE_SIDE),
+        (["pqg", "build-net", "--epsilon", "1.5"], GATE_SIDE),
+        (["pqg", "emulate", "--channel", DEPOLARIZING, "--epsilon", "0.5", "--samples", "4"],
+         GATE_SIDE),
+    ], ids=["entropy", "entropy-four-factors", "dc", "dc-channel", "scan-additivity",
+            "check-orthogonality", "witness", "build-net", "emulate"])
+    def test_subcommand_loads_only_its_modules(self, argv, loaded):
+        assert self._loaded_after(argv) == (0, sorted(f"densecode.{m}" for m in loaded))
+
+    def test_replay_of_a_dc_record_loads_the_capacity_side(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, ["dc", BELL, "--restarts", "2"])
+        assert code == 0
+        record = tmp_path / "record.json"
+        record.write_text(out)
+        expected = sorted(f"densecode.{m}" for m in CAPACITY_SIDE)
+        assert self._loaded_after(["replay", str(record)]) == (0, expected)
+
+
+# What the package re-exported when its __init__ imported every module eagerly.
+EAGER_EXPORTS = {
+    "qmath": [
+        "DensityMatrix", "PureState", "basis_state", "bell_state", "binary_entropy", "is_ppt",
+        "maximally_entangled", "maximally_mixed", "partial_trace", "partial_transpose",
+        "relative_entropy", "schmidt", "singlet", "tensor", "tensor_pure", "trace_distance",
+        "von_neumann_entropy",
+    ],
+    "channels": [
+        "ChoiMatrix", "QuantumChannel", "StinespringIsometry", "apply", "apply_local",
+        "channels_equal", "choi", "dilate", "random_channel", "random_state", "random_unitary",
+        "undilate", "weyl_basis", "weyl_twirl",
+    ],
+    "optimize": [
+        "OptConfig", "OptReport", "entropy_gradient", "min_local_output_entropy",
+        "optimize_ensemble", "stiefel_minimize",
+    ],
+    "capacity": [
+        "CapacityResult", "Ensemble", "additivity_gap", "capacity_achieving_ensemble",
+        "coherent_information", "dc_capacity", "dc_capacity_block", "dc_capacity_multicopy",
+        "dc_mutual_information", "holevo_information", "noisy_dc_capacity", "random_separable",
+        "ree_bound", "werner_state",
+    ],
+    "pqg": [
+        "ProgrammableGate", "UnitaryNet", "approximation_error", "control_gate",
+        "emulate_encoding", "induced_map", "net_gate", "net_gate_around",
+        "program_orthogonality_check", "scalability_witness",
+    ],
+}
+EAGER_NAMES = sorted(name for names in EAGER_EXPORTS.values() for name in names)
+
+
+class TestLazyPackage:
+    def test_bare_import_loads_no_submodule(self):
+        script = "import sys, densecode\nprint(sorted(m for m in sys.modules if 'densecode' in m))"
+        assert python_last_line(script) == "['densecode']"
+
+    def test_submodule_attribute_after_bare_import(self):
+        script = (
+            "import sys, densecode\n"
+            "print(densecode.pqg.__name__, densecode.__version__, 'densecode.capacity' in sys.modules)"
+        )
+        assert python_last_line(script) == "densecode.pqg 0.1.0 False"
+
+    @pytest.mark.parametrize("module, name", [
+        (module, name) for module, names in EAGER_EXPORTS.items() for name in names
+    ])
+    def test_every_eager_export_resolves(self, module, name):
+        assert getattr(densecode, name) is getattr(importlib.import_module(f"densecode.{module}"), name)
+        assert name in densecode.__all__
+        assert name in dir(densecode)
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from densecode import *", namespace)
+        assert set(EAGER_NAMES) <= set(namespace)
+        assert namespace["coherent_information"] is densecode.qmath.coherent_information
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+            densecode.nonexistent  # noqa: B018
+        assert not hasattr(densecode, "nonexistent")

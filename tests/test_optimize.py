@@ -256,6 +256,52 @@ class TestRestartReasons:
         assert math.isfinite(report.value)
 
 
+class TestRandomStartDraws:
+    """Each random start is drawn when its restart begins, in restart order."""
+
+    @staticmethod
+    def _singlet():
+        problem = opt._OutputEntropyProblem(qmath.singlet().to_density(), 2, 2)
+        return problem.value, problem.gradient
+
+    @pytest.mark.parametrize("stop_at_floor", [True, False])
+    def test_same_starts_as_drawn_up_front(self, stop_at_floor):
+        fun, grad = self._singlet()
+        cfg = opt.OptConfig(restarts=4, seed=2, stop_at_floor=stop_at_floor)
+        rng = np.random.default_rng(cfg.seed)
+        up_front = [ch.random_isometry(4, 2, rng) for _ in range(cfg.restarts)]
+        drawn = opt.stiefel_minimize(fun, grad, 4, 2, cfg, floor=0.0)
+        given = opt.stiefel_minimize(
+            fun, grad, 4, 2, opt.OptConfig(restarts=0, stop_at_floor=stop_at_floor),
+            initial_points=up_front, floor=0.0,
+        )
+        assert len(drawn.restart_values) == (1 if stop_at_floor else 4)
+        assert drawn.restart_values == given.restart_values
+        assert drawn.restart_reasons == given.restart_reasons
+        assert drawn.skipped_restarts == given.skipped_restarts
+        assert np.array_equal(drawn.point(), given.point())
+
+    @pytest.mark.parametrize("stop_at_floor", [True, False])
+    def test_one_draw_per_random_restart_that_runs(self, monkeypatch, stop_at_floor):
+        fun, grad = self._singlet()
+        draws = []
+        original = ch.random_isometry
+
+        def counting(*args, **kwargs):
+            draws.append(args[:2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ch, "random_isometry", counting)
+        probe = ch.random_isometry(4, 2, seed=9)
+        draws.clear()
+        cfg = opt.OptConfig(restarts=5, seed=3, stop_at_floor=stop_at_floor)
+        report = opt.stiefel_minimize(fun, grad, 4, 2, cfg, initial_points=[probe], floor=0.0)
+        assert len(report.restart_values) + report.skipped_restarts == 6
+        assert draws == [(4, 2)] * (len(report.restart_values) - 1)
+        # The probe already reaches the floor: no random start is drawn at all.
+        assert report.skipped_restarts == (5 if stop_at_floor else 0)
+
+
 class TestEntropyGradient:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_finite_differences(self, seed):

@@ -539,7 +539,7 @@ class TestNetGate:
         _, net = pqg.net_gate(1.2, 3, seed=0, n_targets=10)
         assert len(net.elements) == 383
         assert net.metadata["certificate_max_program_error"] == pytest.approx(
-            1.1923400974429366, abs=1e-9)
+            1.1923400981698729, abs=1e-9)
         assert net.covering_radius == pytest.approx(1.506286079161764, abs=1e-9)
         pool_sizes.clear()
         targets = [np.eye(3), ch.random_unitary(3, np.random.default_rng(0))]

@@ -98,6 +98,36 @@ class TestEntropy:
         assert h >= h_b - math.log2(2) - 1e-9
 
 
+class TestCoherentInformation:
+    """H(rho_B) - H(rho), B the factors outside the sender's."""
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2, 2), (2, 2, 2), (2, 3, 2)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_first_factor_sender_bit_for_bit(self, dims, seed):
+        # Fusing the factors after the first moves no entry, so the value is the
+        # plain difference of the two entropies to the last bit.
+        rho = ch.random_state(dims, 1 + seed * 2, seed=seed + 60)
+        h_b = qmath.von_neumann_entropy(qmath.partial_trace(rho, range(1, len(dims))))
+        assert qmath.coherent_information(rho, (0,)) == h_b - qmath.von_neumann_entropy(rho)
+        assert qmath.coherent_information(rho) == h_b - qmath.von_neumann_entropy(rho)
+
+    @pytest.mark.parametrize("a_factors", [(1,), (2,), (0, 2), (1, 2)])
+    def test_any_sender_factors(self, a_factors):
+        rho = ch.random_state((2, 3, 2), 5, seed=70)
+        rest = [i for i in range(3) if i not in a_factors]
+        h_b = qmath.von_neumann_entropy(qmath.partial_trace(rho, rest))
+        want = h_b - qmath.von_neumann_entropy(rho)
+        assert qmath.coherent_information(rho, a_factors) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("a_factors", [(), (0, 1), (5,)])
+    def test_needs_a_proper_bipartition(self, a_factors):
+        with pytest.raises(DimensionMismatchError):
+            qmath.coherent_information(qmath.maximally_mixed((2, 2)), a_factors)
+
+    def test_capacity_keeps_the_name(self):
+        assert cap.coherent_information is qmath.coherent_information
+
+
 class TestRelativeEntropy:
     def test_identity_case(self):
         rho = ch.random_state((2, 2), 2, seed=5)
