@@ -198,7 +198,7 @@ def cmd_entropy(args, argv, timestamp) -> int:
     }
     if rho.n_factors >= 2:
         doc["H_B"] = qmath.von_neumann_entropy(qmath.partial_trace(rho, range(1, rho.n_factors)))
-        doc["coherent"] = qmath.coherent_information(rho, (0,))
+        doc["coherent"] = doc["H_B"] - doc["H"]
     _emit(doc, [f"H = {doc['H']:.6f} bits"])
     return EXIT_OK
 

@@ -250,7 +250,9 @@ class _OutputEntropyProblem:
     lives on [d_in, d_rest].  rho is eigen-factored once into per-rest-index
     blocks F_s, and every contraction is a matmul on a reshaped view: no
     lifted V (x) I or post-channel Kraus operator is built.
-    The signal state lives on [d_rest, d_out] (rest first).
+    A post channel phi is folded into the isometry: phi o T has the dilation
+    V' = (K (x) I_env) V, one matmul of ``post_matrix`` P[(o', k), o] = K_k[o', o]
+    with V.  The signal state lives on [d_rest, d_signal], phi's output (rest first).
 
     ``value`` keeps its point, output tensor, signal state and the signal's
     eigendecomposition; ``gradient`` reuses them when it is handed that same
@@ -271,11 +273,11 @@ class _OutputEntropyProblem:
             )
         self.d_in = rho.dims[0]
         self.d_rest = rho.side // self.d_in
-        self.d_out = d_out
-        self.d_env = d_env
-        self.post = post_channel
+        self.d_out, self.d_env = d_out, d_env
+        self.post_matrix, self.d_signal = None, d_out
         if post_channel is not None:
-            self.post_adjoint = post_channel.kraus.conj().swapaxes(1, 2)
+            self.post_matrix = post_channel.kraus.transpose(1, 0, 2).reshape(-1, d_out)
+            self.d_signal = post_channel.d_out
         lam, vec = np.linalg.eigh(hermitize(rho.entries))
         keep = lam > 1e-14
         lam, vec = lam[keep], vec[:, keep]
@@ -292,26 +294,18 @@ class _OutputEntropyProblem:
     # -- forward pass ------------------------------------------------------
 
     def output_tensor(self, v: np.ndarray) -> np.ndarray:
-        """Z[(s, o), (e, r)] = (V F_s)[(o, e), r], environment and rank as columns."""
-        return (v @ self.factored).reshape(self.d_rest * self.d_out, self.d_env * self.rank)
-
-    def _signal_of(self, z: np.ndarray) -> np.ndarray:
-        """phi(X) for X = Tr_env (V (x) I) rho (V (x) I)^dag = Z Z^dag, Z = output_tensor(V)."""
-        x = hermitize(z @ z.conj().T)
-        return x if self.post is None else self._apply_post(x)
-
-    def _apply_post(self, x: np.ndarray) -> np.ndarray:
-        return hermitize(ch.local_kraus_sum(self.post.kraus, x, self.d_rest, 1))
-
-    def _adjoint_post(self, l_out: np.ndarray) -> np.ndarray:
-        return ch.local_kraus_sum(self.post_adjoint, l_out, self.d_rest, 1)
+        """Z[(s, o'), (k, e, r)] = (V' F_s)[(o', k, e), r], V' the isometry of phi o T."""
+        if self.post_matrix is not None:
+            v = (self.post_matrix @ v.reshape(self.d_out, -1)).reshape(-1, self.d_in)
+        return (v @ self.factored).reshape(self.d_rest * self.d_signal, -1)
 
     def _forward(self, v: np.ndarray) -> tuple:
         """(v, Z, signal, eigenvalues, eigenvectors) of the signal state at v, cached."""
         cached = self._forward_cache
         if cached is None or cached[0] is not v:
             z = self.output_tensor(v)
-            signal = self._signal_of(z)
+            # phi(Tr_env (V (x) I) rho (V (x) I)^dag) = Z Z^dag.
+            signal = hermitize(z @ z.conj().T)
             cached = (v, z, signal, *np.linalg.eigh(signal))
             self._forward_cache = cached
         return cached
@@ -323,10 +317,14 @@ class _OutputEntropyProblem:
 
     def _pullback(self, z: np.ndarray, l_signal: np.ndarray) -> np.ndarray:
         """Euclidean gradient of Tr[L signal(V)] at Z = output_tensor(V), for Hermitian L."""
-        l_x = self._adjoint_post(l_signal) if self.post is not None else l_signal
-        # (L Z)[(s, o), (e, r)] as the stack over s of [(o, e), r] blocks, times F_s^dag.
-        lz = (l_x @ z).reshape(self.d_rest, -1, self.rank)
-        return 2.0 * (lz @ self.factored_adj).sum(axis=0)
+        # (L Z)[(s, o'), (k, e, r)] as the stack over s of [(o', k, e), r] blocks, times F_s^dag.
+        lz = (l_signal @ z).reshape(self.d_rest, -1, self.rank)
+        grad = 2.0 * (lz @ self.factored_adj).sum(axis=0)
+        post = self.post_matrix
+        if post is None:
+            return grad
+        # V' = P V on the output index, so the gradient in V is P^dag times that in V'.
+        return (post.conj().T @ grad.reshape(post.shape[0], -1)).reshape(-1, self.d_in)
 
     def gradient(self, v: np.ndarray) -> np.ndarray:
         """Euclidean gradient of H(signal(V)); df = Re <grad, dV>."""
@@ -386,8 +384,7 @@ def min_local_output_entropy(
     problem = _OutputEntropyProblem(rho, d_out, d_env, post_channel)
     starts = [_padded_isometry(iso, d_env) for iso in dilations if iso.d_env <= d_env]
 
-    d_acted_out = post_channel.d_out if post_channel is not None else d_out
-    floor = max(0.0, problem.marginal_entropy - math.log2(d_acted_out))
+    floor = max(0.0, problem.marginal_entropy - math.log2(problem.d_signal))
 
     report = stiefel_minimize(
         problem.value,

@@ -98,9 +98,13 @@ def positive_qr(matrix: np.ndarray) -> np.ndarray:
     retraction onto the Stiefel manifold.
     """
     q, r = np.linalg.qr(matrix)
-    diag = np.diagonal(r).copy()
-    diag[np.abs(diag) < 1e-300] = 1.0
-    return q * (diag / np.abs(diag))
+    diag = np.diagonal(r)
+    mag = np.abs(diag)
+    if mag.min(initial=1.0) < 1e-300:
+        # A vanishing pivot leaves its column's phase alone.
+        diag = np.where(mag < 1e-300, 1.0, diag)
+        mag = np.abs(diag)
+    return q * (diag / mag)
 
 
 def haar_vectors(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -311,9 +315,8 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 def entropy_of_spectrum(eigs: np.ndarray) -> float:
     lam = np.asarray(eigs, dtype=float)
     lam = lam[lam > EIG_CUTOFF]
-    if lam.size == 0:
-        return 0.0
-    return float(-np.sum(lam * np.log2(lam)))
+    # 0.0 - x, not -x: a pure state has entropy +0.0, never -0.0.
+    return 0.0 - float(lam @ np.log2(lam))
 
 
 def coherent_information(rho: DensityMatrix, a_factors: Iterable[int] = (0,)) -> float:

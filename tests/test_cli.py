@@ -2,6 +2,7 @@ import csv
 import importlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 import densecode
-from densecode import cli, pqg
+from densecode import cli, pqg, qmath
+from densecode import serialize as ser
 from densecode.fixtures import fixture_path
 
 
@@ -58,6 +60,18 @@ class TestEntropyCommand:
         assert code == 0
         assert doc["H"] == pytest.approx(2.0, abs=1e-10)
         assert doc["coherent"] == pytest.approx(-1.0, abs=1e-10)
+
+    def test_pure_product_fixture_has_positive_zero_entropy(self, capsys):
+        code, doc, _ = run_json(capsys, ["entropy", str(fixture_path("product.json"))])
+        assert code == 0
+        for value in (doc["H"], doc["H_B"], doc["coherent"], *doc["marginals"].values()):
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+    def test_coherent_is_h_b_minus_h(self, capsys):
+        path = str(fixture_path("double-singlet.json"))
+        code, doc, _ = run_json(capsys, ["entropy", path])
+        assert code == 0
+        assert doc["coherent"] == qmath.coherent_information(ser.load_state(path), (0,))
 
     def test_malformed_dims_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -73,6 +73,11 @@ class TestEntropy:
         rho = qmath.DensityMatrix((2,), np.diag([0.9, 0.1]).astype(complex))
         assert qmath.von_neumann_entropy(rho) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("spectrum", [[], [1.0], [0.0, 1.0, 1e-13]])
+    def test_pure_spectrum_is_positive_zero(self, spectrum):
+        h = qmath.entropy_of_spectrum(np.array(spectrum))
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0
+
     @pytest.mark.parametrize("seed", range(5))
     def test_unitary_invariance(self, seed):
         rho = ch.random_state((4,), 3, seed=seed)
@@ -224,6 +229,19 @@ class TestSharedKernels:
         g = rng.standard_normal((4, 5, 5)) + 1j * rng.standard_normal((4, 5, 5))
         stack = qmath.hermitize(g)
         assert np.max(np.abs(qmath.spectral_sign(stack) - qmath.hermitian_function(stack, np.sign))) < 1e-12
+
+    @pytest.mark.parametrize("zero_pivot", [False, True])
+    def test_positive_qr_phases_match_masked_division(self, zero_pivot):
+        # Reference: diag / |diag| with vanishing pivots set to phase 1 first.
+        rng = np.random.default_rng(13)
+        m = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+        if zero_pivot:
+            m[:, 1] = 0.0
+        q, r = np.linalg.qr(m)
+        diag = np.diagonal(r).copy()
+        diag[np.abs(diag) < 1e-300] = 1.0
+        assert np.array_equal(qmath.positive_qr(m), q * (diag / np.abs(diag)))
+        assert qmath.positive_qr(m[:, :0]).shape == (6, 0)
 
     def test_haar_vectors_match_per_row_loop(self):
         fast, loop = np.random.default_rng(11), np.random.default_rng(11)
