@@ -65,7 +65,7 @@ def default_seed() -> int:
 def _require_at_least(args, minimum: int, *flags: str) -> None:
     for flag in flags:
         if getattr(args, flag) < minimum:
-            raise FormatError(f"--{flag} must be at least {minimum}")
+            raise FormatError(f"--{flag.replace('_', '-')} must be at least {minimum}")
 
 
 def _check_epsilon(eps: float, where: str) -> None:
@@ -229,7 +229,7 @@ def _opt_config(args) -> opt.OptConfig:
 
 def cmd_dc(args, argv, timestamp) -> int:
     from . import capacity as cap
-    _require_at_least(args, 1, "d", "copies", "block")
+    _require_at_least(args, 1, "d", "copies", "block", "ensemble_size")
     rho = ser.load_state(args.state)
     cfg = _opt_config(args)
     a_factors = _parse_factors(args.a_factors)

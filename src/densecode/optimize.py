@@ -64,8 +64,8 @@ class OptConfig:
     ensemble_sweeps: int = 40
 
     def __post_init__(self):
-        if self.restarts < 0 or self.max_iterations <= 0:
-            raise ValueError("restarts must be >= 0 and max_iterations positive")
+        if self.restarts < 0 or self.max_iterations <= 0 or not self.grad_tol >= 0.0:  # NaN too
+            raise ValueError("restarts and grad_tol must be >= 0 and max_iterations positive")
         if self.d_env is not None and self.d_env < 1:
             raise ValueError("d_env must be >= 1")
 
@@ -99,8 +99,8 @@ class OptReport:
 
 
 def qr_retract(matrix: np.ndarray) -> np.ndarray:
-    """QR-based retraction onto the Stiefel manifold (R-diagonal made positive)."""
-    return qmath.positive_qr(matrix)
+    """QR retraction onto the Stiefel manifold (R-diagonal positive; one column z gives z / |z|)."""
+    return matrix / np.linalg.norm(matrix) if matrix.shape[1] == 1 else qmath.positive_qr(matrix)
 
 
 def _log2_clamped(lam: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ All unitary comparisons are phase-quotiented (global phases are invisible in
 the induced maps).  Suprema over inputs are *estimated* (Haar sampling, then
 the Stiefel descent from the best sample), except for qubit mixture programs,
 whose Bloch distortion is exact; the method travels with every error value.
+Program selection stops a candidate's ascent once the candidate cannot win.
 """
 
 from __future__ import annotations
@@ -337,16 +338,19 @@ def estimate_sup_error(
     lower estimate of the true supremum, never below the best sample; it
     never exceeds 2.
     """
-    rng = ch.as_rng(seed)
+    return _sup_error(kraus, target, n_samples, seed)
+
+
+def _sup_error(kraus, target, n_samples, seed, ceiling=math.inf) -> ErrorEstimate:
+    """``estimate_sup_error``, returned as soon as it passes ceiling + ``FLOOR_SLACK``."""
     reference = target[None]
     d = target.shape[0]
-    samples = qmath.haar_vectors(rng, n_samples, d)
+    samples = qmath.haar_vectors(ch.as_rng(seed), n_samples, d)
     tds = qmath.hermitian_trace_norm(_conjugation_gaps(kraus, reference, samples))
-    if tds.size and tds.max() > 0.0:
-        z = samples[int(np.argmax(tds))]
-    else:
-        z = np.zeros(d, dtype=complex)
-        z[0] = 1.0
+    best = float(tds.max(initial=0.0))
+    if best > ceiling + opt.FLOOR_SLACK:
+        return ErrorEstimate(min(2.0, best), "haar-sampling", n_samples)
+    z = samples[int(np.argmax(tds))] if best > 0.0 else np.eye(d, dtype=complex)[0]
 
     def pullback(stack: np.ndarray, sign: np.ndarray, z: np.ndarray) -> np.ndarray:
         # sum_k K_k† sign K_k z, with the stack flattened to one [(k, out), in] matrix.
@@ -370,7 +374,8 @@ def estimate_sup_error(
         return -2.0 * (pullback(reference, sign, v[:, 0]) - pullback(kraus, sign, v[:, 0]))[:, None]
 
     cfg = opt.OptConfig(restarts=0, max_iterations=SUP_ASCENT_STEPS, grad_tol=1e-12)
-    report = opt.stiefel_minimize(fun, grad, d, 1, cfg, initial_points=[z[:, None]])
+    floor = -ceiling - 2.0 * opt.FLOOR_SLACK
+    report = opt.stiefel_minimize(fun, grad, d, 1, cfg, initial_points=[z[:, None]], floor=floor)
     return ErrorEstimate(min(2.0, -report.value), "haar-sampling+ascent", n_samples)
 
 
@@ -382,14 +387,17 @@ def approximation_error(
     seed=0,
 ) -> ErrorEstimate:
     """Estimated worst-case trace distance of the induced map to a unitary target."""
-    target = _unitaries(target, (gate.d_data, gate.d_data))
+    return _program_error(gate, psi, _unitaries(target, (gate.d_data,) * 2), n_samples, seed)
+
+
+def _program_error(gate, psi, target, n_samples, seed, ceiling=math.inf) -> ErrorEstimate:
     chan = induced_map(gate, psi)
     if len(chan.kraus) == 1:
         # Unitary-vs-unitary distances have a closed form; tag accordingly.
         k = chan.kraus[0]
         scale = np.linalg.norm(k) / math.sqrt(gate.d_data)
         return ErrorEstimate(unitary_map_distance(k / scale, target), "exact-unitary", 0)
-    return estimate_sup_error(chan.kraus, target, n_samples, seed)
+    return _sup_error(chan.kraus, target, n_samples, seed, ceiling)
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +644,8 @@ def _bloch_error(blocks: np.ndarray, psi: PureState, target: np.ndarray) -> floa
     return float(np.linalg.norm(np.eye(3) - np.einsum("i,ijk->jk", probs[used], rotations), 2))
 
 
-def _programs_for_targets(gate: ProgrammableGate, targets, n_nearest: int, n_samples: int, seeds):
+def _programs_for_targets(gate: ProgrammableGate, targets, n_nearest: int, n_samples: int, seeds,
+                          epsilon: float = math.inf):
     """``program_for_target`` for each target.
 
     Yields (program, error, nearest-atom distance, (steps, reason, gap)), the
@@ -646,6 +655,9 @@ def _programs_for_targets(gate: ProgrammableGate, targets, n_nearest: int, n_sam
     share one batched mixture solve.  For larger d, ``approximation_error``
     estimates each error, and a target is solved and measured only when the
     caller reaches it: calibration stops at the first target that misses.
+    A mixture is kept only below the nearest atom's exact error, a pool only below
+    ``epsilon``, and the ascent only raises an estimate: so the mixture's ascent
+    stops once past the smaller of the two (``_sup_error``), and no decision moves.
     """
     blocks = gate.blocks
     chunk = len(targets) if gate.d_data == 2 else 1
@@ -666,7 +678,8 @@ def _programs_for_targets(gate: ProgrammableGate, targets, n_nearest: int, n_sam
                 if gate.d_data == 2:
                     err = ErrorEstimate(_bloch_error(blocks, prog, target), "exact-bloch", 0)
                 else:
-                    err = approximation_error(gate, prog, target, n_samples, seeds[first + t])
+                    ceiling = epsilon if best_err is None else min(epsilon, best_err.value)
+                    err = _program_error(gate, prog, target, n_samples, seeds[first + t], ceiling)
                 if best_err is None or err.value < best_err.value:
                     best_prog, best_err = prog, err
             yield best_prog, best_err, float(dists[t, chosen[0]]), tuple(a[t] for a in solve[1:])
@@ -821,7 +834,8 @@ def _calibrate(pools, targets, epsilon: float, n_nearest: int, seeds, method: st
                                  f"programs (> {MAX_PROGRAM_DIM})")
         gate = control_gate(atoms)
         max_err, radius, methods, solves = 0.0, 0.0, set(), []
-        for _, err, nearest, solve in _programs_for_targets(gate, targets, n_nearest, 200, seeds):
+        programs = _programs_for_targets(gate, targets, n_nearest, 200, seeds, epsilon)
+        for _, err, nearest, solve in programs:
             max_err, radius = max(max_err, err.value), max(radius, nearest)
             methods.add(err.method)
             solves.append(solve)

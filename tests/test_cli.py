@@ -481,6 +481,22 @@ def test_bad_flags_exit_2(capsys, argv):
     assert any(line.startswith("error: ") for line in err.splitlines())
 
 
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_ensemble_size_below_one_exits_2(capsys, size):
+    argv = ["dc", BELL, "--channel", str(fixture_path("depolarizing-qubit.json")),
+            "--ensemble-size", size]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    assert "error: --ensemble-size must be at least 1" in err
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_negative_or_nan_grad_tol_exits_2(capsys, tol):
+    code, _, err = run_cli(capsys, ["dc", BELL, "--d", "2", "--grad-tol", tol])
+    assert code == 2
+    assert "bad optimizer configuration" in err and "grad_tol" in err
+
+
 class TestReplay:
     def test_replay_is_bit_identical(self, capsys, tmp_path):
         code, out, _ = run_cli(

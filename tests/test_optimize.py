@@ -125,6 +125,32 @@ class TestStiefelMinimize:
             opt.stiefel_minimize(lambda v: math.nan, np.zeros_like, 3, 1, cfg)
 
 
+class TestOptConfig:
+    @pytest.mark.parametrize("grad_tol", [-1.0, -1e-300, math.nan])
+    def test_negative_or_nan_grad_tol_rejected(self, grad_tol):
+        with pytest.raises(ValueError, match="grad_tol"):
+            opt.OptConfig(grad_tol=grad_tol)
+
+    def test_zero_grad_tol_allowed(self):
+        assert opt.OptConfig(grad_tol=0.0).grad_tol == 0.0
+
+
+class TestQrRetract:
+    @pytest.mark.parametrize("d", [1, 2, 8, 64])
+    def test_one_column_is_the_normalized_column(self, d):
+        rng = np.random.default_rng(d)
+        for scale in (1e-3, 1.0, 1e3):
+            z = scale * (rng.standard_normal((d, 1)) + 1j * rng.standard_normal((d, 1)))
+            q = opt.qr_retract(z)
+            assert q.shape == (d, 1)
+            assert abs(np.linalg.norm(q) - 1.0) <= 1e-15
+            assert np.max(np.abs(q - qmath.positive_qr(z))) <= 1e-15
+
+    def test_several_columns_keep_positive_qr(self):
+        v = ch.random_isometry(6, 2, seed=1) + 0.1
+        assert np.array_equal(opt.qr_retract(v), qmath.positive_qr(v))
+
+
 class TestNonmonotoneDescent:
     """Zhang-Hager acceptance: steps may raise f, the best point is reported."""
 

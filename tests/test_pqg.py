@@ -579,6 +579,99 @@ class TestNetGate:
         assert err.value <= best_atom + 1e-9
 
 
+class TestBoundedAscent:
+    """Program selection cuts a mixture's sup ascent once the mixture cannot win."""
+
+    @staticmethod
+    def cut_and_full(monkeypatch, build):
+        """``build()`` with the ceilings program selection passes, then with none."""
+        sup, cut_short = pqg._sup_error, []
+
+        def recording(kraus, target, n_samples, seed, ceiling=math.inf):
+            err = sup(kraus, target, n_samples, seed, ceiling)
+            cut_short.append(err.value > ceiling)
+            return err
+
+        monkeypatch.setattr(pqg, "_sup_error", recording)
+        cut = build()
+        monkeypatch.setattr(pqg, "_sup_error",
+                            lambda kraus, target, n, seed, ceiling=math.inf: sup(kraus, target, n, seed))
+        return cut, build(), cut_short
+
+    @staticmethod
+    def assert_same_net(a, b):
+        (gate_a, net_a), (gate_b, net_b) = a, b
+        assert np.array_equal(gate_a.blocks, gate_b.blocks)
+        assert net_a.method == net_b.method
+        assert net_a.metadata == net_b.metadata  # size, certificate, certificate_method, solves
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("lam", [0.4, 0.95])
+    def test_emulation_decisions_unchanged(self, monkeypatch, seed, lam):
+        # The perfbench emulate settings: epsilon 0.1, 10 atoms per target, 2 decoys, 20 samples.
+        channel = ch.QuantumChannel.depolarizing(lam)
+        target, _ = pqg.dilation_unitary(channel)
+
+        def build():
+            gate, net = pqg.net_gate_around([target], 0.1, seed=seed, n_atoms_per_target=10,
+                                            n_decoys=2)
+            return (gate, net), pqg.emulate_encoding(channel, gate, 0.1, n_samples=20, seed=seed)
+
+        (net_cut, rep_cut), (net_full, rep_full), cut_short = self.cut_and_full(monkeypatch, build)
+        assert any(cut_short)  # the pools that miss epsilon cut their mixtures' ascents
+        self.assert_same_net(net_cut, net_full)
+        assert np.array_equal(rep_cut.program.amplitudes, rep_full.program.amplitudes)
+        assert rep_cut.program_error == rep_full.program_error
+        assert rep_cut.measured_error == rep_full.measured_error
+
+    def test_qutrit_net_decisions_unchanged(self, monkeypatch):
+        cut, full, cut_short = self.cut_and_full(
+            monkeypatch, lambda: pqg.net_gate(1.2, 3, seed=0, n_targets=10))
+        self.assert_same_net(cut, full)
+        assert any(cut_short)  # some mixture ascents were in fact cut
+
+    def test_qutrit_program_for_target_unchanged(self, monkeypatch):
+        # One atom 1e-2 from each target among random ones: most mixtures lose to it.
+        rng = np.random.default_rng(3)
+        cases = []
+        for _ in range(8):
+            target = ch.random_unitary(3, rng)
+            g = rng.standard_normal((2, 3, 3))
+            h = qmath.hermitize(g[0] + 1j * g[1])
+            h *= 1e-2 / np.abs(np.linalg.eigvalsh(h)).max()
+            near = target @ qmath.hermitian_function(h, lambda lam: np.exp(-1j * lam))
+            atoms = [near] + [ch.random_unitary(3, rng) for _ in range(10)]
+            cases.append((pqg.control_gate(atoms), target))
+
+        def build():
+            return [pqg.program_for_target(gate, t, seed=s) for s, (gate, t) in enumerate(cases)]
+
+        cut, full, cut_short = self.cut_and_full(monkeypatch, build)
+        for (prog_a, err_a), (prog_b, err_b) in zip(cut, full):
+            assert np.array_equal(prog_a.amplitudes, prog_b.amplitudes)
+            assert err_a == err_b
+        assert any(cut_short)
+
+    def test_early_stop_returns_above_its_ceiling(self):
+        rng = np.random.default_rng(9)
+        stopped = 0
+        for trial in range(12):
+            weights = rng.dirichlet(np.ones(3))
+            kraus = np.sqrt(weights)[:, None, None] * np.array(
+                [ch.random_unitary(3, rng) for _ in range(3)])
+            target = ch.random_unitary(3, rng)
+            full = pqg.estimate_sup_error(kraus, target, 50, trial)
+            for ceiling in (0.0, 0.5 * full.value, full.value - 1e-3, full.value, 2.0, math.inf):
+                cut = pqg._sup_error(kraus, target, 50, trial, ceiling)
+                assert cut.value <= full.value
+                if cut != full:
+                    assert cut.value > ceiling
+                    stopped += 1
+                if ceiling >= full.value:
+                    assert cut == full
+        assert stopped >= 12  # at least the ceiling 0 cuts every estimate
+
+
 class TestValidation:
     def test_nets_need_a_target(self):
         with pytest.raises(InvariantError):

@@ -244,13 +244,16 @@ class TestSharedKernels:
         assert qmath.positive_qr(m[:, :0]).shape == (6, 0)
 
     def test_haar_vectors_match_per_row_loop(self):
-        fast, loop = np.random.default_rng(11), np.random.default_rng(11)
-        rows = qmath.haar_vectors(fast, 9, 4)
-        assert rows.shape == (9, 4)
-        for row in rows:
-            z = loop.standard_normal(4) + 1j * loop.standard_normal(4)
-            assert np.array_equal(row, z / np.linalg.norm(z))
-        assert fast.bit_generator.state == loop.bit_generator.state
+        # Bit for bit: the batched row norms sum as np.linalg.norm of each row does.
+        for n in (1, 7, 200):
+            for d in (1, 2, 3, 8, 16, 64):
+                fast, loop = np.random.default_rng(11 + d), np.random.default_rng(11 + d)
+                rows = qmath.haar_vectors(fast, n, d)
+                assert rows.shape == (n, d)
+                for row in rows:
+                    z = loop.standard_normal(d) + 1j * loop.standard_normal(d)
+                    assert np.array_equal(row, z / np.linalg.norm(z)), (n, d)
+                assert fast.bit_generator.state == loop.bit_generator.state
 
     def test_holevo_quantity_on_bell_ensemble(self):
         bells = [qmath.bell_state(k).to_density() for k in range(4)]
