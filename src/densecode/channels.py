@@ -27,8 +27,6 @@ from . import qmath
 from .errors import DimensionMismatchError, InvariantError
 from .qmath import DensityMatrix, hermitize
 
-COMPLETENESS_TOL = 1e-10
-ISOMETRY_TOL = 1e-10
 CHOI_EQUALITY_TOL = 1e-8
 # Choi eigenvalues below this are dropped when canonicalizing a Kraus family.
 KRAUS_CUTOFF = 1e-12
@@ -64,9 +62,7 @@ class QuantumChannel:
             raise DimensionMismatchError(f"Kraus stack of shape {kraus.shape}, expected {expected}")
         kraus.flags.writeable = False
         object.__setattr__(self, "kraus", kraus)
-        defect = qmath.isometry_defect(kraus.reshape(-1, self.d_in))
-        if not defect <= COMPLETENESS_TOL:  # NaN fails too
-            raise InvariantError(f"Kraus completeness defect {defect:.3e}")
+        qmath.require_isometry(kraus.reshape(-1, self.d_in), "Kraus family is not complete")
 
     @classmethod
     def identity(cls, d: int) -> "QuantumChannel":
@@ -104,10 +100,7 @@ class QuantumChannel:
     @classmethod
     def depolarizing(cls, lam: float = 1.0) -> "QuantumChannel":
         """Qubit map rho -> (1-lam) rho + lam I/2."""
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-        z = np.diag([1.0, -1.0]).astype(complex)
-        i = np.eye(2, dtype=complex)
+        i, x, y, z = qmath.PAULIS
         p = lam / 4.0
         ops = (np.sqrt(1 - 3 * p) * i, np.sqrt(p) * x, np.sqrt(p) * y, np.sqrt(p) * z)
         return cls(2, 2, ops)
@@ -146,9 +139,7 @@ class StinespringIsometry:
             raise DimensionMismatchError(
                 f"isometry of shape {v.shape}, expected {(self.d_out * self.d_env, self.d_in)}"
             )
-        defect = qmath.isometry_defect(v)
-        if not defect <= ISOMETRY_TOL:  # NaN fails too
-            raise InvariantError(f"isometry defect {defect:.3e}")
+        qmath.require_isometry(v, "matrix is not an isometry")
 
 
 @dataclass(frozen=True, eq=False)

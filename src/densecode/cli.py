@@ -74,10 +74,7 @@ def _check_epsilon(eps: float, where: str) -> None:
 
 
 NAMED_UNITARIES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.diag([1.0, -1.0]).astype(complex),
+    **dict(zip("IXYZ", qmath.PAULIS)),
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0),
     "XZ": np.array([[0, -1], [1, 0]], dtype=complex),
 }
@@ -208,12 +205,11 @@ def _opt_config(args) -> opt.OptConfig:
     fields = {
         "restarts": args.restarts,
         "seed": args.seed,
-        "max_iterations": getattr(args, "max_iterations", 500),
-        "grad_tol": getattr(args, "grad_tol", 1e-8),
+        "max_iterations": args.max_iterations,
+        "grad_tol": args.grad_tol,
     }
-    config_file = getattr(args, "config", None)
-    if config_file:
-        block = ser.load_json(config_file)
+    if args.config:
+        block = ser.load_json(args.config)
         if not isinstance(block, dict):
             raise FormatError("config block must be a JSON object")
         allowed = {f.name for f in dataclasses.fields(opt.OptConfig)}
@@ -230,38 +226,42 @@ def _opt_config(args) -> opt.OptConfig:
 def cmd_dc(args, argv, timestamp) -> int:
     from . import capacity as cap
     _require_at_least(args, 1, "d", "copies", "block", "ensemble_size")
+    modes = [flag for flag, named in (("--channel", args.channel), ("--copies", args.copies > 1),
+                                      ("--block", args.block > 1)) if named]
+    if len(modes) > 1:
+        raise FormatError(f"{' and '.join(modes)} name different problems; give at most one")
     rho = ser.load_state(args.state)
     cfg = _opt_config(args)
     a_factors = _parse_factors(args.a_factors)
     inputs = {"state": _file_ref(args.state)}
+    if args.config:
+        inputs["config"] = _file_ref(args.config)
     if args.channel:
         channel = ser.load_channel(args.channel)
         inputs["channel"] = _file_ref(args.channel)
-        result = cap.noisy_dc_capacity(channel, rho, args.ensemble_size, cfg, a_factors)
         quantity = "noisy_dc_capacity"
+        result = cap.noisy_dc_capacity(channel, rho, args.ensemble_size, cfg, a_factors)
         diagnostics = {
             "history": result.report.history,
             "converged": result.report.converged,
         }
-    elif args.copies > 1:
-        result = cap.dc_capacity_multicopy(args.copies, args.d, rho, cfg, a_factors)
-        quantity = "dc_capacity_multicopy"
-        diagnostics = ser._opt_diagnostics(result.report)
-    elif args.block > 1:
-        result = cap.dc_capacity_block(args.block, args.d, rho, cfg, a_factors)
-        quantity = "dc_capacity_block"
-        diagnostics = ser._opt_diagnostics(result.report)
     else:
-        result = cap.dc_capacity(args.d, rho, cfg, a_factors)
-        quantity = "dc_capacity"
+        if args.copies > 1:
+            quantity = "dc_capacity_multicopy"
+            result = cap.dc_capacity_multicopy(args.copies, args.d, rho, cfg, a_factors)
+        elif args.block > 1:
+            quantity = "dc_capacity_block"
+            result = cap.dc_capacity_block(args.block, args.d, rho, cfg, a_factors)
+        else:
+            quantity = "dc_capacity"
+            result = cap.dc_capacity(args.d, rho, cfg, a_factors)
         diagnostics = ser._opt_diagnostics(result.report)
-    converged = bool(result.metadata.get("converged", True))
-    if args.strict and not converged:
+    if args.strict and not result.metadata["converged"]:
         raise ConvergenceError("optimizer did not converge and --strict is set")
     config = {
         "d": args.d,
-        "restarts": args.restarts,
-        "seed": args.seed,
+        "restarts": cfg.restarts,
+        "seed": cfg.seed,
         "copies": args.copies,
         "block": args.block,
         "ensemble_size": args.ensemble_size,
@@ -276,8 +276,9 @@ def cmd_dc(args, argv, timestamp) -> int:
         "inputs": inputs,
         "manifest": _manifest(argv, inputs, config, timestamp),
     }
-    if args.emit_report and hasattr(result.report, "restart_values"):
-        doc["report"] = ser.opt_report_to_json(result.report)
+    if args.emit_report:
+        doc["report"] = (ser.ensemble_to_json(result.metadata["ensemble"]) if args.channel
+                         else ser.opt_report_to_json(result.report))
     _emit(doc, [f"{quantity} >= {result.value:.6f} bits (lower bound)"])
     return EXIT_OK
 
@@ -286,23 +287,21 @@ def cmd_scan_additivity(args, argv, timestamp) -> int:
     from . import capacity as cap, channels as ch, optimize as opt
     _require_at_least(args, 0, "count", "restarts")
     _require_at_least(args, 1, "d1", "d2")
-    cfg = opt.OptConfig(restarts=args.restarts, seed=args.seed)
-    rows = []
-    if args.rho and args.sigma:
-        rho = ser.load_state(args.rho)
-        sigma = ser.load_state(args.sigma)
-        rho_a = _parse_factors(args.rho_a)
-        sigma_a = _parse_factors(args.sigma_a)
-        gap = cap.additivity_gap(rho, args.d1, sigma, args.d2, cfg, rho_a, sigma_a)
-        rows.append((args.seed, gap))
+    if bool(args.rho) != bool(args.sigma):
+        raise FormatError("--rho and --sigma name one state pair; give both or neither")
+    rho_a = _parse_factors(args.rho_a)
+    sigma_a = _parse_factors(args.sigma_a)
+    inputs = {}
+    if args.rho:
+        instances = [(args.seed, ser.load_state(args.rho), ser.load_state(args.sigma))]
+        inputs = {"rho": _file_ref(args.rho), "sigma": _file_ref(args.sigma)}
     else:
-        for i in range(args.count):
-            seed = args.seed + i
+        instances = []
+        for seed in range(args.seed, args.seed + args.count):
             rng = np.random.default_rng(seed)
             rho = ch.random_state((args.d1, args.d1), int(rng.integers(1, 5)), rng)
             sigma = ch.random_state((args.d2, args.d2), int(rng.integers(1, 5)), rng)
-            inst_cfg = opt.OptConfig(restarts=args.restarts, seed=seed)
-            rows.append((seed, cap.additivity_gap(rho, args.d1, sigma, args.d2, inst_cfg)))
+            instances.append((seed, rho, sigma))
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -311,7 +310,9 @@ def cmd_scan_additivity(args, argv, timestamp) -> int:
          "gap_min", "gap_max", "gap_mean"]
     )
     gaps = []
-    for seed, res in rows:
+    for seed, rho, sigma in instances:
+        cfg = opt.OptConfig(restarts=args.restarts, seed=seed)
+        res = cap.additivity_gap(rho, args.d1, sigma, args.d2, cfg, rho_a, sigma_a)
         gaps.append(res.gap)
         writer.writerow(
             ["instance", seed, args.d1, args.d2,
@@ -331,11 +332,6 @@ def cmd_scan_additivity(args, argv, timestamp) -> int:
         "seed": args.seed,
         "restarts": args.restarts,
     }
-    inputs = {}
-    if args.rho:
-        inputs["rho"] = _file_ref(args.rho)
-    if args.sigma:
-        inputs["sigma"] = _file_ref(args.sigma)
     manifest = _manifest(argv, inputs, config, timestamp)
     text += "# manifest: " + json.dumps(manifest, sort_keys=True) + "\n"
     if args.out:
@@ -510,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grad-tol", type=float, default=1e-8)
     p.add_argument("--config", default=None, help="JSON block of OptConfig overrides")
     p.add_argument("--emit-report", action="store_true",
-                   help="include the full optimizer report (with the isometry)")
+                   help="include the optimizer report (or, with --channel, the ensemble)")
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_dc)
 

@@ -81,7 +81,6 @@ class OptReport:
     iterations: int
     best_restart: int
     skipped_restarts: int = 0
-    floor: float | None = None
     # Probes whose Kraus rank exceeds a caller-set OptConfig.d_env; not seeded.
     dropped_probes: int = 0
     # Why each restart that ran stopped, aligned with restart_values: grad_tol,
@@ -237,7 +236,6 @@ def stiefel_minimize(
         iterations=total_iterations,
         best_restart=best,
         skipped_restarts=skipped,
-        floor=floor,
         restart_reasons=reasons,
     )
 

@@ -38,7 +38,6 @@ from .errors import (
 )
 from .qmath import PureState, hermitize
 
-UNITARITY_TOL = 1e-10
 PROGRAM_TOL = 1e-6
 MAX_PROGRAM_DIM = 4096
 SUP_ASCENT_STEPS = 30
@@ -72,7 +71,7 @@ class ProgrammableGate:
             object.__setattr__(self, "unitary", _unitaries(self.unitary, (side, side)))
             if self.blocks is not None:
                 defect = float(np.max(np.abs(self.unitary - _block_matrix(self.blocks))))
-                if defect > UNITARITY_TOL:
+                if defect > qmath.ISOMETRY_TOL:
                     raise InvariantError(f"unitary contradicts the blocks (defect {defect:.3e})")
 
     @property
@@ -101,9 +100,7 @@ def _unitaries(matrices, shape: tuple[int, ...]) -> np.ndarray:
         raise DimensionMismatchError(f"ragged matrices, expected shape {shape}") from None
     if u.shape != shape:
         raise DimensionMismatchError(f"matrix of shape {u.shape}, expected {shape}")
-    defect = qmath.isometry_defect(u)
-    if not defect <= UNITARITY_TOL:  # NaN fails too
-        raise InvariantError(f"matrix is not unitary (defect {defect:.3e})")
+    qmath.require_isometry(u, "matrix is not unitary")
     u.flags.writeable = False
     return u
 
@@ -405,7 +402,7 @@ def _program_error(gate, psi, target, n_samples, seed, ceiling=math.inf) -> Erro
 # ---------------------------------------------------------------------------
 
 
-_PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+_PAULIS = qmath.PAULIS[1:]  # X, Y, Z
 # tau / nu of the barrier stages, down to nu / tau = 1e-10, the bound on the
 # objective gap: short steps while the central path bends, long ones after.
 TAU_LADDER = 10.0 ** np.array([0, 1, 2, 4, 6, 8, 10])

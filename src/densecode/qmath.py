@@ -26,6 +26,15 @@ NORM_TOL = 1e-12
 # support detection for the relative entropy.
 EIG_CUTOFF = 1e-12
 
+# Largest entry of |M†M - I| accepted from a unitary, an isometry or a Kraus family.
+ISOMETRY_TOL = 1e-10
+
+# The Pauli matrices I, X, Y, Z as one read-only stack [4, 2, 2].
+PAULIS = np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex
+)
+PAULIS.flags.writeable = False
+
 LOG2E = 1.0 / math.log(2.0)
 SIGN_TOL = 1e-12  # relative eigenvalue size below which ``sign_of_spectrum`` returns 0
 
@@ -85,9 +94,16 @@ def hermitian_trace_norm(matrix: np.ndarray) -> np.ndarray:
 def isometry_defect(matrix: np.ndarray) -> float:
     """max |M†M - I| over a stack [..., m, n]: unitarity, or Kraus completeness as [(k, out), in].
 
-    NaN for a non-finite entry, which every caller rejects as ``not defect <= tol``.
+    NaN for a non-finite entry, which ``require_isometry`` rejects.
     """
     return float(np.max(np.abs(matrix.conj().swapaxes(-1, -2) @ matrix - np.eye(matrix.shape[-1]))))
+
+
+def require_isometry(matrix: np.ndarray, what: str) -> None:
+    """Raise InvariantError "<what> (defect ...)" unless the defect is at most ISOMETRY_TOL."""
+    defect = isometry_defect(matrix)
+    if not defect <= ISOMETRY_TOL:  # NaN fails too
+        raise InvariantError(f"{what} (defect {defect:.3e})")
 
 
 def positive_qr(matrix: np.ndarray) -> np.ndarray:
@@ -219,9 +235,8 @@ def singlet() -> PureState:
 def bell_state(which: int) -> PureState:
     """The four Bell vectors; 0..3 = Phi+, Psi+, Psi-, Phi-."""
     phi = maximally_entangled(2).amplitudes
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    z = np.diag([1.0, -1.0]).astype(complex)
-    ops = [np.eye(2, dtype=complex), x, x @ z, z]
+    i, x, _, z = PAULIS
+    ops = [i, x, x @ z, z]
     amps = np.kron(ops[which], np.eye(2)) @ phi
     return PureState((2, 2), amps)
 

@@ -160,19 +160,18 @@ def _opt_diagnostics(report) -> dict:
 
 
 def opt_report_to_json(report) -> dict:
-    """OptReport as a JSON document (value, per-restart values, isometry)."""
+    """A capacity's OptReport as a JSON document (value, per-restart values, isometry)."""
     iso = report.isometry
-    doc = {"value": report.value, **_opt_diagnostics(report)}
-    if hasattr(iso, "v"):
-        doc["isometry"] = {
+    return {
+        "value": report.value,
+        **_opt_diagnostics(report),
+        "isometry": {
             "d_in": iso.d_in,
             "d_out": iso.d_out,
             "d_env": iso.d_env,
             "matrix": matrix_to_json(iso.v),
-        }
-    else:
-        doc["isometry"] = {"matrix": matrix_to_json(iso)}
-    return doc
+        },
+    }
 
 
 def load_json(path) -> dict:

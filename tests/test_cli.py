@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib
 import io
 import json
@@ -151,6 +152,38 @@ class TestDcCommand:
         assert doc["quantity"] == "dc_capacity_multicopy"
         assert doc["value"] == pytest.approx(2.0, abs=1e-3)
 
+    def test_block_flag(self, capsys):
+        code, doc, _ = run_json(
+            capsys,
+            ["dc", str(fixture_path("bell.json")), "--d", "2", "--block", "2", "--restarts", "2"],
+        )
+        assert code == 0
+        assert doc["quantity"] == "dc_capacity_block"
+        assert doc["value"] == pytest.approx(2.0, abs=1e-3)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_noisy_report_is_the_ensemble(self, capsys, tmp_path, seed):
+        # The emitted ensemble, read back, re-derives the reported value.
+        from densecode import capacity as cap
+        from densecode import channels as ch
+
+        rho = ch.random_state((2, 2), 2, seed=seed)
+        phi = ch.random_channel(2, 2, 2, seed=100 + seed)
+        state, channel = tmp_path / "rho.json", tmp_path / "phi.json"
+        ser.dump(ser.state_to_json(rho), state)
+        ser.dump(ser.channel_to_json(phi), channel)
+        code, doc, _ = run_json(
+            capsys,
+            ["dc", str(state), "--channel", str(channel), "--ensemble-size", "4",
+             "--restarts", "2", "--seed", str(seed), "--emit-report"],
+        )
+        assert code == 0
+        assert set(doc["diagnostics"]) == {"history", "converged"}
+        mu = ser.ensemble_from_json(doc["report"])
+        assert len(mu.items) == 4
+        value = cap.dc_mutual_information(mu, ser.load_state(state), ser.load_channel(channel))
+        assert abs(value - doc["value"]) <= 1e-9
+
     def test_strict_nonconvergence_exits_5(self, capsys, tmp_path):
         # A zero gradient tolerance makes first-order convergence impossible
         # on a full-rank state, so --strict must abort with code 5.
@@ -210,6 +243,27 @@ class TestScanCommand:
         summary = rows[-1]
         assert summary[0] == "summary"
         assert float(summary[8]) == pytest.approx(min(gaps), abs=1e-9)
+
+    def test_random_pair_runs_like_the_same_file_pair(self, capsys, tmp_path):
+        # The random rows redraw the pair from default_rng(seed); written to files
+        # and given as --rho/--sigma at that seed, the row is the same, --rho-a included.
+        from densecode import channels as ch
+
+        rng = np.random.default_rng(9)  # a rank-2 rho whose two sides differ
+        rho = ch.random_state((2, 2), int(rng.integers(1, 5)), rng)
+        sigma = ch.random_state((2, 2), int(rng.integers(1, 5)), rng)
+        paths = [tmp_path / "rho.json", tmp_path / "sigma.json"]
+        for state, path in zip((rho, sigma), paths):
+            ser.dump(ser.state_to_json(state), path)
+        common = ["scan-additivity", "--restarts", "1", "--seed", "9", "--rho-a", "1"]
+        _, random_out, _ = run_cli(capsys, common + ["--count", "1"])
+        code, file_out, _ = run_cli(
+            capsys, common + ["--rho", str(paths[0]), "--sigma", str(paths[1])]
+        )
+        assert code == 0
+        assert csv_rows(file_out) == csv_rows(random_out)
+        _, default_out, _ = run_cli(capsys, common[:-2] + ["--count", "1"])
+        assert csv_rows(default_out) != csv_rows(random_out)
 
     def test_scan_replay_is_bit_identical(self, capsys, tmp_path):
         code, out, _ = run_cli(
@@ -435,6 +489,21 @@ class TestConfigSurface:
                                 "non_finite"}
         assert doc["report"]["restart_reasons"] == reasons
 
+    def test_config_file_is_recorded(self, capsys, tmp_path):
+        block = tmp_path / "cfg.json"
+        block.write_text('{"restarts": 2, "seed": 5}')
+        code, doc, _ = run_json(
+            capsys, ["dc", BELL, "--d", "2", "--restarts", "20", "--config", str(block)]
+        )
+        assert code == 0
+        manifest = doc["manifest"]
+        assert (manifest["config"]["restarts"], manifest["config"]["seed"]) == (2, 5)
+        digest = hashlib.sha256(block.read_bytes()).hexdigest()
+        assert manifest["inputs"]["config"] == {"path": str(block), "sha256": digest}
+        _, flags, _ = run_json(capsys, ["dc", BELL, "--d", "2", "--restarts", "2", "--seed", "5"])
+        assert doc["value"] == flags["value"]
+        assert "config" not in flags["manifest"]["inputs"]
+
     def test_config_block_rejects_unknown_fields(self, capsys, tmp_path):
         # "armijo" was a field once; the line-search settings are constants now.
         block = tmp_path / "cfg.json"
@@ -479,6 +548,21 @@ def test_bad_flags_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, argv)
     assert code == 2
     assert any(line.startswith("error: ") for line in err.splitlines())
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["dc", BELL, "--copies", "2", "--block", "2"], ("--copies", "--block")),
+    (["dc", BELL, "--channel", str(fixture_path("depolarizing-qubit.json")), "--copies", "2"],
+     ("--channel", "--copies")),
+    (["dc", BELL, "--channel", str(fixture_path("depolarizing-qubit.json")), "--block", "3"],
+     ("--channel", "--block")),
+    (["scan-additivity", "--rho", BELL], ("--rho", "--sigma")),
+    (["scan-additivity", "--sigma", BELL, "--count", "1"], ("--rho", "--sigma")),
+], ids=["copies-block", "channel-copies", "channel-block", "rho-alone", "sigma-alone"])
+def test_conflicting_flags_exit_2(capsys, argv, flags):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and all(flag in err for flag in flags)
 
 
 @pytest.mark.parametrize("size", ["0", "-3"])

@@ -141,7 +141,7 @@ class TestBlockStack:
         blocks = np.array([ch.random_unitary(2, rng) for _ in range(400)])
         blocks[237] *= 1.01
         defect = qmath.isometry_defect(blocks[237])
-        assert defect > pqg.UNITARITY_TOL
+        assert defect > qmath.ISOMETRY_TOL
         with pytest.raises(InvariantError, match=f"not unitary \\(defect {defect:.3e}\\)"):
             pqg.control_gate(blocks)
 
