@@ -258,15 +258,12 @@ def cmd_dc(args, argv, timestamp) -> int:
         diagnostics = ser._opt_diagnostics(result.report)
     if args.strict and not result.metadata["converged"]:
         raise ConvergenceError("optimizer did not converge and --strict is set")
-    config = {
-        "d": args.d,
-        "restarts": cfg.restarts,
-        "seed": cfg.seed,
-        "copies": args.copies,
-        "block": args.block,
-        "ensemble_size": args.ensemble_size,
-        "a_factors": list(a_factors),
-    }
+    # The manifest records only the flags its mode reads.
+    config = {"restarts": cfg.restarts, "seed": cfg.seed, "a_factors": list(a_factors)}
+    if args.channel:
+        config["ensemble_size"] = args.ensemble_size
+    else:
+        config.update(d=args.d, copies=args.copies, block=args.block)
     doc = {
         "quantity": quantity,
         "value": result.value,
@@ -325,13 +322,10 @@ def cmd_scan_additivity(args, argv, timestamp) -> int:
              f"{min(gaps):.9f}", f"{max(gaps):.9f}", f"{float(np.mean(gaps)):.9f}"]
         )
     text = buf.getvalue()
-    config = {
-        "count": args.count,
-        "d1": args.d1,
-        "d2": args.d2,
-        "seed": args.seed,
-        "restarts": args.restarts,
-    }
+    config = {"d1": args.d1, "d2": args.d2, "seed": args.seed, "restarts": args.restarts,
+              "rho_a": list(rho_a), "sigma_a": list(sigma_a)}
+    if not args.rho:
+        config["count"] = args.count
     manifest = _manifest(argv, inputs, config, timestamp)
     text += "# manifest: " + json.dumps(manifest, sort_keys=True) + "\n"
     if args.out:

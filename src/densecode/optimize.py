@@ -103,7 +103,7 @@ def qr_retract(matrix: np.ndarray) -> np.ndarray:
 
 
 def _log2_clamped(lam: np.ndarray) -> np.ndarray:
-    return np.log2(np.clip(lam, LOG_CLAMP, None))
+    return np.log2(np.maximum(lam, LOG_CLAMP))
 
 
 def tangent_project(v: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -141,7 +141,8 @@ def stiefel_minimize(
     best; if every restart does, ``ConvergenceError`` is raised.
     """
     cfg = cfg or OptConfig()
-    rng = np.random.default_rng(cfg.seed)
+    # Member descents and sup ascents run probes alone and never draw.
+    rng = np.random.default_rng(cfg.seed) if cfg.restarts else None
     probes = [np.asarray(p, dtype=complex) for p in initial_points]
     n_starts = len(probes) + cfg.restarts
     if not n_starts:
@@ -175,7 +176,8 @@ def stiefel_minimize(
         for _ in range(cfg.max_iterations):
             total_iterations += 1
             g = tangent_project(v, grad(v))
-            gn = float(np.linalg.norm(g))
+            gvec = g.ravel("K")  # np.linalg.norm's own sum, without its wrapper
+            gn = math.sqrt(gvec.real.dot(gvec.real) + gvec.imag.dot(gvec.imag))
             if gn <= cfg.grad_tol:
                 reason = "grad_tol"
                 break
@@ -186,8 +188,8 @@ def stiefel_minimize(
                 # Barzilai-Borwein initialization; exact on quadratic bowls.
                 s = v - previous[0]
                 y = g - previous[1]
-                yy = float(np.real(np.vdot(y, y)))
-                sy = abs(float(np.real(np.vdot(s, y))))
+                yy = np.vdot(y, y).real
+                sy = abs(np.vdot(s, y).real)
                 if yy > 1e-300 and sy > 1e-300:
                     step = min(max(sy / yy, 1e-12), 1e6)
             t = step
@@ -303,9 +305,10 @@ class _OutputEntropyProblem:
         if cached is None or cached[0] is not v:
             z = self.output_tensor(v)
             # phi(Tr_env (V (x) I) rho (V (x) I)^dag) = Z Z^dag.
-            signal = hermitize(z @ z.conj().T)
-            cached = (v, z, signal, *np.linalg.eigh(signal))
-            self._forward_cache = cached
+            zz = z @ z.conj().T
+            signal = 0.5 * (zz + zz.conj().T)  # hermitize, inlined
+            lam, vec = np.linalg.eigh(signal)
+            cached = self._forward_cache = (v, z, signal, lam, vec)
         return cached
 
     def value(self, v: np.ndarray) -> float:

@@ -116,7 +116,7 @@ class UnitaryNet:
 
 
 class BarrierSolve(NamedTuple):
-    """Mixture weights, and per problem the Newton steps, stop reason and final nu / tau."""
+    """Mixture weights, and per problem the solve's steps, stop reason and gap bound."""
 
     weights: np.ndarray
     steps: np.ndarray
@@ -410,7 +410,7 @@ TAU_LADDER = 10.0 ** np.array([0, 1, 2, 4, 6, 8, 10])
 LINE_STEPS = 2
 # A stage is centered once the Newton decrement is this small.
 CENTERED = 1e-3
-# A solve takes 27-42 Newton steps at n = 12 atoms and 40-65 at n = 200.
+# Caps a solve's steps: a qubit solve takes 27-42 at n = 12 atoms, 40-65 at n = 200.
 NEWTON_CAP = 1000
 # Ridge on the unit-diagonal Newton system: atoms that repeat (a qubit net
 # holds U and -U) leave their difference direction with curvature below the
@@ -418,6 +418,8 @@ NEWTON_CAP = 1000
 RIDGE = 1e-12
 # A vertex this close to the objective's floor 0 is the target up to phase.
 EXACT_VERTEX = 1e-12
+# An atom enters the active set below this reduced gradient (rounding: n * 1e-16).
+MULTIPLIER_TOL = 1e-13
 
 
 def _bloch_rotations(units: np.ndarray) -> np.ndarray:
@@ -432,24 +434,23 @@ def _mixture_objective(atoms: np.ndarray, target: np.ndarray):
 
     ``atoms`` is [..., n, d, d] and ``target`` [..., d, d].  Returns
     (fun, solve, vertex_values): ``fun(w)`` gives the objective at weights
-    w [..., n] and its (sub)gradient, ``solve(rows)`` runs ``_barrier_newton``
-    on the problems ``rows`` of the flattened stack, and
-    ``vertex_values[..., i]`` is the objective of atom i alone.
+    w [..., n] and its (sub)gradient, ``solve(rows)`` solves the problems ``rows``
+    of the flattened stack, and ``vertex_values[..., i]`` is the objective of atom
+    i alone.
 
     For qubits the objective is the exact worst-case Bloch distortion
     sigma_max(M), M = sum_i w_i (I - R_i) (King & Ruskai 2001), and the
     barrier problem is: minimize t over x = (w, t) subject to the 6x6 LMI
     [[t I, M], [M^T, t I]] >= 0, with nu = 6 + n.  Otherwise it is the
     Choi-Frobenius proxy w^T G w - 2 b^T w + 1, a convex quadratic with
-    G_ij = |<v_i, v_j>|^2 and b_i = |tr(target^dag a_i)|^2 / d^2, and nu = n.
+    G_ij = |<v_i, v_j>|^2 and b_i = |tr(target^dag a_i)|^2 / d^2 (``_active_set``).
     """
     n, d = atoms.shape[-3:-1]
     rel = target.conj().swapaxes(-1, -2)[..., None, :, :] @ atoms
-    uniform = np.full((math.prod(atoms.shape[:-3]), n), 1.0 / n)
-    diag = np.arange(n)
     if d == 2:
         distortions = np.eye(3) - _bloch_rotations(rel)  # I - R_i
         flat = distortions.reshape(*distortions.shape[:-2], 9)
+        diag = np.arange(n)
 
         def fun(w):
             u, s, vh = np.linalg.svd((w[..., None] * flat).sum(-2).reshape(*w.shape[:-1], 3, 3))
@@ -481,7 +482,8 @@ def _mixture_objective(atoms: np.ndarray, target: np.ndarray):
         slope_of_t = np.zeros((len(stacked), n + 1))  # the objective t has gradient e_t
         slope_of_t[:, n] = 1.0
         top = np.linalg.svd(stacked.mean(axis=1), compute_uv=False)[:, :1]
-        start, nu = np.concatenate([uniform, top + 1.0], axis=1), 6.0 + n
+        start = np.concatenate([np.full((len(stacked), n), 1.0 / n), top + 1.0], axis=1)
+        solve = partial(_barrier_newton, start, n, 6.0 + n, derivatives)
         vertex_values = np.linalg.svd(distortions, compute_uv=False)[..., 0]
     else:
         vecs = rel.reshape(*rel.shape[:-2], d * d)
@@ -492,18 +494,45 @@ def _mixture_objective(atoms: np.ndarray, target: np.ndarray):
             gw = (gram @ w[..., None])[..., 0]
             return (w * gw).sum(-1) - 2.0 * (b * w).sum(-1) + 1.0, 2.0 * (gw - b)
 
-        stacked_gram, stacked_b = gram.reshape(-1, n, n), b.reshape(-1, n)
-        no_lmi = np.zeros((len(stacked_b), n, 0))
-
-        def derivatives(x, rows, tau):
-            slope = 2.0 * ((stacked_gram[rows] @ x[..., None])[..., 0] - stacked_b[rows])
-            hess = 2.0 * tau[:, None, None] * stacked_gram[rows]
-            hess[:, diag, diag] += x**-2
-            return tau[:, None] * slope - 1.0 / x, hess, slope, no_lmi[: len(rows)]
-
-        start, nu = uniform, float(n)
+        solve = partial(_active_set, gram.reshape(-1, n, n), b.reshape(-1, n))
         vertex_values = np.diagonal(gram, axis1=-2, axis2=-1) - 2.0 * b + 1.0
-    return fun, partial(_barrier_newton, start, n, nu, derivatives), vertex_values
+    return fun, solve, vertex_values
+
+
+def _active_set(gram: np.ndarray, b: np.ndarray, rows: np.ndarray) -> BarrierSolve:
+    """Exact minimizers of w^T G w - 2 b^T w on the simplex for the problems ``rows``.
+
+    A primal active-set method from the best vertex (Nocedal & Wright 2006, section 16.5).
+    The KKT system [[2 G_FF, 1], [1^T, 0]] of the free set F gives the face's minimizer; the
+    ratio test cuts one off the simplex and drops its blocking atom, else the atom of most
+    negative reduced gradient g_i - mean(g_F) enters.  With none below -``MULTIPLIER_TOL`` the
+    solve is ``exact``, certified by the Frank-Wolfe gap g . w - min g.  Steps count KKT solves.
+    """
+    solves = []
+    for g, c in zip(gram[rows], b[rows]):
+        free, reason = [int(np.argmin(np.diagonal(g) - 2.0 * c))], "newton_cap"
+        w = np.eye(len(c))[free[0]]
+        for steps in range(1, NEWTON_CAP + 1):
+            kkt = np.ones((len(free) + 1,) * 2)
+            kkt[:-1, :-1], kkt[-1, -1] = 2.0 * g[np.ix_(free, free)], 0.0
+            y = np.linalg.solve(kkt, np.append(2.0 * c[free], 1.0))[:-1]
+            if y.min() < 0.0:  # the ratio test: the longest step toward y that keeps w >= 0
+                ratios = np.divide(w[free], w[free] - y, out=np.full(len(y), np.inf), where=y < 0.0)
+                w[free] += ratios.min() * (y - w[free])
+                w[free.pop(int(np.argmin(ratios)))] = 0.0
+                continue
+            w[free] = y
+            grad = 2.0 * (g @ w - c)
+            reduced = grad - grad[free].mean()
+            reduced[free] = 0.0
+            if not reduced.min() < -MULTIPLIER_TOL:  # a NaN stops it too
+                reason = "exact"
+                break
+            free.append(int(np.argmin(reduced)))
+        grad = 2.0 * (g @ w - c)
+        gap = grad @ w - grad.min()
+        solves.append((w, steps, reason if np.isfinite(gap) else "non_finite", gap))
+    return BarrierSolve(*map(np.array, zip(*solves)))
 
 
 def _line_search(slope, curvature, ratios) -> np.ndarray:
@@ -524,20 +553,20 @@ def _line_search(slope, curvature, ratios) -> np.ndarray:
 
 
 def _barrier_newton(start, n: int, nu: float, derivatives, rows: np.ndarray) -> BarrierSolve:
-    """Simplex weights [len(rows), n] minimizing the problems ``rows`` of a stack.
+    """Simplex weights [len(rows), n] minimizing the qubit problems ``rows`` of a stack.
 
-    Each problem is over x = (w, extra variables) with w on the simplex and
-    a strictly feasible ``start`` [B, m]; ``derivatives(x, rows, tau)`` gives
-    the gradient and Hessian of tau * objective + barrier, the objective's
-    gradient, and the whitened LMI basis F^(-1/2) F_k F^(-1/2) as [b, m, k * k]
-    (k = 0 without an LMI); nu is the barrier parameter.  The log-barrier
+    Each problem is over x = (w, t) with w on the simplex and a strictly
+    feasible ``start`` [B, n + 1]; ``derivatives(x, rows, tau)`` gives the
+    gradient and Hessian of tau * objective + barrier, the objective's
+    gradient, and the whitened 6x6 LMI basis F^(-1/2) F_k F^(-1/2) as
+    [b, n + 1, 36]; nu is the barrier parameter.  The log-barrier
     method (Boyd & Vandenberghe 2004, *Convex Optimization*, section 11.3)
     keeps sum(w) = 1 exactly.  One KKT solve gives the Newton step and the
     central-path tangent tau dx/dtau.  A centered problem enters the next
     ``TAU_LADDER`` stage with the tangent step linear in 1 / tau, which
     predicts the next center.  Moves are line-searched (``_line_search``) on
-    the factor ratios: w and, for the LMI, one small eigvalsh; steps are full
-    once the decrement is below 0.1.  Each problem reports its Newton steps,
+    the ratios of w and of the LMI's eigenvalues; steps are full once the
+    decrement is below 0.1.  Each problem reports its Newton steps,
     why it stopped (``centered``, ``newton_cap`` or ``non_finite``) and the
     nu / tau of its stage, which bounds its gap when centered.
     """
@@ -578,10 +607,8 @@ def _barrier_newton(start, n: int, nu: float, derivatives, rows: np.ndarray) -> 
             # A centered problem also moves along the central path to its next tau.
             growth = np.where(centered, rise[stage[live]], 1.0)
             move = newton + (1.0 - 1.0 / growth)[:, None] * tangent
-            ratios = move[:, :n] / x[live, :n]
-            if side := math.isqrt(lmi.shape[-1]):
-                spread = (move[:, None] @ lmi).reshape(len(live), side, side)
-                ratios = np.concatenate([ratios, np.linalg.eigvalsh(spread)], -1)
+            spread = (move[:, None] @ lmi).reshape(len(live), 6, 6)
+            ratios = np.concatenate([move[:, :n] / x[live, :n], np.linalg.eigvalsh(spread)], -1)
             # move' H move less the barrier's part, sum ratios^2, is the objective's curvature.
             curvature = growth * np.maximum(0.0, np.einsum("bi,bij,bj->b", move, hess, move)
                                                 - (ratios**2).sum(-1))
@@ -598,10 +625,10 @@ def optimize_mixture_weights(atoms, target: np.ndarray) -> BarrierSolve:
     """Simplex weights making the atom mixture approximate the target map.
 
     ``atoms`` is [..., n, d, d] and ``target`` [..., d, d]: a stack of
-    problems along the leading axes, solved together by the barrier method
-    on ``_mixture_objective``.  The best single atom is returned when it does
-    at least as well, and without a solve (0 steps, reason ``vertex``, gap 0)
-    when its objective is 0 or it is the only atom.
+    problems along the leading axes, solved on ``_mixture_objective`` (qubits
+    together, by the barrier method; larger d exactly, one by one).  The best
+    single atom is returned when it does at least as well, and without a solve
+    (0 steps, reason ``vertex``, gap 0) when its objective is 0 or it is alone.
     """
     atoms = np.asarray(atoms, dtype=complex)
     target = np.asarray(target, dtype=complex)
@@ -820,8 +847,8 @@ def _calibrate(pools, targets, epsilon: float, n_nearest: int, seeds, method: st
     out raise ``InvariantError``.  The certificate is the largest program
     error over the targets; the covering radius, NaN unless ``covering``, is
     the largest distance from a target to its nearest atom.  The metadata
-    also records the targets' mixture solves: the most Newton steps, every
-    stop reason and the largest final nu / tau.
+    records the mixture solves (``BarrierSolve``): the most steps, every stop
+    reason and the largest gap bound, under the keys named for the barrier.
     """
     d = len(targets[0])
     max_err = math.inf

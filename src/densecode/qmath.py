@@ -114,7 +114,7 @@ def positive_qr(matrix: np.ndarray) -> np.ndarray:
     retraction onto the Stiefel manifold.
     """
     q, r = np.linalg.qr(matrix)
-    diag = np.diagonal(r)
+    diag = r.diagonal()
     mag = np.abs(diag)
     if mag.min(initial=1.0) < 1e-300:
         # A vanishing pivot leaves its column's phase alone.

@@ -594,6 +594,32 @@ class TestReplay:
         assert code2 == 0
         assert out2 == out
 
+    NOISELESS = {"restarts", "seed", "a_factors", "d", "copies", "block"}
+    SCAN = {"d1", "d2", "seed", "restarts", "rho_a", "sigma_a"}
+
+    @pytest.mark.parametrize("argv, keys", [
+        (["dc", str(fixture_path("bell.json"))], NOISELESS),
+        (["dc", str(fixture_path("bell.json")), "--copies", "2"], NOISELESS),
+        (["dc", str(fixture_path("bell.json")), "--block", "2"], NOISELESS),
+        (["dc", str(fixture_path("bell.json")), "--channel",
+          str(fixture_path("depolarizing-qubit.json")), "--ensemble-size", "4"],
+         {"restarts", "seed", "a_factors", "ensemble_size"}),
+        (["scan-additivity", "--count", "1"], SCAN | {"count"}),
+        (["scan-additivity", "--rho", str(fixture_path("product.json")),
+          "--sigma", str(fixture_path("double-singlet.json"))], SCAN),
+    ], ids=["plain", "copies", "block", "channel", "scan-random", "scan-pair"])
+    def test_config_holds_only_the_flags_its_mode_reads(self, capsys, tmp_path, argv, keys):
+        code, out, _ = run_cli(capsys, argv + ["--restarts", "1", "--seed", "4"])
+        assert code == 0
+        if argv[0] == "dc":
+            manifest = json.loads(out)["manifest"]
+        else:
+            manifest = json.loads(out.splitlines()[-1].removeprefix("# manifest: "))
+        assert set(manifest["config"]) == keys
+        record = tmp_path / "record"
+        record.write_text(out)
+        assert run_cli(capsys, ["replay", str(record)])[:2] == (0, out)
+
     def test_replay_without_manifest_exits_2(self, capsys, tmp_path):
         record = tmp_path / "junk.json"
         record.write_text("{}")

@@ -292,26 +292,29 @@ class TestMixtureWeights:
         steps = {2: [], 3: []}
         for d, atoms, target in self.random_problems():
             solve = pqg.optimize_mixture_weights(atoms, target)
-            assert solve.reasons == "centered" and solve.gaps <= 1e-10
             steps[d].append(int(solve.steps))
-            if d > 2:
+            if d == 2:
+                assert solve.reasons == "centered" and solve.gaps <= 1e-10
+            else:
                 # The quadratic's Frank-Wolfe gap max_i grad . (w - e_i) bounds its
-                # distance to the optimum, independently of the barrier.
+                # distance to the optimum, independently of the active-set solve.
+                assert solve.reasons == "exact" and solve.gaps <= 1e-12
                 _, grad = pqg._mixture_objective(np.asarray(atoms), target)[0](solve.weights)
-                assert grad @ solve.weights - grad.min() <= 1e-8
+                assert grad @ solve.weights - grad.min() <= 1e-12
         for d, damped in self.DAMPED_NEWTON_STEPS.items():
             assert 2.5 * np.mean(steps[d]) <= damped
 
     def test_barrier_solve_reports_the_newton_cap(self, monkeypatch):
         monkeypatch.setattr(pqg, "NEWTON_CAP", 3)
-        _, atoms, target = next(self.random_problems())
-        solve = pqg.optimize_mixture_weights(atoms, target)
-        assert (solve.steps, solve.reasons) == (3, "newton_cap")
+        problems = list(self.random_problems())
+        for _, atoms, target in (problems[0], problems[20]):  # d = 2 and d = 3
+            solve = pqg.optimize_mixture_weights(atoms, target)
+            assert (solve.steps, solve.reasons) == (3, "newton_cap")
 
     def test_barrier_solve_reports_a_non_finite_newton_system(self):
         rng = np.random.default_rng(3)
-        atoms = np.stack([[ch.random_unitary(3, rng) for _ in range(6)] for _ in range(2)])
-        _, solve, _ = pqg._mixture_objective(atoms, np.stack([np.eye(3)] * 2))
+        atoms = np.stack([[ch.random_unitary(2, rng) for _ in range(6)] for _ in range(2)])
+        _, solve, _ = pqg._mixture_objective(atoms, np.stack([np.eye(2)] * 2))
         start, n, nu, derivatives = solve.args
 
         def poisoned(x, rows, tau):
@@ -324,10 +327,44 @@ class TestMixtureWeights:
         assert result.steps[1] == 1 and np.isfinite(result.weights).all()
 
     def test_nets_record_their_barrier_solves(self, net_gates):
-        for net in (net_gates(0.3)[1], pqg.net_gate(1.2, 3, seed=0, n_targets=10)[1]):
-            assert net.metadata["barrier_stop_reasons"] == "centered"
+        # Qubit nets record the barrier solve; larger d the exact active-set solve.
+        for net, reason in ((net_gates(0.3)[1], "centered"),
+                            (pqg.net_gate(1.2, 3, seed=0, n_targets=10)[1], "exact")):
+            assert net.metadata["barrier_stop_reasons"] == reason
             assert net.metadata["barrier_max_gap"] <= 1e-10
             assert 0 < net.metadata["barrier_max_newton_steps"] < pqg.NEWTON_CAP
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.sampled_from([3, 4, 8]), n=st.integers(2, 32),
+           kind=st.sampled_from(["haar", "near", "duplicate"]),
+           log_spread=st.floats(-8.0, -1.0), seed=st.integers(0, 2**32 - 1))
+    def test_active_set_solve_is_exact(self, d, n, kind, log_spread, seed):
+        rng = np.random.default_rng(seed)
+        target = ch.random_unitary(d, rng)
+        if kind == "haar":
+            atoms = np.stack([ch.random_unitary(d, rng) for _ in range(n)])
+        elif kind == "near":
+            # target exp(-iH), H of spectral radius 10^log_spread, as net_gate_around draws atoms.
+            g = rng.standard_normal((n, 2, d, d))
+            h = qmath.hermitize(g[:, 0] + 1j * g[:, 1])
+            h *= 10.0**log_spread / np.abs(np.linalg.eigvalsh(h)).max(-1)[:, None, None]
+            atoms = target @ qmath.hermitian_function(h, lambda lam: np.exp(-1j * lam))
+        else:
+            # Every atom one of ceil(n / 2) Haar unitaries times a random phase.
+            base = np.stack([ch.random_unitary(d, rng) for _ in range((n + 1) // 2)])
+            phases = np.exp(2j * np.pi * rng.random(n))[:, None, None]
+            atoms = base[rng.integers(len(base), size=n)] * phases
+        fun, _, vertex_values = pqg._mixture_objective(atoms, target)
+        solve = pqg.optimize_mixture_weights(atoms, target)
+        w = solve.weights
+        assert np.isfinite(w).all() and w.min() >= 0.0 and w.sum() == pytest.approx(1.0, abs=1e-12)
+        value, grad = fun(w)
+        assert value <= vertex_values.min()
+        if vertex_values.min() <= pqg.EXACT_VERTEX:
+            assert solve.reasons == "vertex"
+        else:
+            assert solve.reasons == "exact" and solve.gaps <= 1e-12
+            assert grad @ w - grad.min() <= 1e-12
 
     def test_batched_solve_equals_per_problem_solves(self):
         for d, n in ((2, 12), (3, 8)):
@@ -544,9 +581,9 @@ class TestNetGate:
         pool_sizes.clear()
         targets = [np.eye(3), ch.random_unitary(3, np.random.default_rng(0))]
         _, net = pqg.net_gate_around(targets, 3e-6, seed=0)
-        assert pool_sizes == [56] * 3  # the spread shrinks twice
+        assert pool_sizes == [56] * 2  # the spread shrinks once
         assert net.metadata["certificate_max_program_error"] == pytest.approx(
-            1.5764670128704331e-6, rel=1e-6)
+            7.608308369402738e-7, rel=1e-6)
         assert math.isnan(net.covering_radius)
 
     def test_target_local_failure_after_eight_pools(self, pool_sizes):
