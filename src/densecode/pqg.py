@@ -349,12 +349,7 @@ def _sup_error(kraus, target, n_samples, seed, ceiling=math.inf) -> ErrorEstimat
         return ErrorEstimate(min(2.0, best), "haar-sampling", n_samples)
     z = samples[int(np.argmax(tds))] if best > 0.0 else np.eye(d, dtype=complex)[0]
 
-    def pullback(stack: np.ndarray, sign: np.ndarray, z: np.ndarray) -> np.ndarray:
-        # sum_k K_k† sign K_k z, with the stack flattened to one [(k, out), in] matrix.
-        flat = stack.reshape(-1, d)
-        return flat.conj().T @ ((flat @ z).reshape(len(stack), -1) @ sign.T).reshape(-1)
-
-    # The value and the sign matrix share the eigh of the point's gap.
+    # The value and the subgradient share the eigh of the point's gap.
     cache: list = [None]
 
     def spectrum(v: np.ndarray):
@@ -366,9 +361,11 @@ def _sup_error(kraus, target, n_samples, seed, ceiling=math.inf) -> ErrorEstimat
         return -float(np.abs(spectrum(v)[0]).sum())
 
     def grad(v: np.ndarray) -> np.ndarray:
-        lam, vec = spectrum(v)
-        sign = qmath.from_spectrum(qmath.sign_of_spectrum(lam), vec)
-        return -2.0 * (pullback(reference, sign, v[:, 0]) - pullback(kraus, sign, v[:, 0]))[:, None]
+        # Minus the gradient of tr[2 u u† gap] in z: -4 (a a† z - sum_k b_k b_k† z),
+        # with a = T† u and b_k = K_k† u.
+        u, z = _top_vectors(*spectrum(v)), v[:, 0]
+        a, b = u @ target.conj(), u @ kraus.conj()
+        return -4.0 * (a * np.vdot(a, z) - b.T @ (b.conj() @ z))[:, None]
 
     cfg = opt.OptConfig(restarts=0, max_iterations=SUP_ASCENT_STEPS, grad_tol=1e-12)
     floor = -ceiling - 2.0 * opt.FLOOR_SLACK
@@ -725,6 +722,8 @@ def program_for_target(
     """
     if gate.blocks is None:
         raise InvariantError("program_for_target needs a controlled-block gate")
+    if n_nearest < 1:
+        raise InvariantError("program_for_target needs n_nearest >= 1")
     target = _unitaries(target, (gate.d_data, gate.d_data))
     program, err, *_ = next(_programs_for_targets(gate, [target], n_nearest, n_samples, [seed]))
     return program, err
@@ -945,6 +944,8 @@ def net_gate_around(
         raise InvariantError("epsilon must lie in (0, 2]")
     if not len(targets):
         raise InvariantError("net_gate_around needs at least one target")
+    if n_atoms_per_target < 1 or n_decoys < 0:
+        raise InvariantError("net_gate_around needs n_atoms_per_target >= 1 and n_decoys >= 0")
     d = math.isqrt(np.size(targets[0]))  # the side of a square target
     targets = _unitaries(targets, (len(targets), d, d))
     seed = np.random.SeedSequence().entropy if seed is None else seed
@@ -989,6 +990,16 @@ def _projectors(vectors: np.ndarray) -> np.ndarray:
     return vectors[:, :, None] * vectors.conj()[:, None, :]
 
 
+def _top_vectors(lam: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Top eigenvectors u of gaps from their ``eigh``, as rows; u = 0 where lambda_max <= EIG_CUTOFF.
+
+    A gap is a pure state minus a state: trace 0 and, by Cauchy interlacing, at most one
+    positive eigenvalue.  So ||gap||_1 = tr[2 u u^dag gap], and 2 u u^dag is a subgradient on
+    trace-zero differences (2 u u^dag - I has operator norm 1).  lambda_max <= EIG_CUTOFF: gap 0.
+    """
+    return vec[..., -1] * (lam[..., -1:] > qmath.EIG_CUTOFF)
+
+
 def _pair_scores(blocks1, blocks2, inputs: np.ndarray, m: np.ndarray) -> np.ndarray:
     """sum_s tr[M_s W rho_s W^dag] for every block pair W = U_j (x) V_l, as [n1, n2].
 
@@ -1013,14 +1024,14 @@ def _frank_wolfe(blocks1, blocks2, target, inputs, start: np.ndarray, iterations
 
     The weights w [n1, n2] of the mixture sum_jl w_jl W_jl . W_jl^dag range
     over the whole pair simplex, where f(w) = mean_s ||T rho_s T^dag - out_s||_1
-    is convex.  Each step takes S_s = sign(T rho_s T^dag - out_s) and the
-    subgradient g = -``_pair_scores``(S) / S, and moves toward the best vertex
-    by the largest step of a fixed ladder that lowers f; it stops when none
-    does, or after ``iterations`` steps.  As ||S_s||_op <= 1, weak duality
+    is convex.  Each step takes S_s = 2 u_s u_s^dag from the top eigenvector
+    of each gap (``_top_vectors``) and the subgradient g = -``_pair_scores``(S)
+    / S, and moves toward the best vertex by the largest step of a fixed
+    ladder that lowers f; it stops when none does, or after ``iterations``
+    steps.  As ||S_s - I||_op <= 1 and every gap has trace 0, weak duality
     gives every mixture f >= mean_s tr[S_s T rho_s T^dag] + min g (the
-    Frank-Wolfe gap, Jaggi 2013) with no slack for eigenvalues that
-    ``spectral_sign`` zeroes.  Returns (w, f, the best such bound seen), the
-    bound capped at f, which a gap closed to rounding could otherwise pass.
+    Frank-Wolfe gap, Jaggi 2013).  Returns (w, f, the best such bound seen),
+    the bound capped at f, which a gap closed to rounding could otherwise pass.
     """
     tz = inputs @ target.T
     targets = _projectors(tz)
@@ -1033,7 +1044,7 @@ def _frank_wolfe(blocks1, blocks2, target, inputs, start: np.ndarray, iterations
     # The step-size ladder is evaluated at once; the largest improving step wins.
     gammas = np.array([1.0, 0.5, 0.25, 0.1, 0.05, 0.02, 0.008])[:, None, None, None]
     for step in range(iterations + 1):
-        signs = qmath.spectral_sign(targets - out)
+        signs = 2.0 * _projectors(_top_vectors(*np.linalg.eigh(hermitize(targets - out))))
         grad = -_pair_scores(blocks1, blocks2, inputs, signs) / len(inputs)
         best = np.unravel_index(np.argmin(grad), grad.shape)
         dual = np.einsum("sa,sab,sb->", tz.conj(), signs, tz).real / len(inputs)
@@ -1096,10 +1107,11 @@ def _witness_general_path(g1, g2, target, cfg: WitnessConfig):
         return float(np.mean(qmath.hermitian_trace_norm(gaps)))
 
     def grad(v: np.ndarray) -> np.ndarray:
-        # d/dpsi of the mean trace distance, with sign(Delta_s) as subgradient:
-        # -2/S sum_s z_s^b (K z_s)^*_d sign_s[d, a] g4[a, k, b, q].
+        # d/dpsi of the mean trace distance, with S_s = 2 u_s u_s^dag (``_top_vectors``)
+        # as subgradient: -2/S sum_s z_s^b (K z_s)^*_d S_s[d, a] g4[a, k, b, q].
         kraus = _program_kraus(gate, v[:, 0])
-        signs = qmath.spectral_sign(_conjugation_gaps(kraus, reference, inputs))
+        gaps = _conjugation_gaps(kraus, reference, inputs)
+        signs = 2.0 * _projectors(_top_vectors(*np.linalg.eigh(hermitize(gaps))))
         u = _stack_outputs(kraus, inputs).conj() @ signs
         acc = -np.einsum("sb,ska,akbq->q", inputs, u, g4, optimize=True)
         return (2.0 * acc / len(inputs)).reshape(dp, 1)

@@ -36,7 +36,6 @@ PAULIS = np.array(
 PAULIS.flags.writeable = False
 
 LOG2E = 1.0 / math.log(2.0)
-SIGN_TOL = 1e-12  # relative eigenvalue size below which ``sign_of_spectrum`` returns 0
 
 
 def _as_complex(matrix) -> np.ndarray:
@@ -55,7 +54,7 @@ def hermitian_function(matrix: np.ndarray, fn) -> np.ndarray:
     """fn(H) = V fn(Λ) V† for the Hermitian part H = V Λ V† of a (stack of) matrices.
 
     ``fn`` maps the eigenvalue array (last axis) to the new spectrum, e.g. a
-    clamped logarithm, ``exp(-i λ)`` or ``sign_of_spectrum``.
+    clamped logarithm or ``exp(-i λ)``.
     """
     lam, vec = np.linalg.eigh(hermitize(matrix))
     return from_spectrum(fn(lam), vec)
@@ -64,21 +63,6 @@ def hermitian_function(matrix: np.ndarray, fn) -> np.ndarray:
 def from_spectrum(values: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """V diag(values) V† for (a stack of) eigenvector matrices V, e.g. from one ``eigh``."""
     return (vec * values[..., None, :]) @ vec.conj().swapaxes(-1, -2)
-
-
-def sign_of_spectrum(lam: np.ndarray) -> np.ndarray:
-    """Signs of (a stack of) eigenvalue arrays, for sign(H) = V sign(Λ) V†.
-
-    Eigenvalues with |λ| <= SIGN_TOL * max(1, max|λ|) get sign 0: they are
-    rounding noise of a rank-deficient H, whose ±1 would depend on the last bit.
-    """
-    scale = np.maximum(1.0, np.abs(lam).max(axis=-1, keepdims=True))
-    return np.where(np.abs(lam) <= SIGN_TOL * scale, 0.0, np.sign(lam))
-
-
-def spectral_sign(matrix: np.ndarray) -> np.ndarray:
-    """sign(H) of the Hermitian part of a (stack of) matrices: a trace-norm subgradient."""
-    return hermitian_function(matrix, sign_of_spectrum)
 
 
 def hermitian_trace_norm(matrix: np.ndarray) -> np.ndarray:

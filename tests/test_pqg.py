@@ -740,6 +740,18 @@ class TestValidation:
         with pytest.raises(InvariantError, match="not unitary"):
             call(pauli_gate)
 
+    @pytest.mark.parametrize("call", [
+        lambda gate: pqg.program_for_target(gate, np.eye(2), n_nearest=0),
+        lambda gate: pqg.program_for_target(gate, np.eye(2), n_nearest=-1),
+        lambda gate: pqg.net_gate_around([np.eye(2)], 0.5, n_atoms_per_target=0),
+        lambda gate: pqg.net_gate_around([np.eye(2)], 0.5, n_atoms_per_target=-1),
+        lambda gate: pqg.net_gate_around([np.eye(2)], 0.5, n_decoys=-2),
+    ], ids=["n_nearest=0", "n_nearest=-1", "n_atoms_per_target=0", "n_atoms_per_target=-1",
+            "n_decoys=-2"])
+    def test_selection_sizes_are_checked(self, pauli_gate, call):
+        with pytest.raises(InvariantError, match=r"needs n_\w+ >= "):
+            call(pauli_gate)
+
     @pytest.mark.parametrize("field, value", [
         ("n_inputs", 0), ("fw_iterations", -1), ("sup_samples", -1), ("general_restarts", 0),
     ])
@@ -849,12 +861,42 @@ class TestScalabilityWitness:
             blocks1, blocks2, target, inputs, uniform.reshape(n1, n2), 0
         )
         out = np.einsum("p,psa,psb->sab", uniform, y, y.conj())
-        signs = qmath.spectral_sign(targets - out)
+        # np.sign differs from 2 u u^dag by -I, which cancels in the trace-zero
+        # dual - score, and by noise on the gap's kernel, which is orthogonal to
+        # T z and to every pair output at the uniform start.
+        signs = qmath.hermitian_function(targets - out, np.sign)
         dual = np.mean([np.vdot(z, s @ z).real for z, s in zip(t_out, signs)])
         scores = [np.mean([np.vdot(z, s @ z).real for z, s in zip(yp, signs)]) for yp in y]
         expected = min(mixture_error(uniform), dual - max(scores))
         assert start_bound == pytest.approx(expected, abs=1e-12)
         assert start_bound <= min(values) + 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**16), d=st.sampled_from([2, 4, 9]), data=st.data())
+    def test_top_vector_is_the_gap_subgradient(self, seed, d, data):
+        # Delta = phi phi^dag - sigma, sigma of rank 1..d: rank 1 leaves a kernel.
+        rank = data.draw(st.integers(1, d))
+        rng = np.random.default_rng(seed)
+        phi = qmath.haar_vectors(rng, 1, d)
+        sigma = ch.random_state((d,), rank, rng).entries
+        delta = pqg._projectors(phi)[0] - sigma
+        lam, vec = np.linalg.eigh(delta)
+        assert np.sum(lam > qmath.EIG_CUTOFF) <= 1
+        norm = qmath.hermitian_trace_norm(delta)
+        assert abs(norm - 2.0 * lam[-1]) < 1e-12
+        u = pqg._top_vectors(lam, vec)
+        assert abs(np.trace(2.0 * np.outer(u, u.conj()) @ delta).real - norm) < 1e-12
+        # A gap that vanishes to rounding keeps the subgradient 0, not a noise eigenvector.
+        zero = pqg._projectors(phi) - pqg._projectors(phi * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+        assert not np.any(pqg._top_vectors(*np.linalg.eigh(zero)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exact_target_keeps_a_zero_bound(self, pauli_gate, seed):
+        # X (x) Z is the block pair (X, Z): every gap at the optimum is 0 to
+        # rounding, where a noise eigenvector would pull the dual bound below 0.
+        report = pqg.scalability_witness(pauli_gate, pauli_gate, np.kron(PAULI_X, PAULI_Z),
+                                         pqg.WitnessConfig(seed=seed))
+        assert report.lower_bound.value == 0.0
 
     def test_no_dense_program_past_the_guard(self):
         report = pqg.WitnessReport(0.0, [((0, 0), 1.0)], pqg.ErrorEstimate(0.0, "exact-unitary", 0),

@@ -217,19 +217,6 @@ class TestSharedKernels:
             assert abs(norm - np.abs(lam).sum()) < 1e-12
             assert np.max(np.abs(sign - (vec * np.sign(lam)) @ vec.conj().T)) < 1e-12
 
-    def test_spectral_sign_drops_rounding_noise(self):
-        # Delta = z z^dag - w w^dag has rank 2; its other eigenvalues are
-        # +-1e-17 noise, to which np.sign would assign +-1.
-        rng = np.random.default_rng(5)
-        z, w = qmath.haar_vectors(rng, 2, 6)
-        delta = np.outer(z, z.conj()) - np.outer(w, w.conj())
-        sign = qmath.spectral_sign(delta)
-        assert np.linalg.matrix_rank(sign, tol=1e-8) == 2
-        # On a generic full-rank stack it is the plain sign matrix.
-        g = rng.standard_normal((4, 5, 5)) + 1j * rng.standard_normal((4, 5, 5))
-        stack = qmath.hermitize(g)
-        assert np.max(np.abs(qmath.spectral_sign(stack) - qmath.hermitian_function(stack, np.sign))) < 1e-12
-
     @pytest.mark.parametrize("zero_pivot", [False, True])
     def test_positive_qr_phases_match_masked_division(self, zero_pivot):
         # Reference: diag / |diag| with vanishing pivots set to phase 1 first.
