@@ -149,6 +149,13 @@ def _subset_probes(a_dims: tuple[int, ...], d_out: int) -> list[QuantumChannel]:
     return probes
 
 
+def _require_positive(**sizes: int) -> None:
+    """Levels, copies and ensemble sizes of the capacity API are at least 1."""
+    for name, size in sizes.items():
+        if size < 1:
+            raise InvariantError(f"{name} must be >= 1, got {size}")
+
+
 def dc_capacity(
     d: int,
     rho: DensityMatrix,
@@ -161,6 +168,7 @@ def dc_capacity(
     Always between log2 d and log2 d + H(rho_B); equality analysis lives in
     the decomposition.  ``a_factors`` names the sender-side tensor factors.
     """
+    _require_positive(d=d)
     cfg = cfg or opt.OptConfig()
     work, a_dims = _split_factors(rho, a_factors)
     all_probes = _subset_probes(a_dims, d) + list(probes)
@@ -209,8 +217,7 @@ def dc_capacity_block(
     Superadditive: never below the single-copy value minus tolerance, because
     the product of single-copy optimizers is seeded as a probe.
     """
-    if n < 1:
-        raise ValueError("block length n must be >= 1")
+    _require_positive(n=n, d=d)
     cfg = cfg or opt.OptConfig()
     if n == 1:
         return dc_capacity(d, rho, cfg, a_factors)
@@ -243,8 +250,7 @@ def dc_capacity_multicopy(
     optimizer on the first copy, with the other copies' sender factors traced
     out, is seeded as a probe and attains exactly that value.
     """
-    if k < 1:
-        raise ValueError("copy count k must be >= 1")
+    _require_positive(k=k, d=d)
     cfg = cfg or opt.OptConfig()
     if k == 1:
         return dc_capacity(d, rho, cfg, a_factors)
@@ -288,6 +294,7 @@ def ree_bound(
     A PPT sigma is non-distillable, so the certified bound dominates every
     dense-coding lower bound for the same d.
     """
+    _require_positive(d=d)
     if rho.dims != sigma.dims:
         raise DimensionMismatchError(f"dims {rho.dims} vs {sigma.dims}")
     divergence = qmath.relative_entropy(rho, sigma)
@@ -310,6 +317,7 @@ def additivity_gap(
     the gap is never below -tolerance; strictly positive gaps witness
     superadditivity.
     """
+    _require_positive(d1=d1, d2=d2)
     cfg = cfg or opt.OptConfig()
     joint_state, joint_a = _joint_state([(rho, rho_a), (sigma, sigma_a)])
     part1 = dc_capacity(d1, rho, cfg, rho_a)
@@ -333,6 +341,7 @@ def noisy_dc_capacity(
     Delegates to the alternating ensemble optimizer; with the identity
     channel this reproduces the noiseless capacity.
     """
+    _require_positive(m=m)
     cfg = cfg or opt.OptConfig()
     work, _ = _split_factors(rho, a_factors)
     result = opt.optimize_ensemble(phi, work, m, cfg, initial_encodings=initial_encodings)

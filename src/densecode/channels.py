@@ -86,6 +86,8 @@ class QuantumChannel:
     @classmethod
     def projection_onto(cls, d_in: int, d_out: int, index: int = 0) -> "QuantumChannel":
         """rho -> |index><index|, discarding all input information."""
+        if not 0 <= index < d_out:
+            raise InvariantError(f"projection index {index} outside 0..{d_out - 1}")
         ops = np.zeros((d_in, d_out, d_in), dtype=complex)
         ops[np.arange(d_in), index, np.arange(d_in)] = 1.0
         return cls(d_in, d_out, ops)
@@ -258,6 +260,8 @@ def random_isometry(d_rows: int, d_cols: int, seed) -> np.ndarray:
 
 def random_state(dims: Sequence[int], rank: int, seed) -> DensityMatrix:
     """Normalized Wishart state of the given rank."""
+    if rank < 1:
+        raise InvariantError(f"state rank must be >= 1, got {rank}")
     rng = as_rng(seed)
     dims = tuple(int(d) for d in dims)
     side = int(np.prod(dims))

@@ -62,6 +62,12 @@ def default_seed() -> int:
         raise FormatError(f"DENSECODE_SEED must be an integer, got {text!r}") from None
 
 
+def _check_seed(seed, where: str) -> None:
+    # numpy's generators take only non-negative integer seeds.
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise FormatError(f"{where} must be a non-negative integer, got {seed!r}")
+
+
 def _require_at_least(args, minimum: int, *flags: str) -> None:
     for flag in flags:
         if getattr(args, flag) < minimum:
@@ -217,6 +223,7 @@ def _opt_config(args) -> opt.OptConfig:
         if unknown:
             raise FormatError(f"unknown OptConfig fields: {sorted(unknown)}")
         fields.update(block)
+        _check_seed(fields["seed"], "config seed")
     try:
         return opt.OptConfig(**fields)
     except (TypeError, ValueError) as exc:
@@ -566,6 +573,7 @@ def main(argv: list[str] | None = None, _timestamp: str | None = None) -> int:
     try:
         if getattr(args, "seed", 0) is None:
             args.seed = default_seed()
+        _check_seed(getattr(args, "seed", 0), "seed")
         return args.func(args, argv, _timestamp)
     except FormatError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -264,7 +264,11 @@ def mixture_program(gate: ProgrammableGate, weights: dict[int, float]) -> PureSt
         raise InvariantError("mixture programs need a controlled-block gate")
     amps = np.zeros(gate.d_program, dtype=complex)
     for idx, w in weights.items():
-        amps[idx] = math.sqrt(max(0.0, w))
+        if not 0 <= idx < gate.d_program:
+            raise InvariantError(f"block index {idx} outside 0..{gate.d_program - 1}")
+        if not w >= -qmath.NORM_TOL:  # NaN too
+            raise InvariantError(f"negative mixture weight {w} on block {idx}")
+        amps[idx] = math.sqrt(max(0.0, w))  # rounding-level negatives clip to 0
     norm = np.linalg.norm(amps)
     if norm <= 0:
         raise InvariantError("mixture weights vanish")
@@ -436,18 +440,16 @@ def _mixture_objective(atoms: np.ndarray, target: np.ndarray):
     i alone.
 
     For qubits the objective is the exact worst-case Bloch distortion
-    sigma_max(M), M = sum_i w_i (I - R_i) (King & Ruskai 2001), and the
-    barrier problem is: minimize t over x = (w, t) subject to the 6x6 LMI
-    [[t I, M], [M^T, t I]] >= 0, with nu = 6 + n.  Otherwise it is the
-    Choi-Frobenius proxy w^T G w - 2 b^T w + 1, a convex quadratic with
-    G_ij = |<v_i, v_j>|^2 and b_i = |tr(target^dag a_i)|^2 / d^2 (``_active_set``).
+    sigma_max(sum_i w_i (I - R_i)) (King & Ruskai 2001), solved on its LMI by
+    ``_barrier_newton``.  Otherwise it is the Choi-Frobenius proxy
+    w^T G w - 2 b^T w + 1, a convex quadratic with G_ij = |<v_i, v_j>|^2 and
+    b_i = |tr(target^dag a_i)|^2 / d^2 (``_active_set``).
     """
     n, d = atoms.shape[-3:-1]
     rel = target.conj().swapaxes(-1, -2)[..., None, :, :] @ atoms
     if d == 2:
         distortions = np.eye(3) - _bloch_rotations(rel)  # I - R_i
         flat = distortions.reshape(*distortions.shape[:-2], 9)
-        diag = np.arange(n)
 
         def fun(w):
             u, s, vh = np.linalg.svd((w[..., None] * flat).sum(-2).reshape(*w.shape[:-1], 3, 3))
@@ -455,32 +457,7 @@ def _mixture_objective(atoms: np.ndarray, target: np.ndarray):
             top = (u[..., :, 0, None] * vh[..., 0, None, :]).reshape(*w.shape[:-1], 9, 1)
             return s[..., 0], (flat @ top)[..., 0]
 
-        # F(x) = sum_k x_k basis_k; the last basis matrix, I, carries t.
-        stacked = distortions.reshape(-1, n, 3, 3)
-        basis = np.zeros((len(stacked), n + 1, 6, 6))
-        basis[:, :n, :3, 3:] = stacked
-        basis[:, :n, 3:, :3] = stacked.swapaxes(-1, -2)
-        basis[:, n] = np.eye(6)
-
-        def derivatives(x, rows, tau):
-            stack = basis[rows]
-            lmi = (x[:, None, :] @ stack.reshape(len(rows), n + 1, 36)).reshape(-1, 6, 6)
-            lam, vec = np.linalg.eigh(lmi)
-            half = (vec / np.sqrt(lam)[:, None, :])[:, None]  # F^(-1/2) up to a rotation
-            whitened = (half.swapaxes(-1, -2) @ stack @ half).reshape(len(rows), n + 1, 36)
-            # -log det F: gradient -tr(F^-1 F_k), Hessian tr(F^-1 F_k F^-1 F_l).
-            grad = -whitened[..., ::7].sum(-1)
-            grad[:, :n] -= 1.0 / x[:, :n]
-            grad[:, n] += tau
-            hess = whitened @ whitened.swapaxes(-1, -2)
-            hess[:, diag, diag] += x[:, :n] ** -2
-            return grad, hess, slope_of_t[: len(rows)], whitened
-
-        slope_of_t = np.zeros((len(stacked), n + 1))  # the objective t has gradient e_t
-        slope_of_t[:, n] = 1.0
-        top = np.linalg.svd(stacked.mean(axis=1), compute_uv=False)[:, :1]
-        start = np.concatenate([np.full((len(stacked), n), 1.0 / n), top + 1.0], axis=1)
-        solve = partial(_barrier_newton, start, n, 6.0 + n, derivatives)
+        solve = partial(_barrier_newton, distortions.reshape(-1, n, 3, 3))
         vertex_values = np.linalg.svd(distortions, compute_uv=False)[..., 0]
     else:
         vecs = rel.reshape(*rel.shape[:-2], d * d)
@@ -549,35 +526,53 @@ def _line_search(slope, curvature, ratios) -> np.ndarray:
     return alpha
 
 
-def _barrier_newton(start, n: int, nu: float, derivatives, rows: np.ndarray) -> BarrierSolve:
+def _barrier_newton(distortions: np.ndarray, rows: np.ndarray) -> BarrierSolve:
     """Simplex weights [len(rows), n] minimizing the qubit problems ``rows`` of a stack.
 
-    Each problem is over x = (w, t) with w on the simplex and a strictly
-    feasible ``start`` [B, n + 1]; ``derivatives(x, rows, tau)`` gives the
-    gradient and Hessian of tau * objective + barrier, the objective's
-    gradient, and the whitened 6x6 LMI basis F^(-1/2) F_k F^(-1/2) as
-    [b, n + 1, 36]; nu is the barrier parameter.  The log-barrier
-    method (Boyd & Vandenberghe 2004, *Convex Optimization*, section 11.3)
-    keeps sum(w) = 1 exactly.  One KKT solve gives the Newton step and the
-    central-path tangent tau dx/dtau.  A centered problem enters the next
-    ``TAU_LADDER`` stage with the tangent step linear in 1 / tau, which
+    ``distortions`` [B, n, 3, 3] holds D_i = I - R_i.  Each problem minimizes t
+    over x = (w, t), w on the simplex, subject to the 6x6 LMI
+    F(x) = sum_i w_i [[0, D_i], [D_i^T, 0]] + t I >= 0, that is
+    t >= sigma_max(sum_i w_i D_i), from the strictly feasible start w = 1 / n,
+    t = sigma_max(mean D) + 1.  The log-barrier method (Boyd & Vandenberghe
+    2004, *Convex Optimization*, section 11.3) on tau t - log det F - sum log w,
+    nu = 6 + n, keeps sum(w) = 1 exactly.  One KKT solve gives the Newton step
+    and the central-path tangent tau dx/dtau.  A centered problem enters the
+    next ``TAU_LADDER`` stage with the tangent step linear in 1 / tau, which
     predicts the next center.  Moves are line-searched (``_line_search``) on
     the ratios of w and of the LMI's eigenvalues; steps are full once the
     decrement is below 0.1.  Each problem reports its Newton steps,
     why it stopped (``centered``, ``newton_cap`` or ``non_finite``) and the
     nu / tau of its stage, which bounds its gap when centered.
     """
-    x = start[rows]
-    m, last = x.shape[1], len(TAU_LADDER) - 1
+    dists = distortions[rows]
+    b, n = dists.shape[:2]
+    m, last, diag = n + 1, len(TAU_LADDER) - 1, np.arange(n)
+    # F(x) = sum_k x_k basis_k; the last basis matrix, I, carries t.
+    basis = np.zeros((b, m, 6, 6))
+    basis[:, :n, :3, 3:] = dists
+    basis[:, :n, 3:, :3] = dists.swapaxes(-1, -2)
+    basis[:, n] = np.eye(6)
+    top = np.linalg.svd(dists.mean(axis=1), compute_uv=False)[:, :1]
+    x = np.concatenate([np.full((b, n), 1.0 / n), top + 1.0], axis=1)
     simplex, ridge = (np.arange(m) < n).astype(float), RIDGE * np.eye(m)
     rise = np.concatenate([[1.0], TAU_LADDER[1:] / TAU_LADDER[:-1], [1.0]])  # into stage k
-    stage, steps = np.zeros(len(rows), dtype=int), np.zeros(len(rows), dtype=int)
-    reasons = np.full(len(rows), "newton_cap", dtype=object)
-    live = np.arange(len(rows))
+    stage, steps = np.zeros(b, dtype=int), np.zeros(b, dtype=int)
+    reasons = np.full(b, "newton_cap", dtype=object)
+    live = np.arange(b)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for _ in range(NEWTON_CAP):
-            tau = nu * TAU_LADDER[stage[live]]
-            grad, hess, slope, lmi = derivatives(x[live], rows[live], tau)
+            tau = (6.0 + n) * TAU_LADDER[stage[live]]
+            point, stack = x[live], basis[live]
+            lam, vec = np.linalg.eigh((point[:, None, :] @ stack.reshape(-1, m, 36)).reshape(-1, 6, 6))
+            half = (vec / np.sqrt(lam)[:, None, :])[:, None]  # F^(-1/2) up to a rotation
+            whitened = (half.swapaxes(-1, -2) @ stack @ half).reshape(len(live), m, 36)
+            # tau t - log det F - sum log w: -log det F has gradient -tr(F^-1 F_k)
+            # and Hessian tr(F^-1 F_k F^-1 F_l).
+            grad = -whitened[..., ::7].sum(-1)
+            grad[:, :n] -= 1.0 / point[:, :n]
+            grad[:, n] += tau
+            hess = whitened @ whitened.swapaxes(-1, -2)
+            hess[:, diag, diag] += point[:, :n] ** -2
             steps[live] += 1
             # The KKT system under sum(w) = 1, scaled to a unit diagonal.
             scale = np.diagonal(hess, axis1=-2, axis2=-1) ** -0.5
@@ -586,15 +581,16 @@ def _barrier_newton(start, n: int, nu: float, derivatives, rows: np.ndarray) -> 
             system[:, :m, :m] = scale[:, :, None] * hess * scale[:, None, :] + ridge
             system[:, :m, m] = system[:, m, :m] = edge / np.sqrt((edge**2).sum(-1, keepdims=True))
             right = np.zeros((len(live), m + 1, 2))
-            right[:, :m, 0], right[:, :m, 1] = -grad * scale, -tau[:, None] * slope * scale
+            # The objective t has gradient e_t: the tangent's right side is -tau e_t, scaled.
+            right[:, :m, 0], right[:, n, 1] = -grad * scale, -tau * scale[:, n]
             bad = ~np.isfinite(system).all((-2, -1))
             system[bad] = np.eye(m + 1)  # solved, then dropped
             solved = np.linalg.solve(system, right)[:, :m] * scale[..., None]
             bad |= ~np.isfinite(solved).all((-2, -1))
             if bad.any():
                 reasons[live[bad]] = "non_finite"
-                live, tau, grad, hess, slope, lmi, solved = (
-                    a[~bad] for a in (live, tau, grad, hess, slope, lmi, solved))
+                live, tau, grad, hess, whitened, solved = (
+                    a[~bad] for a in (live, tau, grad, hess, whitened, solved))
             newton, tangent = solved[..., 0], solved[..., 1]
             # The squared Newton decrement as newton' H newton: -grad . newton cancels
             # the huge multiplier part of grad only to rounding.
@@ -604,12 +600,12 @@ def _barrier_newton(start, n: int, nu: float, derivatives, rows: np.ndarray) -> 
             # A centered problem also moves along the central path to its next tau.
             growth = np.where(centered, rise[stage[live]], 1.0)
             move = newton + (1.0 - 1.0 / growth)[:, None] * tangent
-            spread = (move[:, None] @ lmi).reshape(len(live), 6, 6)
+            spread = (move[:, None] @ whitened).reshape(len(live), 6, 6)
             ratios = np.concatenate([move[:, :n] / x[live, :n], np.linalg.eigvalsh(spread)], -1)
             # move' H move less the barrier's part, sum ratios^2, is the objective's curvature.
             curvature = growth * np.maximum(0.0, np.einsum("bi,bij,bj->b", move, hess, move)
                                                 - (ratios**2).sum(-1))
-            alpha = _line_search(growth * tau * (slope * move).sum(-1), curvature, ratios)
+            alpha = _line_search(growth * tau * move[:, n], curvature, ratios)
             x[live] += move * np.where((decrement < 0.01) & (growth == 1.0), 1.0, alpha)[:, None]
             live = live[stage[live] <= last]
             if not live.size:

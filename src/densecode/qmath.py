@@ -192,6 +192,8 @@ class DensityMatrix:
 
 def basis_state(d: int, index: int, dims: Sequence[int] | None = None) -> PureState:
     """Computational basis vector |index> on C^d (or on the given factors)."""
+    if not 0 <= index < d:
+        raise InvariantError(f"basis index {index} outside 0..{d - 1}")
     amps = np.zeros(d, dtype=complex)
     amps[index] = 1.0
     return PureState(tuple(dims) if dims is not None else (d,), amps)

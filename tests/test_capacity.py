@@ -389,3 +389,17 @@ class TestNoisyDcCapacity:
             initial_encodings=routing,
         )
         assert result.value >= 4.0 - 5e-3
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cap.dc_capacity(0, bell_density(), CFG),
+    lambda: cap.dc_capacity(-2, bell_density(), CFG),
+    lambda: cap.additivity_gap(bell_density(), 0, bell_density(), 2, CFG),
+    lambda: cap.ree_bound(bell_density(), 0, qmath.maximally_mixed((2, 2))),
+    lambda: cap.dc_capacity_block(0, 2, bell_density(), CFG),
+    lambda: cap.dc_capacity_multicopy(0, 2, bell_density(), CFG),
+    lambda: cap.noisy_dc_capacity(ch.QuantumChannel.identity(2), bell_density(), 0, CFG),
+], ids=["d0", "d_negative", "additivity_d1", "ree_d0", "block_n0", "multicopy_k0", "noisy_m0"])
+def test_sizes_are_checked_at_the_boundary(call):
+    with pytest.raises(InvariantError, match="must be >= 1"):
+        call()

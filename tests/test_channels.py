@@ -152,6 +152,10 @@ class TestSampling:
         rho = ch.random_state((2, 2), 1, seed=6)
         assert np.trace(rho.entries @ rho.entries).real == pytest.approx(1.0, abs=1e-10)
 
+    def test_random_state_rank_is_checked(self):
+        with pytest.raises(InvariantError, match="rank"):
+            ch.random_state((2, 2), 0, seed=0)
+
     def test_seed_reproducibility(self):
         a = ch.random_channel(2, 2, 2, seed=7)
         b = ch.random_channel(2, 2, 2, seed=7)
@@ -173,6 +177,13 @@ class TestSampling:
             (2, 2), np.kron(np.eye(2) / 2, qmath.partial_trace(rho, {1}).entries)
         )
         assert qmath.trace_distance(mean, target) < 0.02
+
+
+@pytest.mark.parametrize("index", [-1, 2, 5])
+def test_projection_index_is_checked(index):
+    # Unchecked, -1 would project onto |1> and 5 raise a bare IndexError.
+    with pytest.raises(InvariantError, match="projection index"):
+        ch.QuantumChannel.projection_onto(2, 2, index)
 
 
 class TestWeyl:

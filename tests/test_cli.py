@@ -550,6 +550,31 @@ def test_bad_flags_exit_2(capsys, argv):
     assert any(line.startswith("error: ") for line in err.splitlines())
 
 
+DEPOLARIZING = str(fixture_path("depolarizing-qubit.json"))
+
+
+@pytest.mark.parametrize("argv, env, block", [
+    (["dc", BELL, "--restarts", "1", "--seed", "-1"], None, None),
+    (["dc", BELL, "--channel", DEPOLARIZING, "--seed", "-1"], None, None),
+    (["scan-additivity", "--count", "1", "--seed", "-1"], None, None),
+    (["pqg", "build-net", "--epsilon", "0.5", "--seed", "-1"], None, None),
+    (["pqg", "witness", "--target", "cnot", "--gates", "pauli", "pauli", "--seed", "-1"], None, None),
+    (["pqg", "emulate", "--channel", DEPOLARIZING, "--seed", "-1"], None, None),
+    (["dc", BELL, "--restarts", "1"], "-5", None),
+    (["dc", BELL, "--restarts", "1"], None, '{"seed": -1}'),
+    (["dc", BELL, "--restarts", "1"], None, '{"seed": 1.5}'),
+])
+def test_negative_seed_exits_2(capsys, monkeypatch, tmp_path, argv, env, block):
+    if env is not None:
+        monkeypatch.setenv("DENSECODE_SEED", env)
+    if block is not None:
+        (tmp_path / "cfg.json").write_text(block)
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "seed must be a non-negative integer" in err
+
+
 @pytest.mark.parametrize("argv, flags", [
     (["dc", BELL, "--copies", "2", "--block", "2"], ("--copies", "--block")),
     (["dc", BELL, "--channel", str(fixture_path("depolarizing-qubit.json")), "--copies", "2"],

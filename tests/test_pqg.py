@@ -314,15 +314,9 @@ class TestMixtureWeights:
     def test_barrier_solve_reports_a_non_finite_newton_system(self):
         rng = np.random.default_rng(3)
         atoms = np.stack([[ch.random_unitary(2, rng) for _ in range(6)] for _ in range(2)])
-        _, solve, _ = pqg._mixture_objective(atoms, np.stack([np.eye(2)] * 2))
-        start, n, nu, derivatives = solve.args
-
-        def poisoned(x, rows, tau):
-            grad, hess, slope, lmi = derivatives(x, rows, tau)
-            hess[rows == 1] = np.nan
-            return grad, hess, slope, lmi
-
-        result = pqg._barrier_newton(start, n, nu, poisoned, np.arange(2))
+        distortions = np.eye(3) - pqg._bloch_rotations(atoms)  # the target is I
+        distortions[1, 0, 0, 0] = 1e200  # the start's t = sigma_max + 1 rounds to a singular F
+        result = pqg._barrier_newton(distortions, np.arange(2))
         assert list(result.reasons) == ["centered", "non_finite"]
         assert result.steps[1] == 1 and np.isfinite(result.weights).all()
 
@@ -751,6 +745,17 @@ class TestValidation:
     def test_selection_sizes_are_checked(self, pauli_gate, call):
         with pytest.raises(InvariantError, match=r"needs n_\w+ >= "):
             call(pauli_gate)
+
+    @pytest.mark.parametrize("weights, message", [
+        ({-1: 1.0}, "block index"), ({4: 1.0}, "block index"), ({0: -1.0, 1: 1.0}, "negative"),
+    ], ids=["index=-1", "index=4", "weight=-1"])
+    def test_mixture_program_rejects_bad_weights(self, pauli_gate, weights, message):
+        # Unchecked, {-1: 1} would take the last block and {0: -1, 1: 1} become block 1.
+        with pytest.raises(InvariantError, match=message):
+            pqg.mixture_program(pauli_gate, weights)
+        # Rounding-level negatives are still clipped.
+        psi = pqg.mixture_program(pauli_gate, {0: -1e-13, 1: 1.0})
+        assert np.array_equal(psi.amplitudes, qmath.basis_state(4, 1).amplitudes)
 
     @pytest.mark.parametrize("field, value", [
         ("n_inputs", 0), ("fw_iterations", -1), ("sup_samples", -1), ("general_restarts", 0),

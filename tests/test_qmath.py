@@ -326,6 +326,12 @@ class TestValidation:
         with pytest.raises(InvariantError):
             qmath.PureState((2,), np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_basis_index_is_checked(self, index):
+        # Unchecked, -1 would wrap around to |1>.
+        with pytest.raises(InvariantError, match="basis index"):
+            qmath.basis_state(2, index)
+
 
 def test_merge_factors_validates_one_state(monkeypatch):
     rho = ch.random_state((2, 3, 2), 4, seed=5)
