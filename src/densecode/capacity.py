@@ -118,12 +118,9 @@ def dc_mutual_information(
     if mu.kind != "encodings":
         raise InvariantError("dc_mutual_information expects an encoding ensemble")
     work, _ = _split_factors(rho, a_factors)
-    signals = []
-    for _, enc in mu.items:
-        total = ch.compose(phi, enc) if phi is not None else enc
-        signals.append(ch.apply_local(total, work, 0))
-    states = Ensemble("states", tuple(zip(mu.probabilities, signals)))
-    return holevo_information(states)
+    totals = [ch.compose(phi, enc) if phi is not None else enc for enc in mu.payloads]
+    signals = [ch.apply_local(total, work, 0).entries for total in totals]
+    return qmath.holevo_quantity(mu.probabilities, signals)
 
 
 def _subset_probes(a_dims: tuple[int, ...], d_out: int) -> list[QuantumChannel]:
@@ -192,17 +189,27 @@ def dc_capacity(
     return CapacityResult(value, decomposition, report, True, metadata)
 
 
-def _joint_state(parts: Sequence[tuple[DensityMatrix, Sequence[int]]]):
-    """Joint state and sender factors of (state, a_factors) parts, after the size guard."""
-    side = math.prod(rho.side for rho, _ in parts)
+def _seeded_joint(parts, copies, d_joint, cfg, seed_probe):
+    """Joint solve of ``copies`` repeats of the (d, state, a_factors) parts.
+
+    Trips the size guard, builds the joint state and its sender factors,
+    solves each part once, maps the parts' undilated optimizers through
+    ``seed_probe`` to one probe, and solves the joint problem seeded with it.
+    Returns the joint result and the parts' results.
+    """
+    states = [(rho, a_factors) for _, rho, a_factors in parts] * copies
+    side = math.prod(rho.side for rho, _ in states)
     if side > MAX_JOINT_SIDE:
         raise SizeGuardError(f"joint problem side {side} exceeds the guard {MAX_JOINT_SIDE}")
     joint_a: list[int] = []
     offset = 0
-    for rho, a_factors in parts:
+    for rho, a_factors in states:
         joint_a += [offset + int(i) for i in sorted(a_factors)]
         offset += rho.n_factors
-    return reduce(qmath.tensor, [rho for rho, _ in parts]), joint_a
+    joint = reduce(qmath.tensor, [rho for rho, _ in states])
+    solved = tuple(dc_capacity(d, rho, cfg, a_factors) for d, rho, a_factors in parts)
+    probe = seed_probe(*(ch.undilate(part.report.isometry) for part in solved))
+    return dc_capacity(d_joint, joint, cfg, joint_a, probes=[probe]), solved
 
 
 def dc_capacity_block(
@@ -221,19 +228,14 @@ def dc_capacity_block(
     cfg = cfg or opt.OptConfig()
     if n == 1:
         return dc_capacity(d, rho, cfg, a_factors)
-    joint, joint_a = _joint_state([(rho, a_factors)] * n)
-    single = dc_capacity(d, rho, cfg, a_factors)
-    probe = reduce(ch.tensor_channels, [ch.undilate(single.report.isometry)] * n)
-    inner = dc_capacity(d**n, joint, cfg, joint_a, probes=[probe])
-    dec = inner.decomposition
-    value = math.log2(d) + dec["marginal_entropy"] / n - dec["min_output_entropy"] / n
-    decomposition = {
-        "log_term": math.log2(d),
-        "marginal_entropy": dec["marginal_entropy"] / n,
-        "min_output_entropy": dec["min_output_entropy"] / n,
-    }
-    metadata = dict(inner.metadata)
-    metadata.update({"block": n, "d": d, "single_copy_value": single.value})
+    inner, (single,) = _seeded_joint(
+        [(d, rho, a_factors)], n, d**n, cfg, lambda t: reduce(ch.tensor_channels, [t] * n)
+    )
+    decomposition = {key: value / n for key, value in inner.decomposition.items()}
+    decomposition["log_term"] = math.log2(d)
+    value = (decomposition["log_term"] + decomposition["marginal_entropy"]
+             - decomposition["min_output_entropy"])
+    metadata = {**inner.metadata, "block": n, "d": d, "single_copy_value": single.value}
     return CapacityResult(value, decomposition, inner.report, True, metadata)
 
 
@@ -254,12 +256,11 @@ def dc_capacity_multicopy(
     cfg = cfg or opt.OptConfig()
     if k == 1:
         return dc_capacity(d, rho, cfg, a_factors)
-    joint, joint_a = _joint_state([(rho, a_factors)] * k)
-    single = dc_capacity(d, rho, cfg, a_factors)
-    d_a = single.report.isometry.d_in
-    tracer = QuantumChannel.trace_out_factor((d_a, d_a ** (k - 1)), (1,))
-    probe = ch.compose(ch.undilate(single.report.isometry), tracer)
-    result = dc_capacity(d, joint, cfg, joint_a, probes=[probe])
+
+    def on_first_copy(t: QuantumChannel) -> QuantumChannel:
+        return ch.compose(t, QuantumChannel.trace_out_factor((t.d_in, t.d_in ** (k - 1)), (1,)))
+
+    result, (single,) = _seeded_joint([(d, rho, a_factors)], k, d, cfg, on_first_copy)
     result.metadata.update({"copies": k, "single_copy_value": single.value})
     return result
 
@@ -319,13 +320,10 @@ def additivity_gap(
     """
     _require_positive(d1=d1, d2=d2)
     cfg = cfg or opt.OptConfig()
-    joint_state, joint_a = _joint_state([(rho, rho_a), (sigma, sigma_a)])
-    part1 = dc_capacity(d1, rho, cfg, rho_a)
-    part2 = dc_capacity(d2, sigma, cfg, sigma_a)
-    probe = reduce(ch.tensor_channels, [ch.undilate(p.report.isometry) for p in (part1, part2)])
-    joint = dc_capacity(d1 * d2, joint_state, cfg, joint_a, probes=[probe])
-    gap = joint.value - part1.value - part2.value
-    return GapResult(gap, joint, (part1, part2))
+    joint, parts = _seeded_joint(
+        [(d1, rho, rho_a), (d2, sigma, sigma_a)], 1, d1 * d2, cfg, ch.tensor_channels
+    )
+    return GapResult(joint.value - parts[0].value - parts[1].value, joint, parts)
 
 
 def noisy_dc_capacity(

@@ -223,7 +223,6 @@ def _opt_config(args) -> opt.OptConfig:
         if unknown:
             raise FormatError(f"unknown OptConfig fields: {sorted(unknown)}")
         fields.update(block)
-        _check_seed(fields["seed"], "config seed")
     try:
         return opt.OptConfig(**fields)
     except (TypeError, ValueError) as exc:

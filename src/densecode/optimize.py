@@ -32,7 +32,7 @@ import numpy as np
 from . import channels as ch
 from . import qmath
 from .channels import QuantumChannel, StinespringIsometry
-from .errors import ConvergenceError, DimensionMismatchError
+from .errors import ConvergenceError, DimensionMismatchError, InvariantError
 from .qmath import DensityMatrix, LOG2E, hermitize
 
 # Eigenvalues are clamped at this floor inside logarithms so that entropy
@@ -68,6 +68,9 @@ class OptConfig:
             raise ValueError("restarts and grad_tol must be >= 0 and max_iterations positive")
         if self.d_env is not None and self.d_env < 1:
             raise ValueError("d_env must be >= 1")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass
@@ -475,7 +478,7 @@ def optimize_ensemble(
     bound on the generalized dense-coding capacity, and never decreases.
     """
     if m < 1:
-        raise ValueError("ensemble size m must be >= 1")
+        raise InvariantError(f"ensemble size m must be >= 1, got {m}")
     cfg = cfg or OptConfig()
     d_in = rho.dims[0]
     d_env = cfg.d_env or d_in * phi.d_in

@@ -199,6 +199,9 @@ class WitnessConfig:
             raise ValueError("n_inputs and general_restarts must be >= 1")
         if self.fw_iterations < 0 or self.sup_samples < 0:
             raise ValueError("fw_iterations and sup_samples must be >= 0")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -970,15 +973,6 @@ def net_gate_around(
 # ---------------------------------------------------------------------------
 # Scalability witness
 # ---------------------------------------------------------------------------
-
-
-def operator_schmidt(u: np.ndarray, d1: int, d2: int):
-    """Operator-Schmidt decomposition of a matrix on C^{d1} (x) C^{d2}."""
-    m = u.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3).reshape(d1 * d1, d2 * d2)
-    w, s, vh = np.linalg.svd(m)
-    lefts = [w[:, i].reshape(d1, d1) for i in range(s.size)]
-    rights = [vh[i, :].reshape(d2, d2) for i in range(s.size)]
-    return s, lefts, rights
 
 
 def _projectors(vectors: np.ndarray) -> np.ndarray:

@@ -188,6 +188,19 @@ class TestBlockAndMulticopy:
             call()
         assert solves == []
 
+    @pytest.mark.parametrize("call, expected", [
+        (lambda cfg: cap.dc_capacity_block(3, 2, bell_density(), cfg), 2),
+        (lambda cfg: cap.dc_capacity_multicopy(2, 2, bell_density(), cfg), 2),
+        (lambda cfg: cap.additivity_gap(bell_density(), 2, bell_density(), 2, cfg), 3),
+    ], ids=["block", "multicopy", "additivity"])
+    def test_each_distinct_part_solved_once(self, call, expected, monkeypatch):
+        # One solve per distinct part plus the joint solve, never one per copy.
+        solves = []
+        solve = cap.dc_capacity
+        monkeypatch.setattr(cap, "dc_capacity", lambda *a, **k: solves.append(a) or solve(*a, **k))
+        call(opt.OptConfig(restarts=1, max_iterations=20, seed=3))
+        assert len(solves) == expected
+
     @pytest.mark.parametrize("seed", range(10))
     def test_multicopy_never_below_its_single_copy(self, seed):
         # T* on the first copy with the second copy's sender traced out is

@@ -7,7 +7,7 @@ from densecode import capacity as cap
 from densecode import channels as ch
 from densecode import optimize as opt
 from densecode import qmath
-from densecode.errors import ConvergenceError, DimensionMismatchError
+from densecode.errors import ConvergenceError, DimensionMismatchError, InvariantError
 
 
 def finite_difference_directional(fun, v, direction, h=1e-5):
@@ -130,6 +130,14 @@ class TestOptConfig:
     def test_negative_or_nan_grad_tol_rejected(self, grad_tol):
         with pytest.raises(ValueError, match="grad_tol"):
             opt.OptConfig(grad_tol=grad_tol)
+
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, True, np.int64(-1)],
+                             ids=["None", "-1", "1.5", "True", "int64(-1)"])
+    def test_seed_that_is_no_non_negative_integer_rejected(self, seed):
+        # Unchecked, None failed at the ensemble's cfg.seed + 1 and -1 or 1.5 inside numpy.
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            opt.OptConfig(seed=seed)
+        assert opt.OptConfig(seed=np.int64(3)).seed == 3
 
     def test_zero_grad_tol_allowed(self):
         assert opt.OptConfig(grad_tol=0.0).grad_tol == 0.0
@@ -602,6 +610,12 @@ class TestOptimizeEnsemble:
         assert np.array_equal(a.probabilities, b.probabilities)
         assert a.value == b.value
         assert a.history == b.history
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_ensemble_size_below_one_rejected(self, m):
+        rho = qmath.singlet().to_density()
+        with pytest.raises(InvariantError, match="ensemble size m must be >= 1"):
+            opt.optimize_ensemble(ch.QuantumChannel.identity(2), rho, m)
 
     def test_ceiling(self):
         rho = ch.random_state((2, 2), 2, seed=19)

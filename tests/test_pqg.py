@@ -759,11 +759,14 @@ class TestValidation:
 
     @pytest.mark.parametrize("field, value", [
         ("n_inputs", 0), ("fw_iterations", -1), ("sup_samples", -1), ("general_restarts", 0),
+        ("seed", None), ("seed", -1), ("seed", 1.5), ("seed", True),
+        pytest.param("seed", np.int64(-1), id="seed-int64(-1)"),
     ])
     def test_witness_config_rejects_out_of_range_fields(self, field, value):
         with pytest.raises(ValueError):
             pqg.WitnessConfig(**{field: value})
-        pqg.WitnessConfig(n_inputs=1, fw_iterations=0, sup_samples=0, general_restarts=1)
+        pqg.WitnessConfig(n_inputs=1, fw_iterations=0, sup_samples=0, general_restarts=1,
+                          seed=np.int64(0))
 
 
 class TestScalabilityWitness:
@@ -1055,14 +1058,6 @@ def test_factored_pair_scores_match_direct_traces(d1, d2):
             outs = inputs @ np.kron(u, v).T
             direct = sum(np.vdot(y, ms @ y).real for y, ms in zip(outs, m))
             assert abs(scores[j, l] - direct) <= 1e-12
-
-
-def test_operator_schmidt_rank():
-    s, lefts, rights = pqg.operator_schmidt(np.kron(PAULI_X, PAULI_Z), 2, 2)
-    assert s[0] == pytest.approx(2.0)
-    assert np.all(s[1:] < 1e-12)
-    s_cnot, _, _ = pqg.operator_schmidt(CNOT, 2, 2)
-    assert np.sum(s_cnot > 1e-9) == 2
 
 
 def test_unitary_map_distance_examples():
