@@ -18,7 +18,7 @@ _EXPORTS = {
     "qmath": (
         "DensityMatrix", "PureState", "basis_state", "bell_state", "binary_entropy",
         "coherent_information", "is_ppt", "maximally_entangled", "maximally_mixed",
-        "partial_trace", "partial_transpose", "relative_entropy", "schmidt", "singlet",
+        "partial_trace", "relative_entropy", "schmidt", "singlet",
         "tensor", "tensor_pure", "trace_distance", "von_neumann_entropy",
     ),
     "channels": (
@@ -27,13 +27,13 @@ _EXPORTS = {
         "random_unitary", "undilate", "weyl_basis", "weyl_twirl",
     ),
     "optimize": (
-        "OptConfig", "OptReport", "entropy_gradient", "min_local_output_entropy",
+        "OptConfig", "OptReport", "min_local_output_entropy",
         "optimize_ensemble", "stiefel_minimize",
     ),
     "capacity": (
         "CapacityResult", "Ensemble", "additivity_gap", "capacity_achieving_ensemble",
         "dc_capacity", "dc_capacity_block", "dc_capacity_multicopy",
-        "dc_mutual_information", "holevo_information", "noisy_dc_capacity",
+        "dc_mutual_information", "noisy_dc_capacity",
         "random_separable", "ree_bound", "werner_state",
     ),
     "pqg": (

@@ -27,7 +27,7 @@ from . import optimize as opt
 from . import qmath
 from .channels import QuantumChannel
 from .errors import DimensionMismatchError, InvariantError, SizeGuardError
-from .qmath import DensityMatrix, coherent_information  # noqa: F401  (capacity keeps the name)
+from .qmath import DensityMatrix
 
 # Joint problems (blocks, copies, additivity scans) refuse sides beyond this.
 MAX_JOINT_SIDE = 256
@@ -37,13 +37,13 @@ PROB_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Finite probability distribution over states or encodings."""
+    """Finite probability distribution over encodings (channels of one shape)."""
 
-    kind: str  # "states" or "encodings"
+    kind: str  # "encodings", the one kind
     items: tuple[tuple[float, object], ...] = field(repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("states", "encodings"):
+        if self.kind != "encodings":
             raise InvariantError(f"unknown ensemble kind {self.kind!r}")
         items = tuple((float(p), payload) for p, payload in self.items)
         object.__setattr__(self, "items", items)
@@ -54,14 +54,8 @@ class Ensemble:
             raise InvariantError(f"negative probability {probs.min()}")
         if abs(probs.sum() - 1.0) > PROB_TOL:
             raise InvariantError(f"probabilities sum to {probs.sum()}")
-        if self.kind == "states":
-            dims = {payload.dims for _, payload in items}
-            if len(dims) != 1:
-                raise DimensionMismatchError("state ensemble with mixed dims")
-        else:
-            shapes = {(payload.d_in, payload.d_out) for _, payload in items}
-            if len(shapes) != 1:
-                raise DimensionMismatchError("encoding ensemble with mixed shapes")
+        if len({(payload.d_in, payload.d_out) for _, payload in items}) != 1:
+            raise DimensionMismatchError("encoding ensemble with mixed shapes")
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -95,13 +89,6 @@ class GapResult(NamedTuple):
     parts: tuple[CapacityResult, CapacityResult]
 
 
-def holevo_information(ensemble: Ensemble) -> float:
-    """H(average state) - average of member entropies, in bits."""
-    if ensemble.kind != "states":
-        raise InvariantError("holevo_information expects a state ensemble")
-    return qmath.holevo_quantity(ensemble.probabilities, [s.entries for s in ensemble.payloads])
-
-
 def _split_factors(rho: DensityMatrix, a_factors: Sequence[int]):
     """rho on (sender, receiver): the optimizer acts on the first factor."""
     a = sorted(int(i) for i in a_factors)
@@ -115,8 +102,6 @@ def dc_mutual_information(
     a_factors: Sequence[int] = (0,),
 ) -> float:
     """Holevo information of the signal ensemble {(p_i, (phi o T_i (x) id) rho)}."""
-    if mu.kind != "encodings":
-        raise InvariantError("dc_mutual_information expects an encoding ensemble")
     work, _ = _split_factors(rho, a_factors)
     totals = [ch.compose(phi, enc) if phi is not None else enc for enc in mu.payloads]
     signals = [ch.apply_local(total, work, 0).entries for total in totals]

@@ -270,12 +270,6 @@ def random_state(dims: Sequence[int], rank: int, seed) -> DensityMatrix:
     return DensityMatrix(dims, hermitize(mat / mat.trace().real))
 
 
-def random_pure(dims: Sequence[int], seed) -> qmath.PureState:
-    rng = as_rng(seed)
-    dims = tuple(int(d) for d in dims)
-    return qmath.PureState(dims, qmath.haar_vectors(rng, 1, int(np.prod(dims)))[0])
-
-
 def random_channel(d_in: int, d_out: int, d_env: int, seed) -> QuantumChannel:
     """Channel induced by a Haar isometry into out (x) env."""
     if d_out * d_env < d_in:

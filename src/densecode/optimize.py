@@ -102,7 +102,9 @@ class OptReport:
 
 def qr_retract(matrix: np.ndarray) -> np.ndarray:
     """QR retraction onto the Stiefel manifold (R-diagonal positive; one column z gives z / |z|)."""
-    return matrix / np.linalg.norm(matrix) if matrix.shape[1] == 1 else qmath.positive_qr(matrix)
+    if matrix.shape[1] == 1:
+        return matrix / qmath.frobenius_norm(matrix)
+    return qmath.positive_qr(matrix)
 
 
 def _log2_clamped(lam: np.ndarray) -> np.ndarray:
@@ -179,8 +181,7 @@ def stiefel_minimize(
         for _ in range(cfg.max_iterations):
             total_iterations += 1
             g = tangent_project(v, grad(v))
-            gvec = g.ravel("K")  # np.linalg.norm's own sum, without its wrapper
-            gn = math.sqrt(gvec.real.dot(gvec.real) + gvec.imag.dot(gvec.imag))
+            gn = qmath.frobenius_norm(g)  # np.linalg.norm(g) bit for bit, as in qr_retract
             if gn <= cfg.grad_tol:
                 reason = "grad_tol"
                 break
@@ -310,7 +311,7 @@ class _OutputEntropyProblem:
             # phi(Tr_env (V (x) I) rho (V (x) I)^dag) = Z Z^dag.
             zz = z @ z.conj().T
             signal = 0.5 * (zz + zz.conj().T)  # hermitize, inlined
-            lam, vec = np.linalg.eigh(signal)
+            lam, vec = qmath.eigh(signal)
             cached = self._forward_cache = (v, z, signal, lam, vec)
         return cached
 
@@ -405,16 +406,6 @@ def min_local_output_entropy(
     return report
 
 
-def entropy_gradient(iso: StinespringIsometry, rho: DensityMatrix) -> np.ndarray:
-    """Euclidean gradient of V -> H(Tr_env (V (x) I) rho (V (x) I)^dag), V on rho's first factor.
-
-    Returned with the convention df = Re <grad, dV>; it agrees with central
-    finite differences and is orthogonal to the global-phase direction iV.
-    """
-    problem = _OutputEntropyProblem(rho, iso.d_out, iso.d_env)
-    return problem.gradient(iso.v)
-
-
 # ---------------------------------------------------------------------------
 # Ensemble optimization for generalized (noisy) dense coding
 # ---------------------------------------------------------------------------
@@ -442,7 +433,7 @@ def _member_descent(problem: _OutputEntropyProblem, v: np.ndarray, weight: float
     def forward(x):
         _, z, signal, lam, vec = problem._forward(x)
         if avg[0] is not x:
-            avg[:] = [x, *np.linalg.eigh(rest + weight * signal)]
+            avg[:] = [x, *qmath.eigh(rest + weight * signal)]
         return z, lam, vec, avg[1], avg[2]
 
     def fun(x):
@@ -520,7 +511,7 @@ def optimize_ensemble(
     for _ in range(cfg.ensemble_sweeps):
         # Simplex step: exponentiated reweighting by the relative entropies
         # D(s_i || avg) = -H(s_i) - Tr s_i log2 avg, with avg's spectrum clamped.
-        lam_avg, vec_avg = np.linalg.eigh(hermitize(sum(pi * s for pi, s in zip(p, signals))))
+        lam_avg, vec_avg = qmath.eigh(hermitize(sum(pi * s for pi, s in zip(p, signals))))
         for _ in range(BLAHUT_STEPS):
             log_avg = qmath.from_spectrum(_log2_clamped(lam_avg), vec_avg)
             dvals = -h_signals - np.array([np.vdot(s, log_avg).real for s in signals])
@@ -528,7 +519,7 @@ def optimize_ensemble(
             new_p /= new_p.sum()
             # I = H(avg) - p . h_signals, from the one eigh that also gives the next log2 avg.
             new_avg = sum(pi * s for pi, s in zip(new_p, signals))
-            new_lam, new_vec = np.linalg.eigh(hermitize(new_avg))
+            new_lam, new_vec = qmath.eigh(hermitize(new_avg))
             new_value = qmath.entropy_of_spectrum(new_lam) - float(new_p @ h_signals)
             if new_value < value - 1e-12:
                 break

@@ -361,7 +361,7 @@ def _sup_error(kraus, target, n_samples, seed, ceiling=math.inf) -> ErrorEstimat
 
     def spectrum(v: np.ndarray):
         if cache[0] is not v:
-            cache[:] = [v, *np.linalg.eigh(hermitize(_conjugation_gaps(kraus, reference, v.T)[0]))]
+            cache[:] = [v, *qmath.eigh(hermitize(_conjugation_gaps(kraus, reference, v.T)[0]))]
         return cache[1:]
 
     def fun(v: np.ndarray) -> float:
@@ -476,6 +476,7 @@ def _mixture_objective(atoms: np.ndarray, target: np.ndarray):
     return fun, solve, vertex_values
 
 
+@np.errstate(invalid="ignore")  # a singular KKT system's NaN is reported, not warned
 def _active_set(gram: np.ndarray, b: np.ndarray, rows: np.ndarray) -> BarrierSolve:
     """Exact minimizers of w^T G w - 2 b^T w on the simplex for the problems ``rows``.
 
@@ -484,6 +485,7 @@ def _active_set(gram: np.ndarray, b: np.ndarray, rows: np.ndarray) -> BarrierSol
     ratio test cuts one off the simplex and drops its blocking atom, else the atom of most
     negative reduced gradient g_i - mean(g_F) enters.  With none below -``MULTIPLIER_TOL`` the
     solve is ``exact``, certified by the Frank-Wolfe gap g . w - min g.  Steps count KKT solves.
+    A singular KKT system solves to NaN (``qmath.solve_vector``) and ends as ``non_finite``.
     """
     solves = []
     for g, c in zip(gram[rows], b[rows]):
@@ -492,7 +494,7 @@ def _active_set(gram: np.ndarray, b: np.ndarray, rows: np.ndarray) -> BarrierSol
         for steps in range(1, NEWTON_CAP + 1):
             kkt = np.ones((len(free) + 1,) * 2)
             kkt[:-1, :-1], kkt[-1, -1] = 2.0 * g[np.ix_(free, free)], 0.0
-            y = np.linalg.solve(kkt, np.append(2.0 * c[free], 1.0))[:-1]
+            y = qmath.solve_vector(kkt, np.append(2.0 * c[free], 1.0))[:-1]
             if y.min() < 0.0:  # the ratio test: the longest step toward y that keeps w >= 0
                 ratios = np.divide(w[free], w[free] - y, out=np.full(len(y), np.inf), where=y < 0.0)
                 w[free] += ratios.min() * (y - w[free])
@@ -566,7 +568,7 @@ def _barrier_newton(distortions: np.ndarray, rows: np.ndarray) -> BarrierSolve:
         for _ in range(NEWTON_CAP):
             tau = (6.0 + n) * TAU_LADDER[stage[live]]
             point, stack = x[live], basis[live]
-            lam, vec = np.linalg.eigh((point[:, None, :] @ stack.reshape(-1, m, 36)).reshape(-1, 6, 6))
+            lam, vec = qmath.eigh((point[:, None, :] @ stack.reshape(-1, m, 36)).reshape(-1, 6, 6))
             half = (vec / np.sqrt(lam)[:, None, :])[:, None]  # F^(-1/2) up to a rotation
             whitened = (half.swapaxes(-1, -2) @ stack @ half).reshape(len(live), m, 36)
             # tau t - log det F - sum log w: -log det F has gradient -tr(F^-1 F_k)
@@ -588,7 +590,7 @@ def _barrier_newton(distortions: np.ndarray, rows: np.ndarray) -> BarrierSolve:
             right[:, :m, 0], right[:, n, 1] = -grad * scale, -tau * scale[:, n]
             bad = ~np.isfinite(system).all((-2, -1))
             system[bad] = np.eye(m + 1)  # solved, then dropped
-            solved = np.linalg.solve(system, right)[:, :m] * scale[..., None]
+            solved = qmath.solve(system, right)[:, :m] * scale[..., None]
             bad |= ~np.isfinite(solved).all((-2, -1))
             if bad.any():
                 reasons[live[bad]] = "non_finite"
@@ -604,7 +606,7 @@ def _barrier_newton(distortions: np.ndarray, rows: np.ndarray) -> BarrierSolve:
             growth = np.where(centered, rise[stage[live]], 1.0)
             move = newton + (1.0 - 1.0 / growth)[:, None] * tangent
             spread = (move[:, None] @ whitened).reshape(len(live), 6, 6)
-            ratios = np.concatenate([move[:, :n] / x[live, :n], np.linalg.eigvalsh(spread)], -1)
+            ratios = np.concatenate([move[:, :n] / x[live, :n], qmath.eigvalsh(spread)], -1)
             # move' H move less the barrier's part, sum ratios^2, is the objective's curvature.
             curvature = growth * np.maximum(0.0, np.einsum("bi,bij,bj->b", move, hess, move)
                                                 - (ratios**2).sum(-1))
@@ -1034,7 +1036,7 @@ def _frank_wolfe(blocks1, blocks2, target, inputs, start: np.ndarray, iterations
     # The step-size ladder is evaluated at once; the largest improving step wins.
     gammas = np.array([1.0, 0.5, 0.25, 0.1, 0.05, 0.02, 0.008])[:, None, None, None]
     for step in range(iterations + 1):
-        signs = 2.0 * _projectors(_top_vectors(*np.linalg.eigh(hermitize(targets - out))))
+        signs = 2.0 * _projectors(_top_vectors(*qmath.eigh(hermitize(targets - out))))
         grad = -_pair_scores(blocks1, blocks2, inputs, signs) / len(inputs)
         best = np.unravel_index(np.argmin(grad), grad.shape)
         dual = np.einsum("sa,sab,sb->", tz.conj(), signs, tz).real / len(inputs)
@@ -1101,7 +1103,7 @@ def _witness_general_path(g1, g2, target, cfg: WitnessConfig):
         # as subgradient: -2/S sum_s z_s^b (K z_s)^*_d S_s[d, a] g4[a, k, b, q].
         kraus = _program_kraus(gate, v[:, 0])
         gaps = _conjugation_gaps(kraus, reference, inputs)
-        signs = 2.0 * _projectors(_top_vectors(*np.linalg.eigh(hermitize(gaps))))
+        signs = 2.0 * _projectors(_top_vectors(*qmath.eigh(hermitize(gaps))))
         u = _stack_outputs(kraus, inputs).conj() @ signs
         acc = -np.einsum("sb,ska,akbq->q", inputs, u, g4, optimize=True)
         return (2.0 * acc / len(inputs)).reshape(dp, 1)

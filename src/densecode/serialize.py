@@ -126,8 +126,6 @@ def gate_from_json(obj) -> ProgrammableGate:
 
 
 def ensemble_to_json(ensemble: Ensemble) -> dict:
-    if ensemble.kind != "encodings":
-        raise FormatError("only encoding ensembles are serialized")
     return {
         "kind": "encodings",
         "items": [

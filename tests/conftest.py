@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
+from densecode import channels as ch
 from densecode import pqg
+from densecode import qmath
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -9,6 +13,12 @@ PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
+
+
+def haar_pure(dims, seed) -> qmath.PureState:
+    """A Haar-random pure state on the given factors; ``seed`` an integer or a Generator."""
+    amplitudes = qmath.haar_vectors(ch.as_rng(seed), 1, math.prod(dims))[0]
+    return qmath.PureState(tuple(dims), amplitudes)
 
 
 def pauli_cnot_grid_oracle(blocks, inputs, n_points=10_000, seed=0, chunk=500):

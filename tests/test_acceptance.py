@@ -91,7 +91,7 @@ def test_criterion_04_separable_flatline():
             rho = cap.random_separable((2, 2), n_terms=10, seed=500 + k)
             result = cap.dc_capacity(2, rho, cfg)
             assert result.value == pytest.approx(1.0, abs=1e-3)
-            assert cap.coherent_information(rho) <= 1e-9
+            assert qmath.coherent_information(rho) <= 1e-9
             if k < 3:
                 CAPACITY_LOG.append((f"separable-{k}", 2, rho, result.value))
 

@@ -19,7 +19,7 @@ from densecode.errors import (
     SizeGuardError,
 )
 
-from conftest import CNOT, PAULI_X, PAULI_Z
+from conftest import CNOT, PAULI_X, PAULI_Z, haar_pure
 
 
 def plus_state():
@@ -63,7 +63,7 @@ class TestInducedMap:
     def test_always_cptp(self, seed):
         rng = np.random.default_rng(seed)
         gate = pqg.control_gate([ch.random_unitary(2, rng) for _ in range(3)])
-        psi = ch.random_pure((3,), rng)
+        psi = haar_pure((3,), rng)
         chan = pqg.induced_map(gate, psi)
         total = sum(k.conj().T @ k for k in chan.kraus)
         assert np.max(np.abs(total - np.eye(2))) < 1e-10
@@ -72,7 +72,7 @@ class TestInducedMap:
         blocks = [ch.random_unitary(2, seed=s) for s in range(3)]
         gate = pqg.control_gate(blocks)
         dense = pqg.ProgrammableGate(2, 3, unitary=gate.matrix)
-        psi = ch.random_pure((3,), seed=9)
+        psi = haar_pure((3,), seed=9)
         assert ch.channels_equal(
             pqg.induced_map(gate, psi), pqg.induced_map(dense, psi), tol=1e-10
         )
@@ -193,7 +193,7 @@ class TestApproximationError:
     def test_error_never_exceeds_two(self):
         rng = np.random.default_rng(11)
         gate = pqg.control_gate([ch.random_unitary(2, rng) for _ in range(4)])
-        psi = ch.random_pure((4,), rng)
+        psi = haar_pure((4,), rng)
         err = pqg.approximation_error(gate, psi, ch.random_unitary(2, rng), seed=12)
         assert 0.0 <= err.value <= 2.0
 
@@ -319,6 +319,38 @@ class TestMixtureWeights:
         result = pqg._barrier_newton(distortions, np.arange(2))
         assert list(result.reasons) == ["centered", "non_finite"]
         assert result.steps[1] == 1 and np.isfinite(result.weights).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_singular_barrier_system_ends_non_finite(self, monkeypatch):
+        # The scaled Newton system is positive definite on the simplex by construction, so
+        # the singular one is injected: the second problem's first system is zeroed.
+        rng = np.random.default_rng(3)
+        atoms = np.stack([[ch.random_unitary(2, rng) for _ in range(6)] for _ in range(2)])
+        distortions = np.eye(3) - pqg._bloch_rotations(atoms)  # the target is I
+        alone = pqg._barrier_newton(distortions, np.arange(1))
+        solve = qmath.solve
+
+        def zero_second(system, right):
+            if len(system) == 2:
+                system = system.copy()
+                system[1] = 0.0
+            return solve(system, right)
+
+        monkeypatch.setattr(qmath, "solve", zero_second)
+        result = pqg._barrier_newton(distortions, np.arange(2))
+        assert list(result.reasons) == ["centered", "non_finite"]
+        assert result.steps[1] == 1 and result.steps[0] == alone.steps[0]
+        assert np.allclose(result.weights[0], alone.weights[0], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_singular_active_set_system_ends_non_finite(self):
+        # The Gram matrix of the atoms 0, u and -u (affinely dependent, so the KKT system of
+        # all three is singular); b lets atom 1, then atom 0 enter from atom 2.
+        gram = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, -1.0], [0.0, -1.0, 1.0]])
+        b = np.array([1.75, 1.0, 2.375])
+        result = pqg._active_set(gram[None], b[None], np.arange(1))
+        assert list(result.reasons) == ["non_finite"] and result.steps[0] == 3
+        assert np.isnan(result.gaps[0])
 
     def test_nets_record_their_barrier_solves(self, net_gates):
         # Qubit nets record the barrier solve; larger d the exact active-set solve.

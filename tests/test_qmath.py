@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from densecode import capacity as cap
 from densecode import channels as ch
 from densecode import qmath
 from densecode.errors import DimensionMismatchError, InvariantError
+
+from conftest import haar_pure
 
 
 def test_tensor_basis_product():
@@ -63,7 +64,7 @@ class TestEntropy:
         assert qmath.von_neumann_entropy(qmath.maximally_mixed((2,))) == pytest.approx(1.0)
 
     def test_pure_state(self):
-        rho = ch.random_pure((4,), seed=3).to_density()
+        rho = haar_pure((4,), seed=3).to_density()
         assert abs(qmath.von_neumann_entropy(rho)) < 1e-10
 
     def test_two_level_spectrum(self):
@@ -128,9 +129,6 @@ class TestCoherentInformation:
     def test_needs_a_proper_bipartition(self, a_factors):
         with pytest.raises(DimensionMismatchError):
             qmath.coherent_information(qmath.maximally_mixed((2, 2)), a_factors)
-
-    def test_capacity_keeps_the_name(self):
-        assert cap.coherent_information is qmath.coherent_information
 
 
 class TestRelativeEntropy:
@@ -244,10 +242,73 @@ class TestSharedKernels:
 
     def test_holevo_quantity_on_bell_ensemble(self):
         bells = [qmath.bell_state(k).to_density() for k in range(4)]
-        ensemble = cap.Ensemble("states", tuple((0.25, b) for b in bells))
-        raw = qmath.holevo_quantity(ensemble.probabilities, [b.entries for b in bells])
-        assert raw == cap.holevo_information(ensemble)
+        raw = qmath.holevo_quantity([0.25] * 4, [b.entries for b in bells])
         assert raw == pytest.approx(2.0, abs=1e-12)
+
+
+class TestLapackShim:
+    """Each shim call equals the public numpy.linalg function bit for bit on the inputs it serves."""
+
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 2, 2), (3, 2, 9, 9), (8, 27, 27)])
+    def test_eigh_and_eigvalsh_on_complex_stacks(self, shape):
+        g = np.random.default_rng(shape[-1]).standard_normal((2, *shape))
+        stack = qmath.hermitize(g[0] + 1j * g[1])
+        for matrix in (stack, stack + np.triu(stack, 1)):  # both read the lower triangle only
+            lam, vec = qmath.eigh(matrix)
+            want_lam, want_vec = np.linalg.eigh(matrix)
+            assert np.array_equal(lam, want_lam) and np.array_equal(vec, want_vec)
+            assert np.array_equal(qmath.eigvalsh(matrix), np.linalg.eigvalsh(matrix))
+
+    def test_eigh_and_eigvalsh_on_real_barrier_matrices(self):
+        # Symmetric 6x6 LMI matrices [[t I, D], [D^T, t I]], as the qubit barrier builds them.
+        rng = np.random.default_rng(5)
+        d = rng.standard_normal((11, 3, 3))
+        lmi = np.zeros((11, 6, 6))
+        lmi[:, :3, 3:], lmi[:, 3:, :3] = d, d.swapaxes(-1, -2)
+        lmi += 4.0 * np.eye(6)
+        lam, vec = qmath.eigh(lmi)
+        want_lam, want_vec = np.linalg.eigh(lmi)
+        assert lam.dtype == vec.dtype == np.float64
+        assert np.array_equal(lam, want_lam) and np.array_equal(vec, want_vec)
+        assert np.array_equal(qmath.eigvalsh(lmi), np.linalg.eigvalsh(lmi))
+
+    def test_solve_with_matrix_and_vector_right_sides(self):
+        rng = np.random.default_rng(7)
+        systems, right = rng.standard_normal((9, 7, 7)), rng.standard_normal((9, 7, 2))
+        assert np.array_equal(qmath.solve(systems, right), np.linalg.solve(systems, right))
+        kkt, vector = systems[0], right[0, :, 0]
+        assert np.array_equal(qmath.solve_vector(kkt, vector), np.linalg.solve(kkt, vector))
+
+    @pytest.mark.parametrize("shape", [(4, 2), (6, 6), (9, 3), (27, 3), (81, 9)])
+    @pytest.mark.parametrize("zero_pivot", [False, True])
+    def test_qr_diagonal_on_rectangular_matrices(self, shape, zero_pivot):
+        rng = np.random.default_rng(shape[0])
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if zero_pivot:
+            m[:, -1] = 0.0  # a vanishing pivot, positive_qr's masked branch
+        q, diag = qmath.qr_diagonal(m)
+        want_q, want_r = np.linalg.qr(m)
+        assert np.array_equal(q, want_q) and np.array_equal(diag, np.diagonal(want_r))
+        assert (np.abs(diag) < 1e-300).any() == zero_pivot
+        assert np.array_equal(qmath.qr_diagonal(m.real)[0], np.linalg.qr(m.real)[0])
+
+    def test_frobenius_norm_matches_numpy(self):
+        rng = np.random.default_rng(9)
+        for shape in [(1, 1), (2, 1), (3, 1), (8, 1), (27, 1), (4, 2), (12, 3)]:
+            for _ in range(50):
+                m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                assert qmath.frobenius_norm(m) == np.linalg.norm(m)
+                assert qmath.frobenius_norm(m.real) == np.linalg.norm(m.real)
+
+    def test_failure_returns_nan(self):
+        # Where numpy.linalg raises LinAlgError, the shim returns NaN under numpy's warning.
+        singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(singular, np.ones(2))
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            assert np.isnan(qmath.solve_vector(singular, np.ones(2))).all()
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(qmath.solve(np.zeros((3, 2, 2)), np.ones((3, 2, 1)))).all()
 
 
 class TestPartialTranspose:
@@ -268,7 +329,7 @@ class TestPartialTranspose:
 
     def test_transpose_is_hermitian(self):
         rho = ch.random_state((2, 2), 4, seed=11)
-        pt = qmath.partial_transpose(rho, 1)
+        pt = qmath.partial_transpose_raw(rho.entries, rho.dims, 1)
         assert np.max(np.abs(pt - pt.conj().T)) < 1e-12
 
 
@@ -292,7 +353,7 @@ class TestSchmidt:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_reconstruction(self, seed):
-        psi = ch.random_pure((2, 3, 2), seed=seed)
+        psi = haar_pure((2, 3, 2), seed=seed)
         cut = {0, 2}
         dec = qmath.schmidt(psi, cut)
         assert np.sum(dec.coefficients**2) == pytest.approx(1.0, abs=1e-12)
@@ -344,7 +405,7 @@ def test_merge_factors_validates_one_state(monkeypatch):
 
     monkeypatch.setattr(qmath.DensityMatrix, "__post_init__", counting)
     merged = qmath.merge_factors(rho, [[0, 2], [1]])
-    permuted = qmath.permute_factors(rho, (2, 0, 1))
+    permuted = qmath.merge_factors(rho, [[2], [0], [1]])
     assert built == [(4, 3), (2, 2, 3)]
     tens = rho.entries.reshape(2, 3, 2, 2, 3, 2)
     assert np.array_equal(merged.entries, tens.transpose(0, 2, 1, 3, 5, 4).reshape(12, 12))
