@@ -34,7 +34,7 @@ for seed in range(25):
     chan = random_channel(2, 3, 2, seed=seed)
     back = undilate(dilate(chan))
     from densecode.channels import choi
-    worst = max(worst, float(np.max(np.abs(choi(back).matrix - choi(chan).matrix))))
+    worst = max(worst, float(np.max(np.abs(choi(back) - choi(chan)))))
 print("max Choi deviation over 25 random channels:", f"{worst:.2e}")
 
 print("\n=== the exact discrete twirl ===")

@@ -22,9 +22,9 @@ _EXPORTS = {
         "tensor", "tensor_pure", "trace_distance", "von_neumann_entropy",
     ),
     "channels": (
-        "ChoiMatrix", "QuantumChannel", "StinespringIsometry", "apply", "apply_local",
-        "channels_equal", "choi", "dilate", "random_channel", "random_state",
-        "random_unitary", "undilate", "weyl_basis", "weyl_twirl",
+        "QuantumChannel", "StinespringIsometry", "apply", "apply_local", "channels_equal",
+        "choi", "dilate", "random_channel", "random_state", "random_unitary", "undilate",
+        "weyl_basis", "weyl_twirl",
     ),
     "optimize": (
         "OptConfig", "OptReport", "min_local_output_entropy",

@@ -39,12 +39,9 @@ PROB_TOL = 1e-12
 class Ensemble:
     """Finite probability distribution over encodings (channels of one shape)."""
 
-    kind: str  # "encodings", the one kind
     items: tuple[tuple[float, object], ...] = field(repr=False)
 
     def __post_init__(self):
-        if self.kind != "encodings":
-            raise InvariantError(f"unknown ensemble kind {self.kind!r}")
         items = tuple((float(p), payload) for p, payload in self.items)
         object.__setattr__(self, "items", items)
         probs = np.array([p for p, _ in items])
@@ -266,7 +263,7 @@ def capacity_achieving_ensemble(
     items = tuple(
         (1.0 / (d * d), ch.compose(QuantumChannel.from_unitary(w), t_star)) for w in weyl
     )
-    return Ensemble("encodings", items)
+    return Ensemble(items)
 
 
 def ree_bound(
@@ -328,7 +325,7 @@ def noisy_dc_capacity(
     cfg = cfg or opt.OptConfig()
     work, _ = _split_factors(rho, a_factors)
     result = opt.optimize_ensemble(phi, work, m, cfg, initial_encodings=initial_encodings)
-    ensemble = Ensemble("encodings", tuple(zip(result.probabilities, result.encodings)))
+    ensemble = Ensemble(tuple(zip(result.probabilities, result.encodings)))
     metadata = {
         "channel": (phi.d_in, phi.d_out),
         "dims": list(rho.dims),

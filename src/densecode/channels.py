@@ -144,22 +144,6 @@ class StinespringIsometry:
         qmath.require_isometry(v, "matrix is not an isometry")
 
 
-@dataclass(frozen=True, eq=False)
-class ChoiMatrix:
-    """Unnormalized Choi operator on factors [d_out, d_in]."""
-
-    d_in: int
-    d_out: int
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", mat)
-        side = self.d_in * self.d_out
-        if mat.shape != (side, side):
-            raise DimensionMismatchError(f"Choi matrix of shape {mat.shape}, side {side} expected")
-
-
 def apply(channel: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
     """sum_k K rho K^dag, as a density matrix on a single output factor."""
     if rho.side != channel.d_in:
@@ -200,20 +184,20 @@ def local_kraus_sum(
     return acc.conj().T
 
 
-def choi(channel: QuantumChannel) -> ChoiMatrix:
-    """C(T) = sum_k w_k w_k^dag with w_k the row-major flattening of K_k."""
+def choi(channel: QuantumChannel) -> np.ndarray:
+    """C(T) = sum_k w_k w_k^dag with w_k the row-major flattening of K_k, on [d_out, d_in]."""
     side = channel.d_in * channel.d_out
     mat = np.zeros((side, side), dtype=complex)
     for k in channel.kraus:
         w = k.reshape(-1)
         mat += np.outer(w, w.conj())
-    return ChoiMatrix(channel.d_in, channel.d_out, mat)
+    return mat
 
 
 def channels_equal(a: QuantumChannel, b: QuantumChannel, tol: float = CHOI_EQUALITY_TOL) -> bool:
     if (a.d_in, a.d_out) != (b.d_in, b.d_out):
         raise DimensionMismatchError("cannot compare channels of different shapes")
-    return float(np.max(np.abs(choi(a).matrix - choi(b).matrix))) <= tol
+    return float(np.max(np.abs(choi(a) - choi(b)))) <= tol
 
 
 def dilate(channel: QuantumChannel) -> StinespringIsometry:
@@ -229,7 +213,7 @@ def dilate(channel: QuantumChannel) -> StinespringIsometry:
 
 def canonical_kraus(channel: QuantumChannel) -> np.ndarray:
     """Kraus stack from the Choi eigenvectors above KRAUS_CUTOFF, largest first."""
-    lam, vec = np.linalg.eigh(hermitize(choi(channel).matrix))
+    lam, vec = np.linalg.eigh(hermitize(choi(channel)))
     order = np.flatnonzero(lam > KRAUS_CUTOFF)[::-1]
     if not order.size:
         raise InvariantError("channel has numerically vanishing Choi matrix")
@@ -287,8 +271,8 @@ def weyl_basis(d: int) -> list[np.ndarray]:
     Tr(W_i^dag W_j) = d delta_ij, and averaging W rho W^dag over all of them
     exactly depolarizes: (1/d^2) sum W rho W^dag = I/d.
     """
-    if d < 2:
-        raise DimensionMismatchError("weyl_basis needs d >= 2")
+    if d < 1:
+        raise DimensionMismatchError("weyl_basis needs d >= 1")
     omega = np.exp(2j * np.pi / d)
     shift = np.zeros((d, d), dtype=complex)
     for j in range(d):

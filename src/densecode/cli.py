@@ -458,22 +458,25 @@ def cmd_pqg_emulate(args, argv, timestamp) -> int:
 
 def cmd_replay(args, argv, timestamp) -> int:
     del argv, timestamp
-    manifest = None
     try:
         doc = ser.load_json(args.record)
-        manifest = doc.get("manifest", doc if "command" in doc else None)
     except FormatError:
         # CSV records carry their manifest in a trailing comment line.
+        doc = None
         try:
             with open(args.record, "r", encoding="utf-8") as fh:
                 for line in fh:
                     if line.startswith("# manifest: "):
-                        manifest = json.loads(line[len("# manifest: "):])
-        except OSError as exc:
+                        doc = json.loads(line[len("# manifest: "):])
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
             raise FormatError(f"cannot read {args.record}: {exc}") from None
-    if not manifest or "command" not in manifest:
-        raise FormatError("no manifest with a command found in the record")
-    return main(list(manifest["command"]), _timestamp=manifest.get("timestamp"))
+    manifest = doc.get("manifest", doc) if isinstance(doc, dict) else None
+    command = manifest.get("command") if isinstance(manifest, dict) else None
+    if (not isinstance(command, list) or not command
+            or not all(isinstance(arg, str) for arg in command) or command[0] == "replay"):
+        raise FormatError("no manifest with a command found in the record "
+                          "(a list of strings that is not a replay)")
+    return main(command, _timestamp=manifest.get("timestamp"))
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +577,7 @@ def main(argv: list[str] | None = None, _timestamp: str | None = None) -> int:
             args.seed = default_seed()
         _check_seed(getattr(args, "seed", 0), "seed")
         return args.func(args, argv, _timestamp)
-    except FormatError as exc:
+    except (FormatError, OSError) as exc:  # OSError: an unreadable input or unwritable output
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
     except SizeGuardError as exc:

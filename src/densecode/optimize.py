@@ -94,11 +94,6 @@ class OptReport:
     # min_local_output_entropy; dc_capacity reports it as H(rho_B).
     marginal_entropy: float | None = None
 
-    def point(self) -> np.ndarray:
-        if isinstance(self.isometry, StinespringIsometry):
-            return self.isometry.v
-        return self.isometry
-
 
 def qr_retract(matrix: np.ndarray) -> np.ndarray:
     """QR retraction onto the Stiefel manifold (R-diagonal positive; one column z gives z / |z|)."""
@@ -400,7 +395,7 @@ def min_local_output_entropy(
         initial_points=starts,
         floor=floor,
     )
-    report.isometry = StinespringIsometry(d_in, d_out, d_env, qr_retract(report.point()))
+    report.isometry = StinespringIsometry(d_in, d_out, d_env, qr_retract(report.isometry))
     report.dropped_probes = len(dilations) - len(starts)
     report.marginal_entropy = problem.marginal_entropy
     return report
@@ -533,7 +528,7 @@ def optimize_ensemble(
             h_rest = float(p @ h_signals - p[i] * h_signals[i])
             report = _member_descent(problem, isometries[i], float(p[i]), rest, h_rest, member_cfg)
             if -report.value > value:
-                isometries[i] = report.point()
+                isometries[i] = report.isometry
                 _, _, signals[i], lam, _ = problem._forward(isometries[i])
                 h_signals[i] = qmath.entropy_of_spectrum(lam)
                 value = -report.value

@@ -12,7 +12,7 @@ All unitary comparisons are phase-quotiented (global phases are invisible in
 the induced maps).  Suprema over inputs are *estimated* (Haar sampling, then
 the Stiefel descent from the best sample), except for qubit mixture programs,
 whose Bloch distortion is exact; the method travels with every error value.
-Program selection stops a candidate's ascent once the candidate cannot win.
+Selection's ``ceiling`` (``estimate_sup_error``) stops an ascent that cannot win.
 """
 
 from __future__ import annotations
@@ -333,6 +333,8 @@ def estimate_sup_error(
     target: np.ndarray,
     n_samples: int = 200,
     seed=0,
+    *,
+    ceiling: float = math.inf,
 ) -> ErrorEstimate:
     """Estimate sup over pure inputs of the trace distance to the target map.
 
@@ -340,13 +342,8 @@ def estimate_sup_error(
     the Stiefel descent (``optimize.stiefel_minimize``) of minus the trace
     distance from the best sample, on d x 1 input columns.  The result is a
     lower estimate of the true supremum, never below the best sample; it
-    never exceeds 2.
+    never exceeds 2; past ``ceiling`` + ``FLOOR_SLACK`` it returns at once.
     """
-    return _sup_error(kraus, target, n_samples, seed)
-
-
-def _sup_error(kraus, target, n_samples, seed, ceiling=math.inf) -> ErrorEstimate:
-    """``estimate_sup_error``, returned as soon as it passes ceiling + ``FLOOR_SLACK``."""
     reference = target[None]
     d = target.shape[0]
     samples = qmath.haar_vectors(ch.as_rng(seed), n_samples, d)
@@ -386,19 +383,26 @@ def approximation_error(
     target: np.ndarray,
     n_samples: int = 200,
     seed=0,
+    *,
+    ceiling: float = math.inf,
 ) -> ErrorEstimate:
-    """Estimated worst-case trace distance of the induced map to a unitary target."""
-    return _program_error(gate, psi, _unitaries(target, (gate.d_data,) * 2), n_samples, seed)
+    """Worst-case trace distance of the induced map to a unitary target.
 
-
-def _program_error(gate, psi, target, n_samples, seed, ceiling=math.inf) -> ErrorEstimate:
-    chan = induced_map(gate, psi)
-    if len(chan.kraus) == 1:
-        # Unitary-vs-unitary distances have a closed form; tag accordingly.
-        k = chan.kraus[0]
-        scale = np.linalg.norm(k) / math.sqrt(gate.d_data)
-        return ErrorEstimate(unitary_map_distance(k / scale, target), "exact-unitary", 0)
-    return _sup_error(chan.kraus, target, n_samples, seed, ceiling)
+    Exact on qubit block gates (``_bloch_error``) and for one Kraus operator,
+    otherwise ``estimate_sup_error``; each value carries its method tag.
+    """
+    target = _unitaries(target, (gate.d_data,) * 2)
+    if psi.side != gate.d_program:  # checked here: the qubit branch never builds the map
+        raise DimensionMismatchError(
+            f"program of dimension {psi.side}, gate expects {gate.d_program}"
+        )
+    if gate.d_data == 2 and gate.blocks is not None:
+        return ErrorEstimate(_bloch_error(gate.blocks, psi, target), "exact-bloch", 0)
+    kraus = induced_map(gate, psi).kraus
+    if len(kraus) == 1:  # a unitary up to its norm: the closed form
+        scale = np.linalg.norm(kraus[0]) / math.sqrt(gate.d_data)
+        return ErrorEstimate(unitary_map_distance(kraus[0] / scale, target), "exact-unitary", 0)
+    return estimate_sup_error(kraus, target, n_samples, seed, ceiling=ceiling)
 
 
 # ---------------------------------------------------------------------------
@@ -673,13 +677,12 @@ def _programs_for_targets(gate: ProgrammableGate, targets, n_nearest: int, n_sam
     Yields (program, error, nearest-atom distance, (steps, reason, gap)), the
     last the target's mixture solve (``optimize_mixture_weights``).
 
-    Qubit errors are exact (``exact-bloch``) and cheap, so all qubit targets
-    share one batched mixture solve.  For larger d, ``approximation_error``
-    estimates each error, and a target is solved and measured only when the
-    caller reaches it: calibration stops at the first target that misses.
-    A mixture is kept only below the nearest atom's exact error, a pool only below
-    ``epsilon``, and the ascent only raises an estimate: so the mixture's ascent
-    stops once past the smaller of the two (``_sup_error``), and no decision moves.
+    ``approximation_error`` scores each candidate.  Qubit targets share one
+    batched mixture solve; for larger d a target is solved and measured only
+    when the caller reaches it, so calibration stops at the first miss.  A
+    mixture is kept only below the nearest atom's error and a pool only below
+    ``epsilon``, and an ascent only raises an estimate: so the smaller of the
+    two is the ``ceiling`` of ``estimate_sup_error``, and no decision moves.
     """
     blocks = gate.blocks
     chunk = len(targets) if gate.d_data == 2 else 1
@@ -697,11 +700,9 @@ def _programs_for_targets(gate: ProgrammableGate, targets, n_nearest: int, n_sam
             best_prog, best_err = None, None
             for cand in candidates:
                 prog = mixture_program(gate, cand)
-                if gate.d_data == 2:
-                    err = ErrorEstimate(_bloch_error(blocks, prog, target), "exact-bloch", 0)
-                else:
-                    ceiling = epsilon if best_err is None else min(epsilon, best_err.value)
-                    err = _program_error(gate, prog, target, n_samples, seeds[first + t], ceiling)
+                bound = epsilon if best_err is None else min(epsilon, best_err.value)
+                err = approximation_error(gate, prog, target, n_samples, seeds[first + t],
+                                          ceiling=bound)
                 if best_err is None or err.value < best_err.value:
                     best_prog, best_err = prog, err
             yield best_prog, best_err, float(dists[t, chosen[0]]), tuple(a[t] for a in solve[1:])
@@ -717,9 +718,9 @@ def program_for_target(
     """Best program found for a unitary target on a controlled-block gate.
 
     Compares the nearest single block with an optimized mixture of the
-    nearest blocks and returns whichever errs less.  On qubits the error is
-    exact (``exact-bloch``); otherwise it is the sampled estimate of
-    ``approximation_error``.
+    nearest blocks and returns whichever errs less.  The error is
+    ``approximation_error`` of the returned program with the same seed: exact
+    on qubits (``exact-bloch``), otherwise a sampled estimate.
     """
     if gate.blocks is None:
         raise InvariantError("program_for_target needs a controlled-block gate")
@@ -737,9 +738,7 @@ def program_for_target(
 
 def _unitary_from_program(gate: ProgrammableGate, psi: PureState, tol: float):
     """Top Choi component of the induced map; rejects non-programs."""
-    chan = induced_map(gate, psi)
-    c = ch.choi(chan).matrix
-    lam, vec = np.linalg.eigh(hermitize(c))
+    lam, vec = np.linalg.eigh(hermitize(ch.choi(induced_map(gate, psi))))
     total = float(lam.sum())
     residual = (total - float(lam[-1])) / max(total, 1e-30)
     if residual > tol:
@@ -1115,7 +1114,7 @@ def _witness_general_path(g1, g2, target, cfg: WitnessConfig):
         1,
         opt.OptConfig(restarts=cfg.general_restarts, seed=cfg.seed, max_iterations=200),
     )
-    psi = report.point()[:, 0]
+    psi = report.isometry[:, 0]
     psi /= np.linalg.norm(psi)
     sup = estimate_sup_error(_program_kraus(gate, psi), target, cfg.sup_samples, cfg.seed + 1)
     return WitnessReport(
@@ -1223,6 +1222,6 @@ def emulate_encoding(
         program=program,
         measured_error=float(worst),
         n_samples=n_samples,
-        seed=seed if isinstance(seed, int) else -1,
+        seed=int(seed) if isinstance(seed, (int, np.integer)) else -1,
         program_error=prog_err,
     )

@@ -88,17 +88,25 @@ def channel_to_json(channel: QuantumChannel) -> dict:
     }
 
 
+def _typed(obj: dict, key: str, kind: type):
+    """``obj[key]``, which must be a JSON integer (not a boolean) or a list."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise FormatError(f"'{key}' must be {'a list' if kind is list else 'an integer'}, "
+                          f"got {value!r}")
+    return value
+
+
 def channel_from_json(obj) -> QuantumChannel:
     from .channels import QuantumChannel
     if not isinstance(obj, dict) or not {"d_in", "d_out", "kraus"} <= set(obj):
         raise FormatError("channel document needs 'd_in', 'd_out' and 'kraus'")
-    kraus = [matrix_from_json(k) for k in obj["kraus"]]
+    d_in, d_out = _typed(obj, "d_in", int), _typed(obj, "d_out", int)
+    kraus = [matrix_from_json(k) for k in _typed(obj, "kraus", list)]
     for k in kraus:
-        if k.shape != (obj["d_out"], obj["d_in"]):
-            raise FormatError(
-                f"Kraus operator of shape {k.shape}, expected {(obj['d_out'], obj['d_in'])}"
-            )
-    return QuantumChannel(int(obj["d_in"]), int(obj["d_out"]), kraus)
+        if k.shape != (d_out, d_in):
+            raise FormatError(f"Kraus operator of shape {k.shape}, expected {(d_out, d_in)}")
+    return QuantumChannel(d_in, d_out, kraus)
 
 
 def gate_to_json(gate: ProgrammableGate) -> dict:
@@ -114,15 +122,16 @@ def gate_from_json(obj) -> ProgrammableGate:
     from .pqg import ProgrammableGate
     if not isinstance(obj, dict) or not {"d_D", "d_P"} <= set(obj):
         raise FormatError("gate document needs 'd_D' and 'd_P'")
+    d_data, d_program = _typed(obj, "d_D", int), _typed(obj, "d_P", int)
     blocks = None
     if obj.get("blocks") is not None:
-        blocks = [matrix_from_json(b) for b in obj["blocks"]]
+        blocks = [matrix_from_json(b) for b in _typed(obj, "blocks", list)]
     unitary = None
     if obj.get("unitary") is not None:
         unitary = matrix_from_json(obj["unitary"])
     if unitary is None and blocks is None:
         raise FormatError("gate document needs 'unitary' or 'blocks'")
-    return ProgrammableGate(int(obj["d_D"]), int(obj["d_P"]), unitary=unitary, blocks=blocks)
+    return ProgrammableGate(d_data, d_program, unitary=unitary, blocks=blocks)
 
 
 def ensemble_to_json(ensemble: Ensemble) -> dict:
@@ -141,7 +150,7 @@ def ensemble_from_json(obj) -> Ensemble:
     items = tuple(
         (float(item["p"]), channel_from_json(item["channel"])) for item in obj["items"]
     )
-    return Ensemble("encodings", items)
+    return Ensemble(items)
 
 
 def _opt_diagnostics(report) -> dict:
@@ -178,7 +187,7 @@ def load_json(path) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise FormatError(f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"invalid JSON in {path}: {exc}") from None
 
 

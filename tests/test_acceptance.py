@@ -264,7 +264,7 @@ def test_criterion_12_numerical_hygiene():
             d_env_min = -(-d_in // d_out)
             chan = ch.random_channel(d_in, d_out, d_env_min + int(rng.integers(0, 3)), rng)
             back = ch.undilate(ch.dilate(chan))
-            assert np.max(np.abs(ch.choi(back).matrix - ch.choi(chan).matrix)) <= 1e-10
+            assert np.max(np.abs(ch.choi(back) - ch.choi(chan))) <= 1e-10
 
         # Superadditivity scan: no gap below -5e-3.
         from densecode import cli

@@ -37,20 +37,18 @@ class TestHolevoInformation:
     def test_probability_validation(self):
         identity = ch.QuantumChannel.identity(2)
         with pytest.raises(InvariantError):
-            cap.Ensemble("encodings", ((0.7, identity), (0.7, identity)))
+            cap.Ensemble(((0.7, identity), (0.7, identity)))
 
 
 class TestDcMutualInformation:
     def test_weyl_ensemble_on_singlet(self):
         ens = cap.Ensemble(
-            "encodings",
             tuple((0.25, ch.QuantumChannel.from_unitary(w)) for w in ch.weyl_basis(2)),
         )
         assert cap.dc_mutual_information(ens, bell_density()) == pytest.approx(2.0, abs=1e-10)
 
     def test_constant_channel_kills_information(self):
         ens = cap.Ensemble(
-            "encodings",
             tuple((0.25, ch.QuantumChannel.from_unitary(w)) for w in ch.weyl_basis(2)),
         )
         const = ch.QuantumChannel.constant_replacement(2, qmath.maximally_mixed((2,)))
@@ -59,7 +57,7 @@ class TestDcMutualInformation:
         )
 
     def test_point_mass(self):
-        ens = cap.Ensemble("encodings", ((1.0, ch.QuantumChannel.identity(2)),))
+        ens = cap.Ensemble(((1.0, ch.QuantumChannel.identity(2)),))
         assert cap.dc_mutual_information(ens, bell_density()) == pytest.approx(0.0, abs=1e-10)
 
     def test_weyl_relabeling_invariance(self):
@@ -67,10 +65,9 @@ class TestDcMutualInformation:
         # mutual information unchanged.
         rho = ch.random_state((2, 2), 2, seed=1)
         encs = [ch.random_channel(2, 2, 2, seed=s) for s in range(3)]
-        ens = cap.Ensemble("encodings", tuple((1 / 3, e) for e in encs))
+        ens = cap.Ensemble(tuple((1 / 3, e) for e in encs))
         w = ch.weyl_basis(2)[2]
         rotated = cap.Ensemble(
-            "encodings",
             tuple(
                 (1 / 3, ch.compose(ch.QuantumChannel.from_unitary(w), e)) for e in encs
             ),
@@ -271,6 +268,15 @@ class TestAchievingEnsemble:
         result = cap.dc_capacity(2, rho, CFG)
         ens = cap.capacity_achieving_ensemble(rho, 2, ch.undilate(result.report.isometry))
         assert cap.dc_mutual_information(ens, rho) == pytest.approx(result.value, abs=1e-6)
+
+    @pytest.mark.parametrize("rho", [bell_density(), ch.random_state((2, 2), 2, seed=5)],
+                             ids=["singlet", "random"])
+    def test_one_level_ensemble(self, rho):
+        # d = 1 has the single Weyl operator [[1]]: the ensemble is T* alone.
+        result = cap.dc_capacity(1, rho, CFG)
+        ens = cap.capacity_achieving_ensemble(rho, 1, ch.undilate(result.report.isometry))
+        assert len(ens.items) == 1
+        assert cap.dc_mutual_information(ens, rho) == pytest.approx(result.value, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(2))
     def test_twirl_identity_on_random_states(self, seed):

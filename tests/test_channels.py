@@ -106,7 +106,7 @@ class TestChoi:
     def test_choi_partial_trace_is_identity(self):
         chan = ch.random_channel(3, 2, 4, seed=4)
         c = ch.choi(chan)
-        state = qmath.DensityMatrix((chan.d_out, chan.d_in), c.matrix / chan.d_in)
+        state = qmath.DensityMatrix((chan.d_out, chan.d_in), c / chan.d_in)
         reduced = qmath.partial_trace(state, {1})
         assert np.allclose(reduced.entries * chan.d_in, np.eye(chan.d_in), atol=1e-10)
 
@@ -138,7 +138,7 @@ class TestStinespring:
                 d_in, d_out, d_env_min + int(rng.integers(0, 3)), rng
             )
             back = ch.undilate(ch.dilate(chan))
-            diff = np.max(np.abs(ch.choi(back).matrix - ch.choi(chan).matrix))
+            diff = np.max(np.abs(ch.choi(back) - ch.choi(chan)))
             assert diff <= 1e-10
             assert ch.dilate(chan).d_env <= d_in * d_out
 
@@ -195,13 +195,13 @@ class TestWeyl:
             overlap = abs(np.trace(w.conj().T @ e)) / 2
             assert overlap == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_hilbert_schmidt_orthogonality(self, d):
         basis = ch.weyl_basis(d)
         gram = np.array([[np.trace(a.conj().T @ b) for b in basis] for a in basis])
         assert np.max(np.abs(gram - d * np.eye(d * d))) < 1e-10
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_exact_twirl(self, d):
         rho = ch.random_state((d, 3), 2, seed=10 + d)
         twirled = ch.weyl_twirl(rho, 0)
@@ -284,7 +284,7 @@ class TestKrausStack:
         chan = ch.random_channel(2, 3, 4, seed)
         ops = list(chan.kraus)
         choi = sum(np.outer(k.reshape(-1), k.reshape(-1).conj()) for k in ops)
-        assert _max_gap(ch.choi(chan).matrix, choi) < 1e-12
+        assert _max_gap(ch.choi(chan), choi) < 1e-12
 
         lam, vec = np.linalg.eigh(qmath.hermitize(choi))
         canon = [np.sqrt(lam[i]) * vec[:, i].reshape(3, 2)
@@ -306,7 +306,7 @@ class TestKrausStack:
         assert _max_gap(ch.compose(after, before).kraus, composed) < 1e-12
         composed = [a @ b for a in after.kraus for b in ops]
         choi = sum(np.outer(k.reshape(-1), k.reshape(-1).conj()) for k in composed)
-        assert _max_gap(ch.choi(ch.compose(after, chan)).matrix, choi) < 1e-12
+        assert _max_gap(ch.choi(ch.compose(after, chan)), choi) < 1e-12
 
         tensored = [np.kron(a, b) for a in ops for b in before.kraus]
         assert _max_gap(ch.tensor_channels(chan, before).kraus, tensored) < 1e-12

@@ -423,6 +423,34 @@ class TestPqgCommands:
         assert doc["measured_error"] <= 0.1
 
 
+def _write(path, content):
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(json.dumps(content))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp: ["entropy", _write(tmp / "latin1.json", b'{"dims": [2], "matrix": "\xe9"}')],
+    lambda tmp: ["entropy", str(tmp)],
+    lambda tmp: ["pqg", "emulate", "--channel",
+                 _write(tmp / "c.json", {"d_in": 2, "d_out": 2, "kraus": 5})],
+    lambda tmp: ["pqg", "witness", "--target", "cnot", "--gates", "pauli",
+                 _write(tmp / "g.json", {"d_D": "x", "d_P": 1, "blocks": [[[[1, 0]]]]})],
+    lambda tmp: ["pqg", "check-orthogonality", "--program1", "0", "--program2", "1", "--gate",
+                 _write(tmp / "g.json", {"d_D": 2, "d_P": 2, "blocks": 5})],
+    lambda tmp: ["scan-additivity", "--count", "1", "--restarts", "1",
+                 "--out", str(tmp / "missing" / "x.csv")],
+    lambda tmp: ["pqg", "build-net", "--epsilon", "1.0", "--out", str(tmp / "missing" / "g.json")],
+], ids=["entropy-not-utf8", "entropy-directory", "emulate-kraus-not-list", "witness-d_D-string",
+        "orthogonality-blocks-not-list", "scan-out-missing-dir", "build-net-out-missing-dir"])
+def test_unreadable_input_or_unwritable_output_exits_2(capsys, tmp_path, argv):
+    code, _, err = run_cli(capsys, argv(tmp_path))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 class TestConfigSurface:
     def test_environment_variable_sets_default_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("DENSECODE_SEED", "7")
@@ -651,6 +679,24 @@ class TestReplay:
         code, _, err = run_cli(capsys, ["replay", str(record)])
         assert code == 2
 
+    @pytest.mark.parametrize("content", [
+        "[1, 2]",
+        '"dc"',
+        "label,seed\n# manifest: {not json\n",
+        '{"manifest": {"command": ["replay", "RECORD"]}}',
+        '{"manifest": {"command": "dc"}}',
+        '{"manifest": {"command": []}}',
+        '{"manifest": {"command": ["dc", 2]}}',
+        '{"manifest": ["dc"]}',
+    ], ids=["array", "string", "csv-bad-manifest", "self-replay", "command-string",
+            "command-empty", "command-non-string", "manifest-array"])
+    def test_malformed_record_exits_2(self, capsys, tmp_path, content):
+        record = tmp_path / "record.json"
+        record.write_text(content.replace("RECORD", str(record)))
+        code, out, err = run_cli(capsys, ["replay", str(record)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
 
 # ---------------------------------------------------------------------------
 # Import isolation: a CLI process loads only the modules its subcommand runs
@@ -709,9 +755,9 @@ EAGER_EXPORTS = {
         "von_neumann_entropy",
     ],
     "channels": [
-        "ChoiMatrix", "QuantumChannel", "StinespringIsometry", "apply", "apply_local",
-        "channels_equal", "choi", "dilate", "random_channel", "random_state", "random_unitary",
-        "undilate", "weyl_basis", "weyl_twirl",
+        "QuantumChannel", "StinespringIsometry", "apply", "apply_local", "channels_equal",
+        "choi", "dilate", "random_channel", "random_state", "random_unitary", "undilate",
+        "weyl_basis", "weyl_twirl",
     ],
     "optimize": [
         "OptConfig", "OptReport", "min_local_output_entropy",

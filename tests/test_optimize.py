@@ -189,7 +189,7 @@ class TestNonmonotoneDescent:
         assert accepted[-1] > min(accepted)
         assert report.restart_values[0] == min(accepted)
         assert report.restart_values[0] <= accepted[0]
-        assert fun(report.point()) == report.value
+        assert fun(report.isometry) == report.value
 
     def test_restart_value_never_above_its_probe_start(self):
         rho = ch.random_state((2, 3), 4, seed=90)
@@ -313,7 +313,7 @@ class TestRandomStartDraws:
         assert drawn.restart_values == given.restart_values
         assert drawn.restart_reasons == given.restart_reasons
         assert drawn.skipped_restarts == given.skipped_restarts
-        assert np.array_equal(drawn.point(), given.point())
+        assert np.array_equal(drawn.isometry, given.isometry)
 
     @pytest.mark.parametrize("stop_at_floor", [True, False])
     def test_one_draw_per_random_restart_that_runs(self, monkeypatch, stop_at_floor):

@@ -188,7 +188,8 @@ class TestApproximationError:
         err = pqg.approximation_error(gate, plus_state(), PAULI_X, seed=5)
         assert err.value > 0.5
         assert err.value <= 2.0
-        assert err.method == "haar-sampling+ascent"
+        assert err.method == "exact-bloch" and err.n_samples == 0
+        assert err.value == pqg._bloch_error(gate.blocks, plus_state(), PAULI_X)
 
     def test_error_never_exceeds_two(self):
         rng = np.random.default_rng(11)
@@ -196,6 +197,44 @@ class TestApproximationError:
         psi = haar_pure((4,), rng)
         err = pqg.approximation_error(gate, psi, ch.random_unitary(2, rng), seed=12)
         assert 0.0 <= err.value <= 2.0
+
+    def test_wrong_program_dimension_on_a_qubit_block_gate(self, pauli_gate):
+        # The exact qubit branch must not score a program the gate cannot take.
+        with pytest.raises(DimensionMismatchError):
+            pqg.approximation_error(pauli_gate, plus_state(), PAULI_X)
+
+    def test_program_for_target_reports_the_public_error(self, net_gates):
+        rng = np.random.default_rng(21)
+        qubit_gate, _ = net_gates(0.3)
+        gates = [qubit_gate] * 3
+        gates += [pqg.control_gate([ch.random_unitary(3, rng) for _ in range(12)]) for _ in range(3)]
+        for s, gate in enumerate(gates):
+            target = ch.random_unitary(gate.d_data, rng)
+            program, err = pqg.program_for_target(gate, target, seed=s)
+            assert err == pqg.approximation_error(gate, program, target, seed=s)
+
+    @pytest.mark.parametrize("build, names", [
+        (lambda gate: pqg.program_for_target(gate, ch.random_unitary(2, seed=4)),
+         ["approximation_error"]),
+        (lambda gate: pqg.net_gate(1.2, 3, seed=0, n_targets=4),
+         ["approximation_error", "estimate_sup_error"]),
+    ], ids=["qubit-program", "qutrit-net"])
+    def test_selection_calls_the_public_estimators(self, monkeypatch, pauli_gate, build, names):
+        # A tracer that wraps the public names sees every estimate selection makes.
+        calls = {name: 0 for name in ("approximation_error", "estimate_sup_error")}
+
+        def counting(name):
+            inner = getattr(pqg, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(pqg, name, counting(name))
+        build(pauli_gate)
+        assert all(calls[name] > 0 for name in names)
 
 
 def fd_slsqp_weights(atoms, target):
@@ -427,10 +466,10 @@ class TestExactBlochError:
         psi = pqg.mixture_program(gate, dict(enumerate(rng.dirichlet(np.ones(n_atoms)))))
         target = ch.random_unitary(2, rng)
         exact = pqg._bloch_error(np.asarray(gate.blocks), psi, target)
-        sampled = pqg.approximation_error(gate, psi, target, seed=seed % 1000)
+        kraus = np.asarray(pqg.induced_map(gate, psi).kraus)
+        sampled = pqg.estimate_sup_error(kraus, target, seed=seed % 1000)
         assert exact >= sampled.value - 1e-12
         states = _bloch_sphere_grid(4000)
-        kraus = np.asarray(pqg.induced_map(gate, psi).kraus)
         gaps = pqg._conjugation_gaps(kraus, target[None], states)
         grid = float(qmath.hermitian_trace_norm(gaps).max())
         assert grid <= exact + 1e-12
@@ -648,17 +687,17 @@ class TestBoundedAscent:
     @staticmethod
     def cut_and_full(monkeypatch, build):
         """``build()`` with the ceilings program selection passes, then with none."""
-        sup, cut_short = pqg._sup_error, []
+        sup, cut_short = pqg.estimate_sup_error, []
 
-        def recording(kraus, target, n_samples, seed, ceiling=math.inf):
-            err = sup(kraus, target, n_samples, seed, ceiling)
+        def recording(kraus, target, n_samples, seed, *, ceiling=math.inf):
+            err = sup(kraus, target, n_samples, seed, ceiling=ceiling)
             cut_short.append(err.value > ceiling)
             return err
 
-        monkeypatch.setattr(pqg, "_sup_error", recording)
+        monkeypatch.setattr(pqg, "estimate_sup_error", recording)
         cut = build()
-        monkeypatch.setattr(pqg, "_sup_error",
-                            lambda kraus, target, n, seed, ceiling=math.inf: sup(kraus, target, n, seed))
+        monkeypatch.setattr(pqg, "estimate_sup_error",
+                            lambda kraus, target, n, seed, *, ceiling=math.inf: sup(kraus, target, n, seed))
         return cut, build(), cut_short
 
     @staticmethod
@@ -725,7 +764,7 @@ class TestBoundedAscent:
             target = ch.random_unitary(3, rng)
             full = pqg.estimate_sup_error(kraus, target, 50, trial)
             for ceiling in (0.0, 0.5 * full.value, full.value - 1e-3, full.value, 2.0, math.inf):
-                cut = pqg._sup_error(kraus, target, 50, trial, ceiling)
+                cut = pqg.estimate_sup_error(kraus, target, 50, trial, ceiling=ceiling)
                 assert cut.value <= full.value
                 if cut != full:
                     assert cut.value > ceiling
@@ -979,6 +1018,17 @@ class TestEmulation:
         gate = pqg.control_gate([target, np.eye(2, dtype=complex)])
         report = pqg.emulate_encoding(chan, gate, 0.1, n_samples=50, seed=1)
         assert report.measured_error == pytest.approx(0.0, abs=1e-10)
+
+    def test_numpy_integer_seed_is_recorded(self):
+        # -1 stands for a Generator seed; a NumPy integer is an integer seed.
+        chan = ch.QuantumChannel.from_unitary(PAULI_X)
+        target, _ = pqg.dilation_unitary(chan)
+        gate = pqg.control_gate([target, np.eye(2, dtype=complex)])
+        for seed in (3, np.int64(3)):
+            report = pqg.emulate_encoding(chan, gate, 0.1, n_samples=5, seed=seed)
+            assert report.seed == 3 and type(report.seed) is int
+        report = pqg.emulate_encoding(chan, gate, 0.1, n_samples=5, seed=np.random.default_rng(3))
+        assert report.seed == -1
 
     def test_depolarizing_through_certified_gate(self):
         dep = ch.QuantumChannel.depolarizing(1.0)

@@ -45,7 +45,6 @@ def test_pauli_gate_file_roundtrip(pauli_gate, tmp_path):
 
 def test_ensemble_roundtrip():
     ens = cap.Ensemble(
-        "encodings",
         tuple((0.25, ch.QuantumChannel.from_unitary(w)) for w in ch.weyl_basis(2)),
     )
     back = ser.ensemble_from_json(ser.ensemble_to_json(ens))
