@@ -62,12 +62,6 @@ def default_seed() -> int:
         raise FormatError(f"DENSECODE_SEED must be an integer, got {text!r}") from None
 
 
-def _check_seed(seed, where: str) -> None:
-    # numpy's generators take only non-negative integer seeds.
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise FormatError(f"{where} must be a non-negative integer, got {seed!r}")
-
-
 def _require_at_least(args, minimum: int, *flags: str) -> None:
     for flag in flags:
         if getattr(args, flag) < minimum:
@@ -77,6 +71,12 @@ def _require_at_least(args, minimum: int, *flags: str) -> None:
 def _check_epsilon(eps: float, where: str) -> None:
     if not 0.0 < eps <= 2.0:
         raise FormatError(f"{where} must lie in (0, 2], got {eps}")
+
+
+def _check_out(path: str | None) -> None:
+    """Refuse an --out path that is a directory or lies in a missing one, before any work."""
+    if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+        raise FormatError(f"--out {path!r} is a directory or lies in a missing one")
 
 
 NAMED_UNITARIES = {
@@ -292,6 +292,7 @@ def cmd_scan_additivity(args, argv, timestamp) -> int:
     _require_at_least(args, 1, "d1", "d2")
     if bool(args.rho) != bool(args.sigma):
         raise FormatError("--rho and --sigma name one state pair; give both or neither")
+    _check_out(args.out)
     rho_a = _parse_factors(args.rho_a)
     sigma_a = _parse_factors(args.sigma_a)
     inputs = {}
@@ -356,6 +357,7 @@ def cmd_pqg_build_net(args, argv, timestamp) -> int:
     from . import pqg
     _require_at_least(args, 2, "d")
     _check_epsilon(args.epsilon, "--epsilon")
+    _check_out(args.out)
     gate, net = pqg.net_gate(args.epsilon, args.d, seed=args.seed)
     doc = {
         "epsilon": args.epsilon,
@@ -386,15 +388,8 @@ def cmd_pqg_check_orthogonality(args, argv, timestamp) -> int:
     if args.tol is None:
         args.tol = pqg.PROGRAM_TOL
     verdict = pqg.program_orthogonality_check(gate, psi1, psi2, tol=args.tol)
-    doc = {
-        "consistent": verdict.consistent,
-        "proportional": verdict.proportional,
-        "orthogonal": verdict.orthogonal,
-        "overlap": verdict.overlap,
-        "choi_collinearity": verdict.choi_collinearity,
-        "tol": verdict.tol,
-        "manifest": _manifest(argv, inputs, {"tol": args.tol}, timestamp),
-    }
+    doc = {**dataclasses.asdict(verdict),
+           "manifest": _manifest(argv, inputs, {"tol": args.tol}, timestamp)}
     _emit(doc, [f"consistent: {verdict.consistent}"])
     return EXIT_OK
 
@@ -575,7 +570,10 @@ def main(argv: list[str] | None = None, _timestamp: str | None = None) -> int:
     try:
         if getattr(args, "seed", 0) is None:
             args.seed = default_seed()
-        _check_seed(getattr(args, "seed", 0), "seed")
+        try:
+            qmath.require_seed(getattr(args, "seed", 0))
+        except ValueError as exc:
+            raise FormatError(str(exc)) from None
         return args.func(args, argv, _timestamp)
     except (FormatError, OSError) as exc:  # OSError: an unreadable input or unwritable output
         sys.stderr.write(f"error: {exc}\n")

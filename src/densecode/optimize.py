@@ -60,7 +60,6 @@ class OptConfig:
     grad_tol: float = 1e-8
     d_env: int | None = None
     seed: int = 0
-    stop_at_floor: bool = True
     ensemble_sweeps: int = 40
 
     def __post_init__(self):
@@ -68,9 +67,7 @@ class OptConfig:
             raise ValueError("restarts and grad_tol must be >= 0 and max_iterations positive")
         if self.d_env is not None and self.d_env < 1:
             raise ValueError("d_env must be >= 1")
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
-                or self.seed < 0):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        qmath.require_seed(self.seed)
 
 
 @dataclass
@@ -134,11 +131,12 @@ def stiefel_minimize(
     restart reports the best point it accepted, so its value never exceeds
     the value at its start.
 
-    When ``floor`` is given and ``cfg.stop_at_floor`` is set, remaining
-    restarts are skipped as soon as a restart reaches the floor (an analytic
-    lower bound supplied by the caller); skipped restarts are counted in the
-    report.  Restarts that end on a non-finite value are never chosen as
-    best; if every restart does, ``ConvergenceError`` is raised.
+    When ``floor`` is given, remaining restarts are skipped as soon as a
+    restart reaches it: the floor is an analytic lower bound supplied by the
+    caller, so no later restart can beat it by more than ``FLOOR_SLACK``.
+    Skipped restarts are counted in the report.  Restarts that end on a
+    non-finite value are never chosen as best; if every restart does,
+    ``ConvergenceError`` is raised.
     """
     cfg = cfg or OptConfig()
     # Member descents and sup ascents run probes alone and never draw.
@@ -156,12 +154,7 @@ def stiefel_minimize(
 
     for idx in range(n_starts):
         finite = [f for f in values if math.isfinite(f)]
-        if (
-            floor is not None
-            and cfg.stop_at_floor
-            and finite
-            and min(finite) <= floor + FLOOR_SLACK
-        ):
+        if floor is not None and finite and min(finite) <= floor + FLOOR_SLACK:
             skipped = n_starts - idx
             break
         # A random start is drawn when its restart begins, so skipped ones cost nothing.
@@ -503,6 +496,7 @@ def optimize_ensemble(
     history = [value]
     member_cfg = replace(cfg, restarts=0, max_iterations=ENSEMBLE_INNER_STEPS)
 
+    converged = False
     for _ in range(cfg.ensemble_sweeps):
         # Simplex step: exponentiated reweighting by the relative entropies
         # D(s_i || avg) = -H(s_i) - Tr s_i log2 avg, with avg's spectrum clamped.
@@ -534,9 +528,9 @@ def optimize_ensemble(
                 value = -report.value
 
         history.append(value)
-        if len(history) >= 3 and history[-1] - history[-3] < 1e-9:
+        converged = len(history) >= 3 and history[-1] - history[-3] < 1e-9
+        if converged:
             break
 
     encodings = [ch.undilate(StinespringIsometry(d_in, phi.d_in, d_env, v)) for v in isometries]
-    converged = len(history) >= 3 and history[-1] - history[-3] < 1e-9
     return EnsembleResult(p, encodings, float(value), history, converged)

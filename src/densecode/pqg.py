@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from itertools import accumulate, repeat
 from typing import NamedTuple, Sequence
 
@@ -43,8 +43,10 @@ MAX_PROGRAM_DIM = 4096
 SUP_ASCENT_STEPS = 30
 # Dense gate matrices are only materialized up to this side.
 MAX_DENSE_GATE_SIDE = 4096
-# The witness's general path searches program products up to this dimension.
+# The witness's general path searches program products up to this dimension,
+# with this many Haar-random restarts of the sphere descent.
 GENERAL_DIM_GUARD = 64
+GENERAL_RESTARTS = 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,10 +149,9 @@ class WitnessReport:
     """Best program found for a target on a tensor pair of gates.
 
     The general path stores its program vector in ``amplitudes``; the
-    control-block path only keeps ``program_weights``, and ``best_program``
-    builds the dense vector from them on first access (None past 2**21
-    amplitudes).  The control-block path also reports ``lower_bound``, below
-    the error of every joint program; the general path has none.
+    control-block path keeps only ``program_weights``, the squared amplitudes
+    of the pairs it uses, and reports ``lower_bound``, below the error of
+    every joint program; the general path has none.
     """
 
     best_error: float
@@ -159,22 +160,8 @@ class WitnessReport:
     n_inputs: int
     seed: int
     method: str
-    program_dims: tuple[int, int]
     amplitudes: np.ndarray | None = field(default=None, repr=False, compare=False)
     lower_bound: ErrorEstimate | None = None
-
-    @cached_property
-    def best_program(self) -> PureState | None:
-        d1, d2 = self.program_dims
-        if self.amplitudes is not None:
-            return PureState((d1, d2), self.amplitudes)
-        if d1 * d2 > 2**21:
-            return None
-        amps = np.zeros(d1 * d2, dtype=complex)
-        for (j, l), w in self.program_weights:
-            amps[j * d2 + l] = math.sqrt(w)
-        amps /= np.linalg.norm(amps)
-        return PureState((d1, d2), amps)
 
 
 @dataclass
@@ -192,16 +179,13 @@ class WitnessConfig:
     seed: int = 0
     sup_samples: int = 200
     fw_iterations: int = 80
-    general_restarts: int = 12
 
     def __post_init__(self):
-        if self.n_inputs < 1 or self.general_restarts < 1:
-            raise ValueError("n_inputs and general_restarts must be >= 1")
+        if self.n_inputs < 1:
+            raise ValueError("n_inputs must be >= 1")
         if self.fw_iterations < 0 or self.sup_samples < 0:
             raise ValueError("fw_iterations and sup_samples must be >= 0")
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
-                or self.seed < 0):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        qmath.require_seed(self.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +654,7 @@ def _bloch_error(blocks: np.ndarray, psi: PureState, target: np.ndarray) -> floa
     return float(np.linalg.norm(np.eye(3) - np.einsum("i,ijk->jk", probs[used], rotations), 2))
 
 
-def _programs_for_targets(gate: ProgrammableGate, targets, n_nearest: int, n_samples: int, seeds,
+def _programs_for_targets(gate: ProgrammableGate, targets, n_nearest: int, seeds,
                           epsilon: float = math.inf):
     """``program_for_target`` for each target.
 
@@ -701,8 +685,7 @@ def _programs_for_targets(gate: ProgrammableGate, targets, n_nearest: int, n_sam
             for cand in candidates:
                 prog = mixture_program(gate, cand)
                 bound = epsilon if best_err is None else min(epsilon, best_err.value)
-                err = approximation_error(gate, prog, target, n_samples, seeds[first + t],
-                                          ceiling=bound)
+                err = approximation_error(gate, prog, target, seed=seeds[first + t], ceiling=bound)
                 if best_err is None or err.value < best_err.value:
                     best_prog, best_err = prog, err
             yield best_prog, best_err, float(dists[t, chosen[0]]), tuple(a[t] for a in solve[1:])
@@ -712,7 +695,6 @@ def program_for_target(
     gate: ProgrammableGate,
     target: np.ndarray,
     n_nearest: int = 12,
-    n_samples: int = 200,
     seed=0,
 ) -> tuple[PureState, ErrorEstimate]:
     """Best program found for a unitary target on a controlled-block gate.
@@ -727,7 +709,7 @@ def program_for_target(
     if n_nearest < 1:
         raise InvariantError("program_for_target needs n_nearest >= 1")
     target = _unitaries(target, (gate.d_data, gate.d_data))
-    program, err, *_ = next(_programs_for_targets(gate, [target], n_nearest, n_samples, [seed]))
+    program, err, *_ = next(_programs_for_targets(gate, [target], n_nearest, [seed]))
     return program, err
 
 
@@ -857,7 +839,7 @@ def _calibrate(pools, targets, epsilon: float, n_nearest: int, seeds, method: st
                                  f"programs (> {MAX_PROGRAM_DIM})")
         gate = control_gate(atoms)
         max_err, radius, methods, solves = 0.0, 0.0, set(), []
-        programs = _programs_for_targets(gate, targets, n_nearest, 200, seeds, epsilon)
+        programs = _programs_for_targets(gate, targets, n_nearest, seeds, epsilon)
         for _, err, nearest, solve in programs:
             max_err, radius = max(max_err, err.value), max(radius, nearest)
             methods.add(err.method)
@@ -1075,7 +1057,6 @@ def _witness_control_path(g1, g2, target, cfg: WitnessConfig):
         n_inputs=cfg.n_inputs,
         seed=cfg.seed,
         method="control-blocks/frank-wolfe",
-        program_dims=(g1.d_program, g2.d_program),
         lower_bound=ErrorEstimate(bound, "frank-wolfe-dual", cfg.n_inputs),
     )
 
@@ -1112,7 +1093,7 @@ def _witness_general_path(g1, g2, target, cfg: WitnessConfig):
         grad,
         dp,
         1,
-        opt.OptConfig(restarts=cfg.general_restarts, seed=cfg.seed, max_iterations=200),
+        opt.OptConfig(restarts=GENERAL_RESTARTS, seed=cfg.seed, max_iterations=200),
     )
     psi = report.isometry[:, 0]
     psi /= np.linalg.norm(psi)
@@ -1124,7 +1105,6 @@ def _witness_general_path(g1, g2, target, cfg: WitnessConfig):
         n_inputs=cfg.n_inputs,
         seed=cfg.seed,
         method="general-sphere-descent",
-        program_dims=(g1.d_program, g2.d_program),
         amplitudes=psi,
     )
 

@@ -127,6 +127,12 @@ def require_isometry(matrix: np.ndarray, what: str) -> None:
         raise InvariantError(f"{what} (defect {defect:.3e})")
 
 
+def require_seed(seed) -> None:
+    """Raise ValueError unless ``seed`` is a non-negative integer, not a bool (numpy's seeds)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def positive_qr(matrix: np.ndarray) -> np.ndarray:
     """Q factor of a QR decomposition with the diagonal of R made real positive.
 
@@ -226,13 +232,13 @@ class DensityMatrix:
         return len(self.dims)
 
 
-def basis_state(d: int, index: int, dims: Sequence[int] | None = None) -> PureState:
-    """Computational basis vector |index> on C^d (or on the given factors)."""
+def basis_state(d: int, index: int) -> PureState:
+    """Computational basis vector |index> on C^d, one factor."""
     if not 0 <= index < d:
         raise InvariantError(f"basis index {index} outside 0..{d - 1}")
     amps = np.zeros(d, dtype=complex)
     amps[index] = 1.0
-    return PureState(tuple(dims) if dims is not None else (d,), amps)
+    return PureState((d,), amps)
 
 
 def maximally_mixed(dims: Sequence[int]) -> DensityMatrix:

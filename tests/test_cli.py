@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import densecode
-from densecode import cli, pqg, qmath
+from densecode import capacity, cli, pqg, qmath
 from densecode import serialize as ser
 from densecode.fixtures import fixture_path
 
@@ -442,12 +442,21 @@ def _write(path, content):
                  _write(tmp / "g.json", {"d_D": 2, "d_P": 2, "blocks": 5})],
     lambda tmp: ["scan-additivity", "--count", "1", "--restarts", "1",
                  "--out", str(tmp / "missing" / "x.csv")],
+    lambda tmp: ["scan-additivity", "--count", "1", "--restarts", "1", "--out", str(tmp)],
     lambda tmp: ["pqg", "build-net", "--epsilon", "1.0", "--out", str(tmp / "missing" / "g.json")],
+    lambda tmp: ["pqg", "build-net", "--epsilon", "1.0", "--out", str(tmp)],
 ], ids=["entropy-not-utf8", "entropy-directory", "emulate-kraus-not-list", "witness-d_D-string",
-        "orthogonality-blocks-not-list", "scan-out-missing-dir", "build-net-out-missing-dir"])
-def test_unreadable_input_or_unwritable_output_exits_2(capsys, tmp_path, argv):
-    code, _, err = run_cli(capsys, argv(tmp_path))
-    assert code == 2
+        "orthogonality-blocks-not-list", "scan-out-missing-dir", "scan-out-directory",
+        "build-net-out-missing-dir", "build-net-out-directory"])
+def test_unreadable_input_or_unwritable_output_exits_2(capsys, monkeypatch, tmp_path, argv):
+    # An unwritable --out is refused before any capacity or net work starts.
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed before the --out path was checked")
+
+    monkeypatch.setattr(capacity, "additivity_gap", refuse)
+    monkeypatch.setattr(pqg, "net_gate", refuse)
+    code, out, err = run_cli(capsys, argv(tmp_path))
+    assert (code, out) == (2, "")
     assert err.startswith("error: ")
 
 
@@ -533,9 +542,10 @@ class TestConfigSurface:
         assert "config" not in flags["manifest"]["inputs"]
 
     def test_config_block_rejects_unknown_fields(self, capsys, tmp_path):
-        # "armijo" was a field once; the line-search settings are constants now.
+        # "armijo" and "stop_at_floor" were fields once: the line-search settings
+        # are constants now, and restarts always stop at a given floor.
         block = tmp_path / "cfg.json"
-        for text in ('{"bogus": 1}', '{"armijo": 1e-4}'):
+        for text in ('{"bogus": 1}', '{"armijo": 1e-4}', '{"stop_at_floor": false}'):
             block.write_text(text)
             code, _, err = run_cli(
                 capsys,

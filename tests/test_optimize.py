@@ -32,7 +32,7 @@ class TestStiefelMinimize:
         d = np.diag([0.5, 0.3, 0.2]).astype(complex)
         rho = qmath.DensityMatrix((3,), d)
         problem = opt._OutputEntropyProblem(rho, 3, 1)
-        cfg = opt.OptConfig(restarts=6, seed=3, stop_at_floor=False)
+        cfg = opt.OptConfig(restarts=6, seed=3)
         report = opt.stiefel_minimize(problem.value, problem.gradient, 3, 3, cfg)
         values = np.array(report.restart_values)
         assert np.ptp(values) < 1e-6
@@ -195,7 +195,7 @@ class TestNonmonotoneDescent:
         rho = ch.random_state((2, 3), 4, seed=90)
         problem = opt._OutputEntropyProblem(rho, 3, 3)
         probes = [ch.random_isometry(9, 2, seed=91 + k) for k in range(4)]
-        cfg = opt.OptConfig(restarts=0, max_iterations=25, stop_at_floor=False)
+        cfg = opt.OptConfig(restarts=0, max_iterations=25)
         report = opt.stiefel_minimize(
             problem.value, problem.gradient, 9, 2, cfg, initial_points=probes
         )
@@ -298,25 +298,28 @@ class TestRandomStartDraws:
         problem = opt._OutputEntropyProblem(qmath.singlet().to_density(), 2, 2)
         return problem.value, problem.gradient
 
-    @pytest.mark.parametrize("stop_at_floor", [True, False])
-    def test_same_starts_as_drawn_up_front(self, stop_at_floor):
+    # A floor of 0 is reached by the first restart, which skips the rest; with
+    # no floor every restart runs.  The ids say whether restarts are skipped.
+    FLOORS = pytest.mark.parametrize("floor", [0.0, None], ids=["True", "False"])
+
+    @FLOORS
+    def test_same_starts_as_drawn_up_front(self, floor):
         fun, grad = self._singlet()
-        cfg = opt.OptConfig(restarts=4, seed=2, stop_at_floor=stop_at_floor)
+        cfg = opt.OptConfig(restarts=4, seed=2)
         rng = np.random.default_rng(cfg.seed)
         up_front = [ch.random_isometry(4, 2, rng) for _ in range(cfg.restarts)]
-        drawn = opt.stiefel_minimize(fun, grad, 4, 2, cfg, floor=0.0)
+        drawn = opt.stiefel_minimize(fun, grad, 4, 2, cfg, floor=floor)
         given = opt.stiefel_minimize(
-            fun, grad, 4, 2, opt.OptConfig(restarts=0, stop_at_floor=stop_at_floor),
-            initial_points=up_front, floor=0.0,
+            fun, grad, 4, 2, opt.OptConfig(restarts=0), initial_points=up_front, floor=floor
         )
-        assert len(drawn.restart_values) == (1 if stop_at_floor else 4)
+        assert len(drawn.restart_values) == (4 if floor is None else 1)
         assert drawn.restart_values == given.restart_values
         assert drawn.restart_reasons == given.restart_reasons
         assert drawn.skipped_restarts == given.skipped_restarts
         assert np.array_equal(drawn.isometry, given.isometry)
 
-    @pytest.mark.parametrize("stop_at_floor", [True, False])
-    def test_one_draw_per_random_restart_that_runs(self, monkeypatch, stop_at_floor):
+    @FLOORS
+    def test_one_draw_per_random_restart_that_runs(self, monkeypatch, floor):
         fun, grad = self._singlet()
         draws = []
         original = ch.random_isometry
@@ -328,12 +331,12 @@ class TestRandomStartDraws:
         monkeypatch.setattr(ch, "random_isometry", counting)
         probe = ch.random_isometry(4, 2, seed=9)
         draws.clear()
-        cfg = opt.OptConfig(restarts=5, seed=3, stop_at_floor=stop_at_floor)
-        report = opt.stiefel_minimize(fun, grad, 4, 2, cfg, initial_points=[probe], floor=0.0)
+        cfg = opt.OptConfig(restarts=5, seed=3)
+        report = opt.stiefel_minimize(fun, grad, 4, 2, cfg, initial_points=[probe], floor=floor)
         assert len(report.restart_values) + report.skipped_restarts == 6
         assert draws == [(4, 2)] * (len(report.restart_values) - 1)
         # The probe already reaches the floor: no random start is drawn at all.
-        assert report.skipped_restarts == (5 if stop_at_floor else 0)
+        assert report.skipped_restarts == (0 if floor is None else 5)
 
 
 class TestEntropyGradient:
