@@ -47,9 +47,9 @@ class Ensemble:
         probs = np.array([p for p, _ in items])
         if probs.size == 0:
             raise InvariantError("ensemble must not be empty")
-        if probs.min() < -PROB_TOL:
+        if not probs.min() >= -PROB_TOL:  # NaN fails too
             raise InvariantError(f"negative probability {probs.min()}")
-        if abs(probs.sum() - 1.0) > PROB_TOL:
+        if not abs(probs.sum() - 1.0) <= PROB_TOL:
             raise InvariantError(f"probabilities sum to {probs.sum()}")
         if len({(payload.d_in, payload.d_out) for _, payload in items}) != 1:
             raise DimensionMismatchError("encoding ensemble with mixed shapes")
@@ -70,7 +70,6 @@ class CapacityResult:
     value: float
     decomposition: dict | None
     report: object
-    lower_bound: bool = True
     metadata: dict = field(default_factory=dict)
 
 
@@ -168,7 +167,7 @@ def dc_capacity(
         "restarts": cfg.restarts,
         "converged": report.converged,
     }
-    return CapacityResult(value, decomposition, report, True, metadata)
+    return CapacityResult(value, decomposition, report, metadata)
 
 
 def _seeded_joint(parts, copies, d_joint, cfg, seed_probe):
@@ -218,7 +217,7 @@ def dc_capacity_block(
     value = (decomposition["log_term"] + decomposition["marginal_entropy"]
              - decomposition["min_output_entropy"])
     metadata = {**inner.metadata, "block": n, "d": d, "single_copy_value": single.value}
-    return CapacityResult(value, decomposition, inner.report, True, metadata)
+    return CapacityResult(value, decomposition, inner.report, metadata)
 
 
 def dc_capacity_multicopy(
@@ -334,7 +333,7 @@ def noisy_dc_capacity(
         "seed": cfg.seed,
         "converged": result.converged,
     }
-    out = CapacityResult(result.value, None, result, True, metadata)
+    out = CapacityResult(result.value, None, result, metadata)
     out.metadata["ensemble"] = ensemble
     return out
 

@@ -273,7 +273,7 @@ def cmd_dc(args, argv, timestamp) -> int:
     doc = {
         "quantity": quantity,
         "value": result.value,
-        "lower_bound": result.lower_bound,
+        "lower_bound": True,
         "decomposition": result.decomposition,
         "diagnostics": diagnostics,
         "inputs": inputs,

@@ -58,15 +58,12 @@ class OptConfig:
     restarts: int = 20
     max_iterations: int = 500
     grad_tol: float = 1e-8
-    d_env: int | None = None
     seed: int = 0
     ensemble_sweeps: int = 40
 
     def __post_init__(self):
         if self.restarts < 0 or self.max_iterations <= 0 or not self.grad_tol >= 0.0:  # NaN too
             raise ValueError("restarts and grad_tol must be >= 0 and max_iterations positive")
-        if self.d_env is not None and self.d_env < 1:
-            raise ValueError("d_env must be >= 1")
         qmath.require_seed(self.seed)
 
 
@@ -81,8 +78,6 @@ class OptReport:
     iterations: int
     best_restart: int
     skipped_restarts: int = 0
-    # Probes whose Kraus rank exceeds a caller-set OptConfig.d_env; not seeded.
-    dropped_probes: int = 0
     # Why each restart that ran stopped, aligned with restart_values: grad_tol,
     # floor, step_underflow, max_iterations or non_finite (a value or gradient
     # that is not finite).  Skipped restarts are counted in skipped_restarts.
@@ -242,9 +237,10 @@ class _OutputEntropyProblem:
     lives on [d_in, d_rest].  rho is eigen-factored once into per-rest-index
     blocks F_s, and every contraction is a matmul on a reshaped view: no
     lifted V (x) I or post-channel Kraus operator is built.
-    A post channel phi is folded into the isometry: phi o T has the dilation
-    V' = (K (x) I_env) V, one matmul of ``post_matrix`` P[(o', k), o] = K_k[o', o]
-    with V.  The signal state lives on [d_rest, d_signal], phi's output (rest first).
+    A post channel phi, whose input is the encoding output, is folded into the
+    isometry: phi o T has the dilation V' = (K (x) I_env) V, one matmul of
+    ``post_matrix`` P[(o', k), o] = K_k[o', o] with V.  The signal state lives
+    on [d_rest, d_signal], phi's output (rest first).
 
     ``value`` keeps its point, output tensor, signal state and the signal's
     eigendecomposition; ``gradient`` reuses them when it is handed that same
@@ -259,10 +255,6 @@ class _OutputEntropyProblem:
         d_env: int,
         post_channel: QuantumChannel | None = None,
     ):
-        if post_channel is not None and post_channel.d_in != d_out:
-            raise DimensionMismatchError(
-                f"post channel input {post_channel.d_in} vs encoding output {d_out}"
-            )
         self.d_in = rho.dims[0]
         self.d_rest = rho.side // self.d_in
         self.d_out, self.d_env = d_out, d_env
@@ -354,31 +346,14 @@ def default_probes(d_in: int, d_out: int) -> list[QuantumChannel]:
     return probes
 
 
-def min_local_output_entropy(
-    rho: DensityMatrix,
-    d_out: int,
-    cfg: OptConfig | None = None,
-    probes: Sequence[QuantumChannel] = (),
-    post_channel: QuantumChannel | None = None,
+def _probe_descent(
+    problem: _OutputEntropyProblem, dilations: Sequence[StinespringIsometry], cfg: OptConfig
 ) -> OptReport:
-    """Minimize H((phi o T (x) id) rho) over channels T out of the first factor.
-
-    ``capacity`` puts the sender's factors first; the factors after it are the
-    rest.  The reported value is an upper bound on the true minimum (attained
-    by the returned isometry) and never exceeds the value of any probe.  A
-    ``post_channel`` phi, when given, is applied after the encoding.
-    """
-    cfg = cfg or OptConfig()
-    d_in = rho.dims[0]
-    dilations = _dilate_probes(list(default_probes(d_in, d_out)) + list(probes), d_in, d_out)
-    # An extreme channel has at most d_in Kraus operators (module docstring);
-    # the environment grows only so that every probe fits.
-    d_env = cfg.d_env or max([d_in] + [iso.d_env for iso in dilations])
-    problem = _OutputEntropyProblem(rho, d_out, d_env, post_channel)
-    starts = [_padded_isometry(iso, d_env) for iso in dilations if iso.d_env <= d_env]
-
+    """stiefel_minimize of ``problem`` from every probe dilation (each must fit its
+    environment), stopping at the floor H(rest) - log2 d_signal."""
+    d_in, d_out, d_env = problem.d_in, problem.d_out, problem.d_env
+    starts = [_padded_isometry(iso, d_env) for iso in dilations]
     floor = max(0.0, problem.marginal_entropy - math.log2(problem.d_signal))
-
     report = stiefel_minimize(
         problem.value,
         problem.gradient,
@@ -389,9 +364,29 @@ def min_local_output_entropy(
         floor=floor,
     )
     report.isometry = StinespringIsometry(d_in, d_out, d_env, qr_retract(report.isometry))
-    report.dropped_probes = len(dilations) - len(starts)
     report.marginal_entropy = problem.marginal_entropy
     return report
+
+
+def min_local_output_entropy(
+    rho: DensityMatrix,
+    d_out: int,
+    cfg: OptConfig | None = None,
+    probes: Sequence[QuantumChannel] = (),
+) -> OptReport:
+    """Minimize H((T (x) id) rho) over channels T out of the first factor.
+
+    ``capacity`` puts the sender's factors first; the factors after it are the
+    rest.  The reported value is an upper bound on the true minimum (attained
+    by the returned isometry) and never exceeds the value of any probe.
+    """
+    cfg = cfg or OptConfig()
+    d_in = rho.dims[0]
+    dilations = _dilate_probes(default_probes(d_in, d_out) + list(probes), d_in, d_out)
+    # An extreme channel has at most d_in Kraus operators (module docstring);
+    # the environment grows only so that every probe fits.
+    d_env = max([d_in] + [iso.d_env for iso in dilations])
+    return _probe_descent(_OutputEntropyProblem(rho, d_out, d_env), dilations, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -460,24 +455,19 @@ def optimize_ensemble(
         raise InvariantError(f"ensemble size m must be >= 1, got {m}")
     cfg = cfg or OptConfig()
     d_in = rho.dims[0]
-    d_env = cfg.d_env or d_in * phi.d_in
+    # The Holevo objective is not concave in one member, so members keep the
+    # environment d_in * d_out that holds every channel, initial encodings too.
+    d_env = d_in * phi.d_in
     problem = _OutputEntropyProblem(rho, phi.d_in, d_env, post_channel=phi)
 
-    isometries: list[np.ndarray] = []
-    for iso in _dilate_probes(initial_encodings or (), d_in, phi.d_in):
-        if iso.d_env > d_env:
-            raise DimensionMismatchError(
-                f"initial encoding of Kraus rank {iso.d_env} exceeds d_env = {d_env}"
-            )
-        isometries.append(_padded_isometry(iso, d_env))
+    isometries = [_padded_isometry(iso, d_env)
+                  for iso in _dilate_probes(initial_encodings or (), d_in, phi.d_in)]
     if len(isometries) < m:
         # Default seeding: a minimizing encoding followed by Weyl rotations of
-        # the channel input, which twirls the average signal exactly.  The
-        # Holevo objective is not concave in one member, so the ensemble keeps
-        # its larger environment and hands it to the seeding descent.
-        inner_cfg = replace(cfg, restarts=max(4, cfg.restarts // 2), d_env=d_env)
-        base = min_local_output_entropy(rho, phi.d_in, inner_cfg, post_channel=phi)
-        v_star = base.isometry.v
+        # the channel input, which twirls the average signal exactly.
+        seeds = [ch.dilate(probe) for probe in default_probes(d_in, phi.d_in)]
+        seeding = replace(cfg, restarts=max(4, cfg.restarts // 2))
+        v_star = _probe_descent(problem, seeds, seeding).isometry.v
         for w in ch.weyl_basis(phi.d_in):
             if len(isometries) >= m:
                 break

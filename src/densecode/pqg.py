@@ -365,7 +365,6 @@ def approximation_error(
     gate: ProgrammableGate,
     psi: PureState,
     target: np.ndarray,
-    n_samples: int = 200,
     seed=0,
     *,
     ceiling: float = math.inf,
@@ -386,7 +385,7 @@ def approximation_error(
     if len(kraus) == 1:  # a unitary up to its norm: the closed form
         scale = np.linalg.norm(kraus[0]) / math.sqrt(gate.d_data)
         return ErrorEstimate(unitary_map_distance(kraus[0] / scale, target), "exact-unitary", 0)
-    return estimate_sup_error(kraus, target, n_samples, seed, ceiling=ceiling)
+    return estimate_sup_error(kraus, target, seed=seed, ceiling=ceiling)
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,8 @@ class PureState:
         amps = _as_complex(self.amplitudes).reshape(-1)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
+        if not np.isfinite(amps).all():  # NaN passes every comparison below
+            raise InvariantError("state vector has a non-finite amplitude")
         if any(d <= 0 for d in dims):
             raise InvariantError(f"factor dimensions must be positive, got {dims}")
         side = int(np.prod(dims))
@@ -206,6 +208,8 @@ class DensityMatrix:
         mat = _as_complex(self.entries)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", mat)
+        if not np.isfinite(mat).all():  # before mat - mat^dag, which warns on inf - inf
+            raise InvariantError("matrix has a non-finite entry")
         if any(d <= 0 for d in dims):
             raise InvariantError(f"factor dimensions must be positive, got {dims}")
         side = int(np.prod(dims))

@@ -68,7 +68,7 @@ def state_from_json(obj) -> DensityMatrix:
     if not isinstance(obj, dict) or "dims" not in obj or "matrix" not in obj:
         raise FormatError("state document needs 'dims' and 'matrix'")
     dims = obj["dims"]
-    if not isinstance(dims, list) or not all(isinstance(d, int) and d > 0 for d in dims):
+    if not isinstance(dims, list) or not all(type(d) is int and d > 0 for d in dims):
         raise FormatError("'dims' must be a list of positive integers")
     matrix = matrix_from_json(obj["matrix"])
     if matrix.shape[0] != matrix.shape[1]:
@@ -147,10 +147,15 @@ def ensemble_from_json(obj) -> Ensemble:
     from .capacity import Ensemble
     if not isinstance(obj, dict) or obj.get("kind") != "encodings" or "items" not in obj:
         raise FormatError("ensemble document needs kind 'encodings' and 'items'")
-    items = tuple(
-        (float(item["p"]), channel_from_json(item["channel"])) for item in obj["items"]
-    )
-    return Ensemble(items)
+    items = []
+    for item in _typed(obj, "items", list):
+        if not isinstance(item, dict) or "channel" not in item:
+            raise FormatError("ensemble item needs 'p' and 'channel'")
+        p = item.get("p")
+        if isinstance(p, bool) or not isinstance(p, (int, float)):
+            raise FormatError(f"ensemble item 'p' must be a number, got {p!r}")
+        items.append((float(p), channel_from_json(item["channel"])))
+    return Ensemble(tuple(items))
 
 
 def _opt_diagnostics(report) -> dict:
@@ -161,7 +166,6 @@ def _opt_diagnostics(report) -> dict:
         "iterations": report.iterations,
         "best_restart": report.best_restart,
         "skipped_restarts": report.skipped_restarts,
-        "dropped_probes": report.dropped_probes,
         "restart_reasons": list(report.restart_reasons),
     }
 

@@ -81,6 +81,34 @@ class TestEntropyCommand:
         assert code == 2
         assert "error" in err
 
+    def test_boolean_dims_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "bool.json"
+        bad.write_text('{"dims": [true], "matrix": [[[1, 0]]]}')
+        code, _, err = run_cli(capsys, ["entropy", str(bad)])
+        assert code == 2
+        assert "'dims'" in err
+
+    @pytest.mark.parametrize("dims, entry", [([2], math.nan), ([2], math.inf), ([2, 2], math.nan)])
+    def test_non_finite_state_exits_3(self, capsys, tmp_path, dims, entry):
+        # json writes and reads these entries as NaN and Infinity.
+        side = math.prod(dims)
+        matrix = [[[0.0, 0.0]] * side for _ in range(side)]
+        matrix[0][0] = [entry, 0.0]
+        bad = tmp_path / "non-finite.json"
+        bad.write_text(json.dumps({"dims": dims, "matrix": matrix}))
+        code, _, err = run_cli(capsys, ["entropy", str(bad)])
+        assert code == 3
+        assert "non-finite" in err
+
+    def test_non_finite_entry_in_bell_state_exits_3(self, capsys, tmp_path):
+        doc = ser.load_json(fixture_path("bell.json"))
+        doc["matrix"][1][2][0] = math.nan
+        bad = tmp_path / "bell-nan.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, ["dc", str(bad), "--d", "2", "--restarts", "1"])
+        assert code == 3
+        assert "non-finite" in err
+
     def test_invariant_violation_exits_3(self, capsys, tmp_path):
         bad = tmp_path / "npsd.json"
         bad.write_text('{"dims": [2], "matrix": [[[1.5,0],[0,0]],[[0,0],[-0.5,0]]]}')
@@ -499,20 +527,6 @@ class TestConfigSurface:
         assert doc["report"]["value"] == pytest.approx(0.0, abs=1e-6)
         assert doc["report"]["isometry"]["d_in"] == 2
 
-    def test_dropped_probes_in_diagnostics(self, capsys, tmp_path):
-        # d_env = 1 cannot hold the projection probe's two Kraus operators.
-        block = tmp_path / "cfg.json"
-        block.write_text('{"restarts": 1, "d_env": 1}')
-        code, doc, _ = run_json(
-            capsys,
-            ["dc", str(fixture_path("bell.json")), "--d", "2", "--config", str(block),
-             "--emit-report"],
-        )
-        assert code == 0
-        assert doc["diagnostics"]["dropped_probes"] == 1
-        assert doc["report"]["dropped_probes"] == 1
-        assert doc["report"]["isometry"]["d_env"] == 1
-
     def test_restart_reasons_in_diagnostics(self, capsys):
         code, doc, _ = run_json(
             capsys,
@@ -542,10 +556,12 @@ class TestConfigSurface:
         assert "config" not in flags["manifest"]["inputs"]
 
     def test_config_block_rejects_unknown_fields(self, capsys, tmp_path):
-        # "armijo" and "stop_at_floor" were fields once: the line-search settings
-        # are constants now, and restarts always stop at a given floor.
+        # "armijo", "stop_at_floor" and "d_env" were fields once: the line-search
+        # settings are constants now, restarts always stop at a given floor, and
+        # the environment is derived from the problem.
         block = tmp_path / "cfg.json"
-        for text in ('{"bogus": 1}', '{"armijo": 1e-4}', '{"stop_at_floor": false}'):
+        for text in ('{"bogus": 1}', '{"armijo": 1e-4}', '{"stop_at_floor": false}',
+                     '{"d_env": 1}'):
             block.write_text(text)
             code, _, err = run_cli(
                 capsys,

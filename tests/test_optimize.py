@@ -487,11 +487,9 @@ class TestExtremePointEnvironment:
         rho = ch.random_state((2, 3), 4, seed=70)
         report = opt.min_local_output_entropy(rho, 3, opt.OptConfig(restarts=2, seed=71))
         assert report.isometry.d_env == 2
-        assert report.dropped_probes == 0
         block = cap.dc_capacity_block(2, 2, ch.random_state((2, 2), 2, seed=72),
                                       opt.OptConfig(restarts=1, max_iterations=20, seed=73))
         assert block.report.isometry.d_env == 4
-        assert block.report.dropped_probes == 0
 
     def test_full_kraus_rank_probe_is_honored(self):
         # A generic channel 2 -> 2 with four Kraus operators has Choi rank 4
@@ -504,18 +502,7 @@ class TestExtremePointEnvironment:
             qmath.von_neumann_entropy(ch.apply_local(probe, rho, 0))
         )
         assert result.report.isometry.d_env == 4
-        assert result.report.dropped_probes == 0
         assert result.value >= probe_value - 1e-9
-
-    def test_caller_d_env_counts_dropped_probes(self):
-        # d_env = 1 fits the embedding probe (rank 1) but neither the
-        # projection probe (rank d_in = 2) nor a rank-4 caller probe.
-        rho = ch.random_state((2, 2), 3, seed=77)
-        cfg = opt.OptConfig(restarts=1, seed=78, d_env=1)
-        probe = ch.random_channel(2, 2, 4, seed=79)
-        report = opt.min_local_output_entropy(rho, 2, cfg, probes=[probe])
-        assert report.isometry.d_env == 1
-        assert report.dropped_probes == 2
 
     def test_probe_of_the_wrong_shape_raises(self):
         rho = ch.random_state((2, 2), 3, seed=80)
@@ -607,6 +594,20 @@ class TestOptimizeEnsemble:
         assert np.array_equal(a.probabilities, b.probabilities)
         assert a.value == b.value
         assert a.history == b.history
+
+    def test_one_output_entropy_problem_per_call(self, monkeypatch):
+        # The seeding descent runs on the problem the ensemble ascent uses.
+        built, init = [], opt._OutputEntropyProblem.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(opt._OutputEntropyProblem, "__init__", counting)
+        rho = ch.random_state((2, 2), 2, seed=25)
+        opt.optimize_ensemble(ch.random_channel(2, 2, 2, seed=26), rho, 3,
+                              opt.OptConfig(restarts=2, seed=27, ensemble_sweeps=2))
+        assert len(built) == 1
 
     @pytest.mark.parametrize("m", [0, -1])
     def test_ensemble_size_below_one_rejected(self, m):

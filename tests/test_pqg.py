@@ -689,15 +689,15 @@ class TestBoundedAscent:
         """``build()`` with the ceilings program selection passes, then with none."""
         sup, cut_short = pqg.estimate_sup_error, []
 
-        def recording(kraus, target, n_samples, seed, *, ceiling=math.inf):
-            err = sup(kraus, target, n_samples, seed, ceiling=ceiling)
+        def recording(*args, ceiling=math.inf, **kwargs):
+            err = sup(*args, ceiling=ceiling, **kwargs)
             cut_short.append(err.value > ceiling)
             return err
 
         monkeypatch.setattr(pqg, "estimate_sup_error", recording)
         cut = build()
         monkeypatch.setattr(pqg, "estimate_sup_error",
-                            lambda kraus, target, n, seed, *, ceiling=math.inf: sup(kraus, target, n, seed))
+                            lambda *args, ceiling=math.inf, **kwargs: sup(*args, **kwargs))
         return cut, build(), cut_short
 
     @staticmethod

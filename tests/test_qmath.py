@@ -383,6 +383,18 @@ class TestValidation:
         with pytest.raises(DimensionMismatchError):
             qmath.DensityMatrix((2, 2), np.eye(2) / 2)
 
+    @pytest.mark.parametrize("dims, diagonal", [
+        ((2,), [math.nan, 0.0]), ((2,), [math.inf, 0.0]), ((2, 2), [math.nan, 0.0, 0.0, 1.0]),
+    ])
+    def test_rejects_non_finite_density_matrix(self, dims, diagonal):
+        with pytest.raises(InvariantError, match="non-finite"):
+            qmath.DensityMatrix(dims, np.diag(diagonal).astype(complex))
+
+    @pytest.mark.parametrize("amps", [[math.nan, 1.0], [math.inf, 0.0]])
+    def test_rejects_non_finite_vector(self, amps):
+        with pytest.raises(InvariantError, match="non-finite"):
+            qmath.PureState((2,), np.array(amps))
+
     def test_rejects_unnormalized_vector(self):
         with pytest.raises(InvariantError):
             qmath.PureState((2,), np.array([1.0, 1.0]))

@@ -81,3 +81,24 @@ def test_rejects_bad_kraus_shape():
 def test_missing_file():
     with pytest.raises(FormatError):
         ser.load_state("/nonexistent/state.json")
+
+
+def test_rejects_boolean_dims():
+    with pytest.raises(FormatError, match="'dims'"):
+        ser.state_from_json({"dims": [True], "matrix": [[[1, 0]]]})
+
+
+IDENTITY_DOC = {"d_in": 1, "d_out": 1, "kraus": [[[[1, 0]]]]}
+
+
+@pytest.mark.parametrize("items", [
+    5,
+    [{"p": 1.0}],
+    [{"channel": IDENTITY_DOC}],
+    [{"p": "x", "channel": IDENTITY_DOC}],
+    [{"p": True, "channel": IDENTITY_DOC}],
+    ["item"],
+])
+def test_malformed_ensemble_items(items):
+    with pytest.raises(FormatError):
+        ser.ensemble_from_json({"kind": "encodings", "items": items})
