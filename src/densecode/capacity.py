@@ -85,12 +85,6 @@ class GapResult(NamedTuple):
     parts: tuple[CapacityResult, CapacityResult]
 
 
-def _split_factors(rho: DensityMatrix, a_factors: Sequence[int]):
-    """rho on (sender, receiver): the optimizer acts on the first factor."""
-    a = sorted(int(i) for i in a_factors)
-    return qmath.bipartition(rho, a), tuple(rho.dims[i] for i in a)
-
-
 def dc_mutual_information(
     mu: Ensemble,
     rho: DensityMatrix,
@@ -98,7 +92,7 @@ def dc_mutual_information(
     a_factors: Sequence[int] = (0,),
 ) -> float:
     """Holevo information of the signal ensemble {(p_i, (phi o T_i (x) id) rho)}."""
-    work, _ = _split_factors(rho, a_factors)
+    work = qmath.bipartition(rho, a_factors)
     totals = [ch.compose(phi, enc) if phi is not None else enc for enc in mu.payloads]
     signals = [ch.apply_local(total, work, 0).entries for total in totals]
     return qmath.holevo_quantity(mu.probabilities, signals)
@@ -148,7 +142,8 @@ def dc_capacity(
     """
     _require_positive(d=d)
     cfg = cfg or opt.OptConfig()
-    work, a_dims = _split_factors(rho, a_factors)
+    work = qmath.bipartition(rho, a_factors)
+    a_dims = tuple(rho.dims[i] for i in sorted(a_factors))
     all_probes = _subset_probes(a_dims, d) + list(probes)
     report = opt.min_local_output_entropy(work, d, cfg, probes=all_probes)
     h_b = report.marginal_entropy
@@ -165,7 +160,6 @@ def dc_capacity(
         "a_factors": list(a_factors),
         "seed": cfg.seed,
         "restarts": cfg.restarts,
-        "converged": report.converged,
     }
     return CapacityResult(value, decomposition, report, metadata)
 
@@ -322,7 +316,7 @@ def noisy_dc_capacity(
     """
     _require_positive(m=m)
     cfg = cfg or opt.OptConfig()
-    work, _ = _split_factors(rho, a_factors)
+    work = qmath.bipartition(rho, a_factors)
     result = opt.optimize_ensemble(phi, work, m, cfg, initial_encodings=initial_encodings)
     ensemble = Ensemble(tuple(zip(result.probabilities, result.encodings)))
     metadata = {
@@ -331,18 +325,16 @@ def noisy_dc_capacity(
         "a_factors": list(a_factors),
         "ensemble_size": m,
         "seed": cfg.seed,
-        "converged": result.converged,
+        "ensemble": ensemble,
     }
-    out = CapacityResult(result.value, None, result, metadata)
-    out.metadata["ensemble"] = ensemble
-    return out
+    return CapacityResult(result.value, None, result, metadata)
 
 
 def random_separable(
     dims: Sequence[int] = (2, 2), n_terms: int = 10, seed=0
 ) -> DensityMatrix:
     """Random mixture of at most ten product pure states (a generator, not a test)."""
-    rng = ch.as_rng(seed)
+    rng = np.random.default_rng(seed)
     dims = tuple(int(d) for d in dims)
     n_terms = max(1, min(10, int(n_terms)))
     weights = rng.random(n_terms)

@@ -32,13 +32,6 @@ CHOI_EQUALITY_TOL = 1e-8
 KRAUS_CUTOFF = 1e-12
 
 
-def as_rng(seed) -> np.random.Generator:
-    """Accept either an integer seed or an existing Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 @dataclass(frozen=True, eq=False)
 class QuantumChannel:
     """CPTP map with Kraus family ``kraus``: a read-only complex stack [k, d_out, d_in].
@@ -228,7 +221,7 @@ def undilate(iso: StinespringIsometry) -> QuantumChannel:
 
 def random_unitary(d: int, seed) -> np.ndarray:
     """Haar-distributed unitary: QR of a Ginibre matrix with R-phase correction."""
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
     return qmath.positive_qr(z)
 
@@ -237,7 +230,7 @@ def random_isometry(d_rows: int, d_cols: int, seed) -> np.ndarray:
     """Haar-distributed isometry (first d_cols columns of a Haar unitary)."""
     if d_rows < d_cols:
         raise DimensionMismatchError(f"no isometry with {d_rows} rows and {d_cols} columns")
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     z = (rng.standard_normal((d_rows, d_cols)) + 1j * rng.standard_normal((d_rows, d_cols)))
     return qmath.positive_qr(z)
 
@@ -246,7 +239,7 @@ def random_state(dims: Sequence[int], rank: int, seed) -> DensityMatrix:
     """Normalized Wishart state of the given rank."""
     if rank < 1:
         raise InvariantError(f"state rank must be >= 1, got {rank}")
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     dims = tuple(int(d) for d in dims)
     side = int(np.prod(dims))
     g = rng.standard_normal((side, rank)) + 1j * rng.standard_normal((side, rank))

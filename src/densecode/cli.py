@@ -3,8 +3,8 @@
 stdout carries machine-readable JSON (or CSV for scans); human-readable
 tables go to stderr.  Every output embeds a run manifest (command, input file
 hashes, full configuration, tool version, timestamp) and `densecode replay`
-re-executes a manifest, reproducing the output bit-identically within one
-build.
+re-executes a manifest whose recorded inputs are unchanged, reproducing the
+output bit-identically within one build.
 
 Exit codes are a stable contract:
 
@@ -262,7 +262,7 @@ def cmd_dc(args, argv, timestamp) -> int:
             quantity = "dc_capacity"
             result = cap.dc_capacity(args.d, rho, cfg, a_factors)
         diagnostics = ser._opt_diagnostics(result.report)
-    if args.strict and not result.metadata["converged"]:
+    if args.strict and not result.report.converged:
         raise ConvergenceError("optimizer did not converge and --strict is set")
     # The manifest records only the flags its mode reads.
     config = {"restarts": cfg.restarts, "seed": cfg.seed, "a_factors": list(a_factors)}
@@ -338,7 +338,6 @@ def cmd_scan_additivity(args, argv, timestamp) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        ser.dump(manifest, args.out + ".manifest.json")
         doc = {
             "csv": args.out,
             "instances": len(gaps),
@@ -400,6 +399,8 @@ def cmd_pqg_witness(args, argv, timestamp) -> int:
     target, inputs = _parse_target(args.target)
     g1, info1 = _parse_gate_token(args.gates[0], args.seed)
     g2, info2 = _parse_gate_token(args.gates[1], args.seed + 1)
+    inputs.update({f"gate{i}": info["ref"]
+                   for i, info in ((1, info1), (2, info2)) if "ref" in info})
     cfg = pqg.WitnessConfig(seed=args.seed, n_inputs=args.inputs)
     report = pqg.scalability_witness(g1, g2, target, cfg)
     doc = {
@@ -471,6 +472,14 @@ def cmd_replay(args, argv, timestamp) -> int:
             or not all(isinstance(arg, str) for arg in command) or command[0] == "replay"):
         raise FormatError("no manifest with a command found in the record "
                           "(a list of strings that is not a replay)")
+    # A record re-runs only on the very files it was made from.
+    inputs = manifest.get("inputs", {})
+    if not isinstance(inputs, dict):
+        raise FormatError("the manifest's inputs must be an object")
+    for name, ref in inputs.items():
+        path = ref.get("path") if isinstance(ref, dict) else None
+        if not isinstance(path, str) or _file_ref(path) != ref:
+            raise FormatError(f"recorded input {name!r} is malformed or has changed")
     return main(command, _timestamp=manifest.get("timestamp"))
 
 
@@ -570,6 +579,7 @@ def main(argv: list[str] | None = None, _timestamp: str | None = None) -> int:
     try:
         if getattr(args, "seed", 0) is None:
             args.seed = default_seed()
+            argv += ["--seed", str(args.seed)]  # the recorded command names the seed that ran
         try:
             qmath.require_seed(getattr(args, "seed", 0))
         except ValueError as exc:

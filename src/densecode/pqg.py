@@ -330,7 +330,7 @@ def estimate_sup_error(
     """
     reference = target[None]
     d = target.shape[0]
-    samples = qmath.haar_vectors(ch.as_rng(seed), n_samples, d)
+    samples = qmath.haar_vectors(np.random.default_rng(seed), n_samples, d)
     tds = qmath.hermitian_trace_norm(_conjugation_gaps(kraus, reference, samples))
     best = float(tds.max(initial=0.0))
     if best > ceiling + opt.FLOOR_SLACK:
@@ -766,7 +766,7 @@ def random_program_instance(seed) -> tuple[ProgrammableGate, PureState, PureStat
     groups, so non-orthogonal program pairs (with proportional unitaries)
     occur alongside orthogonal ones.
     """
-    rng = ch.as_rng(seed)
+    rng = np.random.default_rng(seed)
     d_data = int(rng.integers(2, 4))
     n_groups = int(rng.integers(2, 4))
     group_units = [ch.random_unitary(d_data, rng) for _ in range(n_groups)]

@@ -75,10 +75,6 @@ def frobenius_norm(matrix: np.ndarray) -> float:
     return math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
 
 
-def _as_complex(matrix) -> np.ndarray:
-    return np.asarray(matrix, dtype=complex)
-
-
 def hermitize(matrix: np.ndarray) -> np.ndarray:
     """(M + M†)/2, used before eigendecompositions to suppress drift.
 
@@ -115,13 +111,15 @@ def hermitian_trace_norm(matrix: np.ndarray) -> np.ndarray:
 def isometry_defect(matrix: np.ndarray) -> float:
     """max |M†M - I| over a stack [..., m, n]: unitarity, or Kraus completeness as [(k, out), in].
 
-    NaN for a non-finite entry, which ``require_isometry`` rejects.
+    Takes finite entries; ``require_isometry`` rejects the others before calling it.
     """
     return float(np.max(np.abs(matrix.conj().swapaxes(-1, -2) @ matrix - np.eye(matrix.shape[-1]))))
 
 
 def require_isometry(matrix: np.ndarray, what: str) -> None:
     """Raise InvariantError "<what> (defect ...)" unless the defect is at most ISOMETRY_TOL."""
+    if not np.isfinite(matrix).all():  # before the product, which warns on inf and NaN
+        raise InvariantError(f"{what} (non-finite entry)")
     defect = isometry_defect(matrix)
     if not defect <= ISOMETRY_TOL:  # NaN fails too
         raise InvariantError(f"{what} (defect {defect:.3e})")
@@ -172,7 +170,7 @@ class PureState:
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
-        amps = _as_complex(self.amplitudes).reshape(-1)
+        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
         if not np.isfinite(amps).all():  # NaN passes every comparison below
@@ -205,7 +203,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
-        mat = _as_complex(self.entries)
+        mat = np.asarray(self.entries, dtype=complex)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", mat)
         if not np.isfinite(mat).all():  # before mat - mat^dag, which warns on inf - inf

@@ -9,8 +9,9 @@ Channels are Kraus families (rectangular operators allowed):
 
     {"d_in": 2, "d_out": 2, "kraus": [matrix, ...]}
 
-Gates store the data/program split; controlled-block gates may ship their
-blocks instead of (or alongside) the dense unitary:
+Gates store the data/program split.  A controlled-block gate is written as
+its blocks with a null unitary, any other gate as its dense unitary; a file
+holding both is read, and the two are checked for agreement:
 
     {"d_D": 2, "d_P": 4, "unitary": matrix | null, "blocks": [matrix, ...]?}
 
@@ -34,9 +35,6 @@ if TYPE_CHECKING:  # imported where they are constructed
     from .capacity import Ensemble
     from .channels import QuantumChannel
     from .pqg import ProgrammableGate
-
-# Gate files carry the dense unitary alongside the blocks up to this side.
-DENSE_GATE_SIDE = 64
 
 
 def matrix_to_json(matrix: np.ndarray) -> list:
@@ -111,9 +109,9 @@ def channel_from_json(obj) -> QuantumChannel:
 
 def gate_to_json(gate: ProgrammableGate) -> dict:
     doc = {"d_D": gate.d_data, "d_P": gate.d_program, "unitary": None}
-    if gate.d_data * gate.d_program <= DENSE_GATE_SIDE:
-        doc["unitary"] = matrix_to_json(gate.matrix)
-    if gate.blocks is not None:
+    if gate.blocks is None:
+        doc["unitary"] = matrix_to_json(gate.unitary)
+    else:
         doc["blocks"] = [matrix_to_json(b) for b in gate.blocks]
     return doc
 

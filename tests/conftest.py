@@ -17,7 +17,7 @@ CNOT = np.array(
 
 def haar_pure(dims, seed) -> qmath.PureState:
     """A Haar-random pure state on the given factors; ``seed`` an integer or a Generator."""
-    amplitudes = qmath.haar_vectors(ch.as_rng(seed), 1, math.prod(dims))[0]
+    amplitudes = qmath.haar_vectors(np.random.default_rng(seed), 1, math.prod(dims))[0]
     return qmath.PureState(tuple(dims), amplitudes)
 
 

@@ -279,6 +279,17 @@ class TestKrausStack:
         with np.errstate(invalid="ignore"), pytest.raises(InvariantError):
             ch.StinespringIsometry(2, 2, 1, kraus[0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_is_rejected_before_any_product(self, bad):
+        # Under the suite's error::RuntimeWarning filter, a warning from the
+        # completeness product would surface here as an error, not InvariantError.
+        kraus = np.eye(2, dtype=complex)[None].copy()
+        kraus[0, 1, 1] = bad
+        with pytest.raises(InvariantError, match="non-finite entry"):
+            ch.QuantumChannel(2, 2, kraus)
+        with pytest.raises(InvariantError, match="non-finite entry"):
+            ch.StinespringIsometry(2, 2, 1, kraus[0])
+
     @pytest.mark.parametrize("seed", range(3))
     def test_stack_matches_per_operator_reference(self, seed):
         chan = ch.random_channel(2, 3, 4, seed)

@@ -271,6 +271,10 @@ class TestScanCommand:
         summary = rows[-1]
         assert summary[0] == "summary"
         assert float(summary[8]) == pytest.approx(min(gaps), abs=1e-9)
+        # The manifest is the CSV's last line; --out writes no other file.
+        assert os.listdir(tmp_path) == ["scan.csv"]
+        last = out_file.read_text().splitlines()[-1]
+        assert json.loads(last.removeprefix("# manifest: ")) == doc["manifest"]
 
     def test_random_pair_runs_like_the_same_file_pair(self, capsys, tmp_path):
         # The random rows redraw the pair from default_rng(seed); written to files
@@ -459,6 +463,12 @@ def _write(path, content):
     return str(path)
 
 
+def _gate_file(path, units=("I", "X", "XZ", "Z")):
+    """A controlled-block gate file of named qubit unitaries; its path as a string."""
+    ser.dump(ser.gate_to_json(pqg.control_gate([cli.NAMED_UNITARIES[u] for u in units])), path)
+    return str(path)
+
+
 @pytest.mark.parametrize("argv", [
     lambda tmp: ["entropy", _write(tmp / "latin1.json", b'{"dims": [2], "matrix": "\xe9"}')],
     lambda tmp: ["entropy", str(tmp)],
@@ -486,6 +496,32 @@ def test_unreadable_input_or_unwritable_output_exits_2(capsys, monkeypatch, tmp_
     code, out, err = run_cli(capsys, argv(tmp_path))
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+
+
+INF_CHANNEL = {"d_in": 2, "d_out": 2, "kraus": [[[[math.inf, 0], [0, 0]], [[0, 0], [1, 0]]]]}
+INF_GATE = {"d_D": 2, "d_P": 2, "unitary": None,
+            "blocks": [ser.matrix_to_json(np.eye(2)), [[[math.inf, 0], [0, 0]], [[0, 0], [1, 0]]]]}
+INF_TARGET = {"matrix": [[[math.inf if i == j == 0 else float(i == j), 0] for j in range(4)]
+                         for i in range(4)]}
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp: ["dc", str(fixture_path("bell.json")), "--restarts", "1",
+                 "--channel", _write(tmp / "c.json", INF_CHANNEL)],
+    lambda tmp: ["pqg", "emulate", "--samples", "5", "--channel", _write(tmp / "c.json", INF_CHANNEL)],
+    lambda tmp: ["pqg", "check-orthogonality", "--program1", "0", "--program2", "1",
+                 "--gate", _write(tmp / "g.json", INF_GATE)],
+    lambda tmp: ["pqg", "witness", "--target", "cnot", "--gates",
+                 _write(tmp / "g.json", INF_GATE), "pauli"],
+    lambda tmp: ["pqg", "witness", "--gates", "pauli", "pauli",
+                 "--target", _write(tmp / "t.json", INF_TARGET)],
+], ids=["dc-channel", "emulate-channel", "orthogonality-gate", "witness-gate", "witness-target"])
+def test_non_finite_file_entry_exits_3(capsys, tmp_path, argv):
+    # json writes and reads the entry as Infinity.  It is rejected before any
+    # product, so the suite's error::RuntimeWarning filter sees no warning.
+    code, out, err = run_cli(capsys, argv(tmp_path))
+    assert (code, out) == (3, "")
+    assert err.startswith("invariant violation: ") and "non-finite entry" in err
 
 
 class TestConfigSurface:
@@ -698,6 +734,77 @@ class TestReplay:
         record = tmp_path / "record"
         record.write_text(out)
         assert run_cli(capsys, ["replay", str(record)])[:2] == (0, out)
+
+    @pytest.mark.parametrize("argv", [
+        lambda tmp: ["entropy", str(fixture_path("bell.json"))],
+        lambda tmp: ["dc", str(fixture_path("bell.json")), "--channel", DEPOLARIZING,
+                     "--ensemble-size", "2", "--restarts", "1"],
+        lambda tmp: ["pqg", "build-net", "--epsilon", "1.0"],
+        lambda tmp: ["pqg", "check-orthogonality", "--units", "I,X",
+                     "--program1", "0", "--program2", "1"],
+        lambda tmp: ["pqg", "witness", "--target", "cnot", "--inputs", "4",
+                     "--gates", _gate_file(tmp / "gate.json"), "pauli"],
+        lambda tmp: ["pqg", "emulate", "--channel", DEPOLARIZING, "--samples", "10"],
+    ], ids=["entropy", "dc-channel", "build-net", "check-orthogonality", "witness", "emulate"])
+    def test_every_command_replays_bit_identically(self, capsys, monkeypatch, tmp_path, argv):
+        # Recorded under DENSECODE_SEED, replayed without it: the record names its seed.
+        monkeypatch.setenv("DENSECODE_SEED", "5")
+        code, out, _ = run_cli(capsys, argv(tmp_path))
+        assert code == 0
+        monkeypatch.delenv("DENSECODE_SEED")
+        record = tmp_path / "record.json"
+        record.write_text(out)
+        assert run_cli(capsys, ["replay", str(record)])[:2] == (0, out)
+
+    def test_seed_from_the_variable_is_recorded_and_replayed(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("DENSECODE_SEED", "5")
+        argv = ["dc", str(fixture_path("werner-boundary.json")), "--restarts", "2"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["manifest"]["command"] == argv + ["--seed", "5"]
+        monkeypatch.delenv("DENSECODE_SEED")
+        record = tmp_path / "record.json"
+        record.write_text(out)
+        assert run_cli(capsys, ["replay", str(record)])[:2] == (0, out)
+
+    def test_witness_records_its_gate_files(self, capsys, tmp_path):
+        gate = _gate_file(tmp_path / "gate.json")
+        code, doc, _ = run_json(capsys, ["pqg", "witness", "--target", "cnot", "--inputs", "4",
+                                         "--gates", "pauli", gate])
+        assert code == 0
+        inputs = doc["manifest"]["inputs"]
+        assert set(inputs) == {"gate2"} and inputs["gate2"] == doc["gates"][1]["ref"]
+
+    @pytest.mark.parametrize("argv, replace", [
+        (lambda path: ["dc", _write(path, ser.load_json(fixture_path("werner-boundary.json"))),
+                       "--restarts", "1"],
+         lambda path: _write(path, ser.load_json(fixture_path("bell.json")))),
+        (lambda path: ["pqg", "witness", "--target", "cnot", "--inputs", "4",
+                       "--gates", "pauli", _gate_file(path)],
+         lambda path: _gate_file(path, ["I", "Z", "X", "XZ"])),
+    ], ids=["dc-state", "witness-gate"])
+    def test_changed_input_makes_replay_exit_2(self, capsys, tmp_path, argv, replace):
+        path = tmp_path / "input.json"
+        code, out, _ = run_cli(capsys, argv(path))
+        assert code == 0
+        record = tmp_path / "record.json"
+        record.write_text(out)
+        replace(path)
+        code, out, err = run_cli(capsys, ["replay", str(record)])
+        assert (code, out) == (2, "")
+        assert "has changed" in err
+
+    @pytest.mark.parametrize("inputs", [
+        [], {"state": "bell.json"}, {"state": {"path": 3}},
+        {"state": {"path": str(fixture_path("bell.json")), "sha256": "0" * 64}},
+    ], ids=["array", "string-ref", "path-not-string", "wrong-hash"])
+    def test_malformed_or_stale_inputs_exit_2(self, capsys, tmp_path, inputs):
+        command = ["entropy", str(fixture_path("bell.json"))]
+        record = tmp_path / "record.json"
+        record.write_text(json.dumps({"manifest": {"command": command, "inputs": inputs}}))
+        code, out, err = run_cli(capsys, ["replay", str(record)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "input" in err
 
     def test_replay_without_manifest_exits_2(self, capsys, tmp_path):
         record = tmp_path / "junk.json"

@@ -154,6 +154,16 @@ class TestBlockStack:
         with np.errstate(invalid="ignore"), pytest.raises(InvariantError):
             pqg.control_gate([np.full((2, 2), bad)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gate_is_rejected_before_any_product(self, bad):
+        # No errstate here: the suite turns a RuntimeWarning from the product into an error.
+        block = np.eye(2, dtype=complex)
+        block[1, 1] = bad
+        with pytest.raises(InvariantError, match="non-finite entry"):
+            pqg.control_gate([np.eye(2), block])
+        with pytest.raises(InvariantError, match="non-finite entry"):
+            pqg.ProgrammableGate(2, 1, unitary=block)
+
     def test_block_stack_isometry_defect_is_max_of_per_matrix(self):
         rng = np.random.default_rng(2)
         stack = np.array([ch.random_unitary(3, rng) for _ in range(12)]).reshape(3, 4, 3, 3)

@@ -35,12 +35,28 @@ def test_gate_roundtrip_with_blocks():
 
 
 def test_pauli_gate_file_roundtrip(pauli_gate, tmp_path):
-    # At side <= 64 the file carries both the dense unitary and the blocks.
+    # A block gate's file holds its blocks only; the dense matrix is rebuilt from them.
     path = tmp_path / "gate.json"
     ser.dump(ser.gate_to_json(pauli_gate), path)
     back = ser.load_gate(path)
-    assert back.unitary is not None and back.blocks is not None
+    assert back.unitary is None and back.blocks is not None
     assert np.array_equal(back.matrix, pauli_gate.matrix)
+    # A file that also holds the dense copy is still read, and the copies must agree.
+    doc = ser.gate_to_json(pauli_gate)
+    doc["unitary"] = ser.matrix_to_json(pauli_gate.matrix)
+    assert np.array_equal(ser.gate_from_json(doc).unitary, pauli_gate.matrix)
+
+
+def test_dense_gate_file_roundtrip(tmp_path):
+    # A dense gate's file holds its unitary, at any side (here above 64).
+    dense = pqg.ProgrammableGate(2, 64, unitary=ch.random_unitary(128, 0))
+    doc = ser.gate_to_json(dense)
+    assert "blocks" not in doc
+    path = tmp_path / "gate.json"
+    ser.dump(doc, path)
+    back = ser.load_gate(path)
+    assert back.blocks is None
+    assert np.array_equal(back.unitary, dense.unitary)
 
 
 def test_ensemble_roundtrip():
