@@ -76,7 +76,6 @@ class CapacityResult:
 class REEBound(NamedTuple):
     bound: float
     certified: bool
-    min_ppt_eigenvalue: float
 
 
 class GapResult(NamedTuple):
@@ -154,14 +153,7 @@ def dc_capacity(
         "marginal_entropy": h_b,
         "min_output_entropy": report.value,
     }
-    metadata = {
-        "d": d,
-        "dims": list(rho.dims),
-        "a_factors": list(a_factors),
-        "seed": cfg.seed,
-        "restarts": cfg.restarts,
-    }
-    return CapacityResult(value, decomposition, report, metadata)
+    return CapacityResult(value, decomposition, report, {"seed": cfg.seed})
 
 
 def _seeded_joint(parts, copies, d_joint, cfg, seed_probe):
@@ -210,7 +202,7 @@ def dc_capacity_block(
     decomposition["log_term"] = math.log2(d)
     value = (decomposition["log_term"] + decomposition["marginal_entropy"]
              - decomposition["min_output_entropy"])
-    metadata = {**inner.metadata, "block": n, "d": d, "single_copy_value": single.value}
+    metadata = {**inner.metadata, "single_copy_value": single.value}
     return CapacityResult(value, decomposition, inner.report, metadata)
 
 
@@ -236,7 +228,7 @@ def dc_capacity_multicopy(
         return ch.compose(t, QuantumChannel.trace_out_factor((t.d_in, t.d_in ** (k - 1)), (1,)))
 
     result, (single,) = _seeded_joint([(d, rho, a_factors)], k, d, cfg, on_first_copy)
-    result.metadata.update({"copies": k, "single_copy_value": single.value})
+    result.metadata["single_copy_value"] = single.value
     return result
 
 
@@ -274,8 +266,7 @@ def ree_bound(
     if rho.dims != sigma.dims:
         raise DimensionMismatchError(f"dims {rho.dims} vs {sigma.dims}")
     divergence = qmath.relative_entropy(rho, sigma)
-    ppt = qmath.is_ppt(sigma, tuple(a_factors))
-    return REEBound(math.log2(d) + divergence, ppt.ppt, ppt.min_eigenvalue)
+    return REEBound(math.log2(d) + divergence, qmath.is_ppt(sigma, tuple(a_factors)).ppt)
 
 
 def additivity_gap(
@@ -319,15 +310,7 @@ def noisy_dc_capacity(
     work = qmath.bipartition(rho, a_factors)
     result = opt.optimize_ensemble(phi, work, m, cfg, initial_encodings=initial_encodings)
     ensemble = Ensemble(tuple(zip(result.probabilities, result.encodings)))
-    metadata = {
-        "channel": (phi.d_in, phi.d_out),
-        "dims": list(rho.dims),
-        "a_factors": list(a_factors),
-        "ensemble_size": m,
-        "seed": cfg.seed,
-        "ensemble": ensemble,
-    }
-    return CapacityResult(result.value, None, result, metadata)
+    return CapacityResult(result.value, None, result, {"seed": cfg.seed, "ensemble": ensemble})
 
 
 def random_separable(

@@ -118,11 +118,16 @@ def _emit(doc: dict, summary_lines: list[str]) -> None:
         sys.stderr.write(line + "\n")
 
 
-def _parse_factors(text: str) -> tuple[int, ...]:
+def _parse_factors(text: str, n_factors: int) -> tuple[int, ...]:
+    """Distinct sender factors, a nonempty proper subset of range(n_factors), leaving a receiver."""
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok != "")
+        factors = tuple(int(tok) for tok in text.split(",") if tok != "")
     except ValueError:
-        raise FormatError(f"bad factor list {text!r}") from None
+        factors = ()
+    if not 0 < len(factors) == len(set(factors)) or not set(factors) < set(range(n_factors)):
+        raise FormatError(f"bad factor list {text!r}: distinct indices in 0..{n_factors - 1} "
+                          "that leave a receiver")
+    return factors
 
 
 def _parse_program(gate: pqg.ProgrammableGate, text: str) -> qmath.PureState:
@@ -179,8 +184,7 @@ def _parse_gate_token(token: str, seed: int) -> tuple[pqg.ProgrammableGate, dict
         _check_epsilon(eps, f"net epsilon in gate token {token!r}")
         gate, net = pqg.net_gate(eps, 2, seed=seed)
         return gate, {"kind": "net", "epsilon": eps, "size": len(net.elements)}
-    gate = ser.load_gate(token)
-    return gate, {"kind": "file", "ref": _file_ref(token)}
+    return ser.load_gate(token), {"kind": "file"}
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +242,7 @@ def cmd_dc(args, argv, timestamp) -> int:
         raise FormatError(f"{' and '.join(modes)} name different problems; give at most one")
     rho = ser.load_state(args.state)
     cfg = _opt_config(args)
-    a_factors = _parse_factors(args.a_factors)
+    a_factors = _parse_factors(args.a_factors, rho.n_factors)
     inputs = {"state": _file_ref(args.state)}
     if args.config:
         inputs["config"] = _file_ref(args.config)
@@ -276,7 +280,6 @@ def cmd_dc(args, argv, timestamp) -> int:
         "lower_bound": True,
         "decomposition": result.decomposition,
         "diagnostics": diagnostics,
-        "inputs": inputs,
         "manifest": _manifest(argv, inputs, config, timestamp),
     }
     if args.emit_report:
@@ -293,13 +296,14 @@ def cmd_scan_additivity(args, argv, timestamp) -> int:
     if bool(args.rho) != bool(args.sigma):
         raise FormatError("--rho and --sigma name one state pair; give both or neither")
     _check_out(args.out)
-    rho_a = _parse_factors(args.rho_a)
-    sigma_a = _parse_factors(args.sigma_a)
     inputs = {}
     if args.rho:
         instances = [(args.seed, ser.load_state(args.rho), ser.load_state(args.sigma))]
         inputs = {"rho": _file_ref(args.rho), "sigma": _file_ref(args.sigma)}
+        rho_a = _parse_factors(args.rho_a, instances[0][1].n_factors)
+        sigma_a = _parse_factors(args.sigma_a, instances[0][2].n_factors)
     else:
+        rho_a, sigma_a = _parse_factors(args.rho_a, 2), _parse_factors(args.sigma_a, 2)
         instances = []
         for seed in range(args.seed, args.seed + args.count):
             rng = np.random.default_rng(seed)
@@ -399,8 +403,8 @@ def cmd_pqg_witness(args, argv, timestamp) -> int:
     target, inputs = _parse_target(args.target)
     g1, info1 = _parse_gate_token(args.gates[0], args.seed)
     g2, info2 = _parse_gate_token(args.gates[1], args.seed + 1)
-    inputs.update({f"gate{i}": info["ref"]
-                   for i, info in ((1, info1), (2, info2)) if "ref" in info})
+    inputs.update({f"gate{i}": _file_ref(token) for i, (token, info)
+                   in enumerate(zip(args.gates, (info1, info2)), 1) if info["kind"] == "file"})
     cfg = pqg.WitnessConfig(seed=args.seed, n_inputs=args.inputs)
     report = pqg.scalability_witness(g1, g2, target, cfg)
     doc = {
@@ -427,7 +431,7 @@ def cmd_pqg_emulate(args, argv, timestamp) -> int:
     _require_at_least(args, 1, "samples")
     _check_epsilon(args.epsilon, "--epsilon")
     channel = ser.load_channel(args.channel)
-    channel_ref = {"channel": _file_ref(args.channel)}
+    inputs = {"channel": _file_ref(args.channel)}
     target, _ = pqg.dilation_unitary(channel)
     gate, net = pqg.net_gate_around([target], args.epsilon, seed=args.seed)
     report = pqg.emulate_encoding(channel, gate, args.epsilon, n_samples=args.samples, seed=args.seed)
@@ -440,10 +444,9 @@ def cmd_pqg_emulate(args, argv, timestamp) -> int:
             "method": report.program_error.method,
         },
         "gate_certificate": net.metadata,
-        "inputs": channel_ref,
         "manifest": _manifest(
             argv,
-            channel_ref,
+            inputs,
             {"epsilon": args.epsilon, "seed": args.seed, "samples": args.samples},
             timestamp,
         ),

@@ -158,7 +158,6 @@ class WitnessReport:
     program_weights: list[tuple[tuple[int, int], float]] | None
     sup_estimate: ErrorEstimate
     n_inputs: int
-    seed: int
     method: str
     amplitudes: np.ndarray | None = field(default=None, repr=False, compare=False)
     lower_bound: ErrorEstimate | None = None
@@ -1054,7 +1053,6 @@ def _witness_control_path(g1, g2, target, cfg: WitnessConfig):
                                key=lambda item: -item[1]),
         sup_estimate=sup,
         n_inputs=cfg.n_inputs,
-        seed=cfg.seed,
         method="control-blocks/frank-wolfe",
         lower_bound=ErrorEstimate(bound, "frank-wolfe-dual", cfg.n_inputs),
     )
@@ -1102,7 +1100,6 @@ def _witness_general_path(g1, g2, target, cfg: WitnessConfig):
         program_weights=None,
         sup_estimate=sup,
         n_inputs=cfg.n_inputs,
-        seed=cfg.seed,
         method="general-sphere-descent",
         amplitudes=psi,
     )

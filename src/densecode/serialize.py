@@ -157,7 +157,7 @@ def ensemble_from_json(obj) -> Ensemble:
 
 
 def _opt_diagnostics(report) -> dict:
-    """The OptReport fields of the CLI's ``diagnostics`` and of ``opt_report_to_json``."""
+    """The OptReport fields of ``dc``'s ``diagnostics`` (the noiseless modes)."""
     return {
         "restart_values": list(report.restart_values),
         "converged": report.converged,
@@ -169,11 +169,10 @@ def _opt_diagnostics(report) -> dict:
 
 
 def opt_report_to_json(report) -> dict:
-    """A capacity's OptReport as a JSON document (value, per-restart values, isometry)."""
+    """A capacity's optimizer certificate: its value and the isometry that attains it."""
     iso = report.isometry
     return {
         "value": report.value,
-        **_opt_diagnostics(report),
         "isometry": {
             "d_in": iso.d_in,
             "d_out": iso.d_out,

@@ -410,6 +410,24 @@ class TestNoisyDcCapacity:
         )
         assert result.value >= 4.0 - 5e-3
 
+    def test_random_members_reach_amplitude_damping_chi(self):
+        # On |00> the encodings prepare arbitrary channel inputs, so the capacity is
+        # the Holevo chi of the channel, which for amplitude damping is
+        # max_p h2((1 - g) p) - h2((1 + sqrt(1 - 4 g (1 - g) p^2)) / 2)
+        # (Giovannetti & Fazio 2005, Phys. Rev. A 71, 032314), here on a grid of p.
+        # m = 8 exceeds d_out^2 = 4, so the last four members start random.
+        g = 0.5
+        damping = ch.QuantumChannel(2, 2, [np.diag([1.0, math.sqrt(1.0 - g)]),
+                                          math.sqrt(g) * np.array([[0.0, 1.0], [0.0, 0.0]])])
+        chi = max(qmath.binary_entropy((1.0 - g) * p)
+                  - qmath.binary_entropy((1.0 + math.sqrt(1.0 - 4.0 * g * (1.0 - g) * p * p)) / 2.0)
+                  for p in np.linspace(0.0, 1.0, 20001))
+        product = qmath.DensityMatrix((2, 2), np.diag([1.0, 0.0, 0.0, 0.0]))
+        result = cap.noisy_dc_capacity(damping, product, 8, opt.OptConfig(seed=0))
+        assert result.value == pytest.approx(chi, abs=1e-6)
+        again = cap.dc_mutual_information(result.metadata["ensemble"], product, damping)
+        assert again == pytest.approx(result.value, abs=1e-9)
+
 
 @pytest.mark.parametrize("call", [
     lambda: cap.dc_capacity(0, bell_density(), CFG),

@@ -269,24 +269,15 @@ class TestKrausStack:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_stack_is_rejected(self, bad):
         # NaN compares False with every tolerance, so a check of the form
-        # "defect > tol" would let it through.
-        kraus = np.eye(2, dtype=complex)[None].copy()
-        kraus[0, 1, 1] = bad
-        with np.errstate(invalid="ignore"), pytest.raises(InvariantError):
-            ch.QuantumChannel(2, 2, kraus)
-        with np.errstate(invalid="ignore"), pytest.raises(InvariantError):
-            ch.QuantumChannel(2, 2, [np.full((2, 2), bad)])
-        with np.errstate(invalid="ignore"), pytest.raises(InvariantError):
-            ch.StinespringIsometry(2, 2, 1, kraus[0])
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_entry_is_rejected_before_any_product(self, bad):
-        # Under the suite's error::RuntimeWarning filter, a warning from the
-        # completeness product would surface here as an error, not InvariantError.
+        # "defect > tol" would let it through.  No errstate: under the suite's
+        # error::RuntimeWarning filter, a warning from the completeness product
+        # would surface here as an error, not InvariantError.
         kraus = np.eye(2, dtype=complex)[None].copy()
         kraus[0, 1, 1] = bad
         with pytest.raises(InvariantError, match="non-finite entry"):
             ch.QuantumChannel(2, 2, kraus)
+        with pytest.raises(InvariantError, match="non-finite entry"):
+            ch.QuantumChannel(2, 2, [np.full((2, 2), bad)])
         with pytest.raises(InvariantError, match="non-finite entry"):
             ch.StinespringIsometry(2, 2, 1, kraus[0])
 
@@ -321,6 +312,16 @@ class TestKrausStack:
 
         tensored = [np.kron(a, b) for a in ops for b in before.kraus]
         assert _max_gap(ch.tensor_channels(chan, before).kraus, tensored) < 1e-12
+
+    def test_tensor_product_beyond_the_choi_rank_is_canonicalized(self):
+        # 5 x 5 = 25 products exceed the Choi rank 16 of a two-qubit map.
+        a, b = ch.random_channel(2, 2, 5, 31), ch.random_channel(2, 2, 5, 32)
+        assert len(a.kraus) == len(b.kraus) == 5
+        product = ch.tensor_channels(a, b)
+        assert len(product.kraus) <= 16
+        tensored = [np.kron(x, y) for x in a.kraus for y in b.kraus]
+        choi = sum(np.outer(k.reshape(-1), k.reshape(-1).conj()) for k in tensored)
+        assert _max_gap(ch.choi(product), choi) < 1e-12
 
     @pytest.mark.parametrize("seed", range(3))
     def test_stack_constructors_match_per_operator_reference(self, seed):

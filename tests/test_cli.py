@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,8 @@ from densecode import serialize as ser
 from densecode.fixtures import fixture_path
 
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 
 def python_last_line(script: str) -> str:
@@ -439,6 +441,25 @@ class TestPqgCommands:
         assert cert["barrier_stop_reasons"] == "centered" and cert["barrier_max_gap"] <= 1e-10
         assert 0 < cert["barrier_max_newton_steps"] < 1000
 
+    def test_build_net_gate_file_reads_back(self, capsys, tmp_path):
+        out = str(tmp_path / "net.json")
+        code, doc, _ = run_json(
+            capsys, ["pqg", "build-net", "--epsilon", "0.3", "--seed", "1", "--out", out]
+        )
+        assert code == 0 and doc["gate_file"] == out
+        code, doc, _ = run_json(capsys, ["pqg", "check-orthogonality", "--gate", out,
+                                         "--program1", "0", "--program2", "1"])
+        assert code == 0 and doc["orthogonal"] is True and doc["consistent"] is True
+        assert doc["manifest"]["inputs"]["gate"]["path"] == out
+        # The file holds the net that net:0.3 draws at seed 1, so the witness is the same.
+        witness = ["pqg", "witness", "--target", "X@Z", "--seed", "0", "--inputs", "4", "--gates"]
+        code, from_file, _ = run_json(capsys, witness + ["net:0.3", out])
+        assert code == 0 and from_file["gates"][1] == {"kind": "file"}
+        _, drawn, _ = run_json(capsys, witness + ["net:0.3", "net:0.3"])
+        for key in ("gates", "manifest"):
+            del from_file[key], drawn[key]
+        assert from_file == drawn
+
     def test_build_net_guard_exits_4(self, capsys):
         code, _, err = run_cli(
             capsys, ["pqg", "build-net", "--epsilon", "0.005", "--d", "2"]
@@ -574,7 +595,8 @@ class TestConfigSurface:
         assert len(reasons) == len(doc["diagnostics"]["restart_values"]) >= 1
         assert set(reasons) <= {"grad_tol", "floor", "step_underflow", "max_iterations",
                                 "non_finite"}
-        assert doc["report"]["restart_reasons"] == reasons
+        # The restart record lives in diagnostics alone; the report is the certificate.
+        assert set(doc["report"]) == {"value", "isometry"}
 
     def test_config_file_is_recorded(self, capsys, tmp_path):
         block = tmp_path / "cfg.json"
@@ -680,6 +702,21 @@ def test_conflicting_flags_exit_2(capsys, argv, flags):
     assert err.startswith("error: ") and all(flag in err for flag in flags)
 
 
+@pytest.mark.parametrize("argv", [
+    ["dc", BELL, "--a-factors", "0,5"],
+    ["dc", BELL, "--a-factors", "-1"],
+    ["dc", BELL, "--a-factors", "0,0"],
+    ["dc", BELL, "--a-factors", ","],
+    ["dc", BELL, "--a-factors", "0,1"],
+    ["scan-additivity", "--count", "1", "--rho-a", "3"],
+    ["scan-additivity", "--count", "1", "--sigma-a", "0,1"],
+], ids=["out-of-range", "negative", "repeated", "empty", "no-receiver", "rho-a", "sigma-a"])
+def test_bad_sender_factors_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, argv + ["--restarts", "1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad factor list")
+
+
 @pytest.mark.parametrize("size", ["0", "-3"])
 def test_ensemble_size_below_one_exits_2(capsys, size):
     argv = ["dc", BELL, "--channel", str(fixture_path("depolarizing-qubit.json")),
@@ -773,7 +810,9 @@ class TestReplay:
                                          "--gates", "pauli", gate])
         assert code == 0
         inputs = doc["manifest"]["inputs"]
-        assert set(inputs) == {"gate2"} and inputs["gate2"] == doc["gates"][1]["ref"]
+        digest = hashlib.sha256(Path(gate).read_bytes()).hexdigest()
+        assert set(inputs) == {"gate2"} and inputs["gate2"] == {"path": gate, "sha256": digest}
+        assert doc["gates"] == [{"kind": "pauli"}, {"kind": "file"}]
 
     @pytest.mark.parametrize("argv, replace", [
         (lambda path: ["dc", _write(path, ser.load_json(fixture_path("werner-boundary.json"))),
@@ -839,6 +878,34 @@ COMMON = {"cli", "errors", "qmath", "serialize"}
 CAPACITY_SIDE = COMMON | {"channels", "optimize", "capacity"}
 GATE_SIDE = COMMON | {"channels", "optimize", "pqg"}
 DEPOLARIZING = str(fixture_path("depolarizing-qubit.json"))
+
+
+def _readme_command_lines() -> list[list[str]]:
+    """The ``densecode ...`` lines of README's "Command line" block, as argv lists."""
+    block = (ROOT / "README.md").read_text(encoding="utf-8").split("## Command line", 1)[1]
+    lines = block.split("```")[1].replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("densecode ")]
+
+
+def test_readme_command_lines_run(capsys, monkeypatch, tmp_path):
+    # From a scratch directory, so --out scan.csv lands there; the block's
+    # replay line replays the record of its first dc line.
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_command_lines()
+    assert [argv[0] for argv in commands].count("replay") == 1
+    record = None
+    for argv in commands:
+        argv = [str(ROOT / arg) if arg.startswith("src/") else arg for arg in argv]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0 and out.strip(), (argv, err)
+        if out.startswith("{"):
+            assert "inputs" not in json.loads(out)  # the manifest holds the input files
+        if argv[0] == "dc" and record is None:
+            record = out
+            (tmp_path / "record.json").write_text(out)
+        if argv[0] == "replay":
+            assert out == record
+    assert (tmp_path / "scan.csv").stat().st_size > 0
 
 
 class TestImportIsolation:
