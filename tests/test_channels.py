@@ -278,6 +278,12 @@ class TestKrausStack:
             ch.QuantumChannel(2, 2, kraus)
         with pytest.raises(InvariantError, match="non-finite entry"):
             ch.QuantumChannel(2, 2, [np.full((2, 2), bad)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_is_rejected_before_any_product(self, bad):
+        # The isometry constructor takes the same check, with no errstate either.
+        kraus = np.eye(2, dtype=complex)[None].copy()
+        kraus[0, 1, 1] = bad
         with pytest.raises(InvariantError, match="non-finite entry"):
             ch.StinespringIsometry(2, 2, 1, kraus[0])
 

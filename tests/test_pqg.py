@@ -154,6 +154,12 @@ class TestBlockStack:
             pqg.control_gate([np.eye(2), block])
         with pytest.raises(InvariantError, match="non-finite entry"):
             pqg.control_gate([np.full((2, 2), bad)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gate_is_rejected_before_any_product(self, bad):
+        # A dense unitary takes the same check as a block stack, with no errstate either.
+        block = np.eye(2, dtype=complex)
+        block[1, 1] = bad
         with pytest.raises(InvariantError, match="non-finite entry"):
             pqg.ProgrammableGate(2, 1, unitary=block)
 
