@@ -212,24 +212,10 @@ def cmd_entropy(args, argv, timestamp) -> int:
 
 def _opt_config(args) -> opt.OptConfig:
     from . import optimize as opt
-    fields = {
-        "restarts": args.restarts,
-        "seed": args.seed,
-        "max_iterations": args.max_iterations,
-        "grad_tol": args.grad_tol,
-    }
-    if args.config:
-        block = ser.load_json(args.config)
-        if not isinstance(block, dict):
-            raise FormatError("config block must be a JSON object")
-        allowed = {f.name for f in dataclasses.fields(opt.OptConfig)}
-        unknown = set(block) - allowed
-        if unknown:
-            raise FormatError(f"unknown OptConfig fields: {sorted(unknown)}")
-        fields.update(block)
     try:
-        return opt.OptConfig(**fields)
-    except (TypeError, ValueError) as exc:
+        return opt.OptConfig(restarts=args.restarts, seed=args.seed,
+                             max_iterations=args.max_iterations, grad_tol=args.grad_tol)
+    except ValueError as exc:
         raise FormatError(f"bad optimizer configuration: {exc}") from None
 
 
@@ -244,8 +230,6 @@ def cmd_dc(args, argv, timestamp) -> int:
     cfg = _opt_config(args)
     a_factors = _parse_factors(args.a_factors, rho.n_factors)
     inputs = {"state": _file_ref(args.state)}
-    if args.config:
-        inputs["config"] = _file_ref(args.config)
     if args.channel:
         channel = ser.load_channel(args.channel)
         inputs["channel"] = _file_ref(args.channel)
@@ -291,10 +275,14 @@ def cmd_dc(args, argv, timestamp) -> int:
 
 def cmd_scan_additivity(args, argv, timestamp) -> int:
     from . import capacity as cap, channels as ch, optimize as opt
-    _require_at_least(args, 0, "count", "restarts")
-    _require_at_least(args, 1, "d1", "d2")
     if bool(args.rho) != bool(args.sigma):
         raise FormatError("--rho and --sigma name one state pair; give both or neither")
+    if args.rho and args.count is not None:
+        raise FormatError("--rho/--sigma and --count name different problems; give at most one")
+    if args.count is None:
+        args.count = 10
+    _require_at_least(args, 0, "count", "restarts")
+    _require_at_least(args, 1, "d1", "d2")
     _check_out(args.out)
     inputs = {}
     if args.rho:
@@ -514,14 +502,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-factors", default="0")
     p.add_argument("--max-iterations", type=int, default=500)
     p.add_argument("--grad-tol", type=float, default=1e-8)
-    p.add_argument("--config", default=None, help="JSON block of OptConfig overrides")
     p.add_argument("--emit-report", action="store_true",
                    help="include the optimizer report (or, with --channel, the ensemble)")
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_dc)
 
     p = sub.add_parser("scan-additivity", help="superadditivity gaps over random pairs")
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--count", type=int, default=None)
     p.add_argument("--d1", type=int, default=2)
     p.add_argument("--d2", type=int, default=2)
     p.add_argument("--seed", type=int, default=None)

@@ -51,10 +51,10 @@ GENERAL_RESTARTS = 12
 
 @dataclass(frozen=True, eq=False)
 class ProgrammableGate:
-    """Unitary on data (x) program; ``blocks`` is set for controlled-unitary gates.
+    """Unitary on data (x) program: ``blocks`` for controlled-unitary gates, else ``unitary``.
 
-    Both are read-only complex copies, checked here; ``blocks`` is one stack
-    [d_program, d_data, d_data], copied from any sequence of d x d matrices.
+    A gate holds exactly one form, a read-only complex copy checked here; ``blocks``
+    is one stack [d_program, d_data, d_data], copied from any sequence of d x d matrices.
     """
 
     d_data: int
@@ -63,18 +63,14 @@ class ProgrammableGate:
     blocks: np.ndarray | None = field(repr=False, default=None)
 
     def __post_init__(self):
-        if self.unitary is None and self.blocks is None:
-            raise InvariantError("gate needs a unitary matrix or controlled blocks")
+        if (self.unitary is None) == (self.blocks is None):
+            raise InvariantError("gate needs exactly one of a unitary matrix and controlled blocks")
         if self.blocks is not None:
             shape = (self.d_program, self.d_data, self.d_data)
             object.__setattr__(self, "blocks", _unitaries(self.blocks, shape))
-        if self.unitary is not None:
+        else:
             side = self.d_data * self.d_program
             object.__setattr__(self, "unitary", _unitaries(self.unitary, (side, side)))
-            if self.blocks is not None:
-                defect = float(np.max(np.abs(self.unitary - _block_matrix(self.blocks))))
-                if defect > qmath.ISOMETRY_TOL:
-                    raise InvariantError(f"unitary contradicts the blocks (defect {defect:.3e})")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -814,7 +810,7 @@ def _hopf_grid(spacing: float) -> list[np.ndarray]:
     return atoms
 
 
-def _calibrate(pools, targets, epsilon: float, n_nearest: int, seeds, method: str, seed,
+def _calibrate(pools, targets, epsilon: float, n_nearest: int, seeds, method: str,
                covering: bool = True) -> tuple[ProgrammableGate, UnitaryNet]:
     """The gate and net of the first pool whose programs reach every target within epsilon.
 
@@ -851,11 +847,9 @@ def _calibrate(pools, targets, epsilon: float, n_nearest: int, seeds, method: st
                 covering_radius=radius if covering else math.nan,
                 method=method,
                 metadata={
-                    "requested_epsilon": epsilon,
                     "certificate_max_program_error": max_err,
                     "certificate_method": ", ".join(sorted(methods)),
                     "certificate_targets": len(targets),
-                    "seed": seed,
                     "d": d,
                     "size": len(atoms),
                     "barrier_max_newton_steps": int(max(steps)),
@@ -876,8 +870,7 @@ def net_gate(epsilon: float, d: int, seed=0, n_targets: int = 100) -> tuple[Prog
     dimensions they are random pools, drawn from a child stream of the seed
     and grown by 1.6 per miss, with the covering only ever measured, never
     derived.  The program register is capped at 4096; requesting an epsilon
-    that would need more trips the size guard.  ``seed=None`` draws one
-    integer seed, kept in ``metadata``, and ``metadata["certificate_method"]``
+    that would need more trips the size guard.  ``metadata["certificate_method"]``
     names how the program errors were measured (``exact-bloch`` on qubits).
     """
     if not (0.0 < epsilon <= 2.0):
@@ -886,7 +879,7 @@ def net_gate(epsilon: float, d: int, seed=0, n_targets: int = 100) -> tuple[Prog
         raise DimensionMismatchError("net_gate needs d >= 2")
     if n_targets < 1:
         raise InvariantError("net_gate needs n_targets >= 1")
-    seed = np.random.SeedSequence().entropy if seed is None else seed
+    qmath.require_seed(seed)
     rng = np.random.default_rng(seed)
     targets = [ch.random_unitary(d, rng) for _ in range(n_targets)]
     seeds = [seed + 7919 * t + 1 for t in range(n_targets)]
@@ -894,14 +887,14 @@ def net_gate(epsilon: float, d: int, seed=0, n_targets: int = 100) -> tuple[Prog
         start = min(1.2, 1.35 * math.sqrt(epsilon))
         spacings = accumulate(repeat(0.8), operator.mul, initial=start)
         return _calibrate(map(_hopf_grid, spacings), targets, epsilon, 12, seeds,
-                          "euler-grid, program-certified", seed)
+                          "euler-grid, program-certified")
     # A pool drawn from the targets' own stream would start with the targets.
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     sizes = accumulate(repeat(1.6), lambda n, grow: int(n * grow) + 1, initial=4 * d * d)
     # A pool past the size guard is never drawn: _calibrate reads the range's length alone.
     pools = ([ch.random_unitary(d, rng) for _ in range(n)] if n <= MAX_PROGRAM_DIM else range(n)
              for n in sizes)
-    return _calibrate(pools, targets, epsilon, 12, seeds, "random-pool, program-certified", seed)
+    return _calibrate(pools, targets, epsilon, 12, seeds, "random-pool, program-certified")
 
 
 def net_gate_around(
@@ -918,7 +911,7 @@ def net_gate_around(
     Haar decoys).  ``_calibrate`` accepts the first of eight such pools whose
     best programs reach every target within epsilon, the perturbation spread
     shrinking by 0.7 per miss, and raises ``InvariantError`` once all eight
-    miss.  ``seed=None`` draws one integer seed, kept in ``metadata``.
+    miss.
     """
     if not (0.0 < epsilon <= 2.0):
         raise InvariantError("epsilon must lie in (0, 2]")
@@ -928,7 +921,7 @@ def net_gate_around(
         raise InvariantError("net_gate_around needs n_atoms_per_target >= 1 and n_decoys >= 0")
     d = math.isqrt(np.size(targets[0]))  # the side of a square target
     targets = _unitaries(targets, (len(targets), d, d))
-    seed = np.random.SeedSequence().entropy if seed is None else seed
+    qmath.require_seed(seed)
     rng = np.random.default_rng(seed)
 
     def pools():
@@ -948,7 +941,7 @@ def net_gate_around(
 
     seeds = [seed + i for i in range(len(targets))]
     return _calibrate(pools(), targets, epsilon, n_atoms_per_target, seeds,
-                      "target-local pool, program-certified", seed, covering=False)
+                      "target-local pool, program-certified", covering=False)
 
 
 # ---------------------------------------------------------------------------
@@ -1174,6 +1167,7 @@ def emulate_encoding(
     distance to the true channel output.  Monotonicity of the trace norm
     under partial traces keeps this below the program's certified error.
     """
+    qmath.require_seed(seed)
     target, d_env = dilation_unitary(channel)
     if gate.d_data != channel.d_in * d_env:
         raise DimensionMismatchError(
@@ -1198,6 +1192,6 @@ def emulate_encoding(
         program=program,
         measured_error=float(worst),
         n_samples=n_samples,
-        seed=int(seed) if isinstance(seed, (int, np.integer)) else -1,
+        seed=int(seed),
         program_error=prog_err,
     )

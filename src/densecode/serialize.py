@@ -10,8 +10,8 @@ Channels are Kraus families (rectangular operators allowed):
     {"d_in": 2, "d_out": 2, "kraus": [matrix, ...]}
 
 Gates store the data/program split.  A controlled-block gate is written as
-its blocks with a null unitary, any other gate as its dense unitary; a file
-holding both is read, and the two are checked for agreement:
+its blocks with a null unitary, any other gate as its dense unitary; a gate
+holds one form, so a file holding both is rejected (``InvariantError``):
 
     {"d_D": 2, "d_P": 4, "unitary": matrix | null, "blocks": [matrix, ...]?}
 

@@ -243,6 +243,13 @@ class TestScanCommand:
         assert rows[0][:8] == ["label", "seed", "d1", "d2", "part1", "part2", "joint", "gap"]
         assert len(rows) == 1
 
+    def test_random_pairs_default_to_ten(self, capsys):
+        code, out, _ = run_cli(capsys, ["scan-additivity", "--restarts", "0"])
+        assert code == 0
+        assert [row[0] for row in csv_rows(out)[1:]] == ["instance"] * 10 + ["summary"]
+        manifest = json.loads(out.splitlines()[-1].removeprefix("# manifest: "))
+        assert manifest["config"]["count"] == 10
+
     def test_showcase_pair_gap(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -572,18 +579,6 @@ class TestConfigSurface:
         assert code == 0
         assert doc["manifest"]["config"]["seed"] == 3
 
-    def test_config_block_overrides(self, capsys, tmp_path):
-        block = tmp_path / "cfg.json"
-        block.write_text('{"restarts": 3, "seed": 5}')
-        code, doc, _ = run_json(
-            capsys,
-            ["dc", str(fixture_path("bell.json")), "--d", "2", "--config", str(block),
-             "--emit-report"],
-        )
-        assert code == 0
-        assert doc["report"]["value"] == pytest.approx(0.0, abs=1e-6)
-        assert doc["report"]["isometry"]["d_in"] == 2
-
     def test_restart_reasons_in_diagnostics(self, capsys):
         code, doc, _ = run_json(
             capsys,
@@ -598,34 +593,15 @@ class TestConfigSurface:
         # The restart record lives in diagnostics alone; the report is the certificate.
         assert set(doc["report"]) == {"value", "isometry"}
 
-    def test_config_file_is_recorded(self, capsys, tmp_path):
+    def test_optimizer_settings_have_flags_only(self, capsys, tmp_path):
+        # A JSON OptConfig block is not read: each setting has one flag.
         block = tmp_path / "cfg.json"
-        block.write_text('{"restarts": 2, "seed": 5}')
-        code, doc, _ = run_json(
-            capsys, ["dc", BELL, "--d", "2", "--restarts", "20", "--config", str(block)]
-        )
-        assert code == 0
-        manifest = doc["manifest"]
-        assert (manifest["config"]["restarts"], manifest["config"]["seed"]) == (2, 5)
-        digest = hashlib.sha256(block.read_bytes()).hexdigest()
-        assert manifest["inputs"]["config"] == {"path": str(block), "sha256": digest}
-        _, flags, _ = run_json(capsys, ["dc", BELL, "--d", "2", "--restarts", "2", "--seed", "5"])
-        assert doc["value"] == flags["value"]
-        assert "config" not in flags["manifest"]["inputs"]
-
-    def test_config_block_rejects_unknown_fields(self, capsys, tmp_path):
-        # "armijo", "stop_at_floor" and "d_env" were fields once: the line-search
-        # settings are constants now, restarts always stop at a given floor, and
-        # the environment is derived from the problem.
-        block = tmp_path / "cfg.json"
-        for text in ('{"bogus": 1}', '{"armijo": 1e-4}', '{"stop_at_floor": false}',
-                     '{"d_env": 1}'):
-            block.write_text(text)
-            code, _, err = run_cli(
-                capsys,
-                ["dc", str(fixture_path("bell.json")), "--d", "2", "--config", str(block)],
-            )
-            assert code == 2, text
+        block.write_text('{"restarts": 3, "seed": 5}')
+        code, out, err = run_cli(capsys, ["dc", BELL, "--d", "2", "--config", str(block)])
+        assert (code, out) == (2, "")
+        assert "--config" in err
+        code, out, _ = run_cli(capsys, ["dc", "--help"])
+        assert code == 0 and "--restarts" in out and "--config" not in out
 
 
 ORTHOGONALITY = ["pqg", "check-orthogonality", "--program2", "0"]
@@ -673,15 +649,11 @@ DEPOLARIZING = str(fixture_path("depolarizing-qubit.json"))
     (["pqg", "witness", "--target", "cnot", "--gates", "pauli", "pauli", "--seed", "-1"], None, None),
     (["pqg", "emulate", "--channel", DEPOLARIZING, "--seed", "-1"], None, None),
     (["dc", BELL, "--restarts", "1"], "-5", None),
-    (["dc", BELL, "--restarts", "1"], None, '{"seed": -1}'),
-    (["dc", BELL, "--restarts", "1"], None, '{"seed": 1.5}'),
 ])
-def test_negative_seed_exits_2(capsys, monkeypatch, tmp_path, argv, env, block):
+def test_negative_seed_exits_2(capsys, monkeypatch, argv, env, block):
+    # ``block`` is unused and always None: dropping the column would rename every case.
     if env is not None:
         monkeypatch.setenv("DENSECODE_SEED", env)
-    if block is not None:
-        (tmp_path / "cfg.json").write_text(block)
-        argv = argv + ["--config", str(tmp_path / "cfg.json")]
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "seed must be a non-negative integer" in err
@@ -695,7 +667,9 @@ def test_negative_seed_exits_2(capsys, monkeypatch, tmp_path, argv, env, block):
      ("--channel", "--block")),
     (["scan-additivity", "--rho", BELL], ("--rho", "--sigma")),
     (["scan-additivity", "--sigma", BELL, "--count", "1"], ("--rho", "--sigma")),
-], ids=["copies-block", "channel-copies", "channel-block", "rho-alone", "sigma-alone"])
+    (["scan-additivity", "--rho", BELL, "--sigma", BELL, "--count", "5"], ("--rho", "--count")),
+], ids=["copies-block", "channel-copies", "channel-block", "rho-alone", "sigma-alone",
+        "pair-count"])
 def test_conflicting_flags_exit_2(capsys, argv, flags):
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (2, "")
@@ -708,13 +682,41 @@ def test_conflicting_flags_exit_2(capsys, argv, flags):
     ["dc", BELL, "--a-factors", "0,0"],
     ["dc", BELL, "--a-factors", ","],
     ["dc", BELL, "--a-factors", "0,1"],
+    ["dc", BELL, "--a-factors", "x"],
     ["scan-additivity", "--count", "1", "--rho-a", "3"],
     ["scan-additivity", "--count", "1", "--sigma-a", "0,1"],
-], ids=["out-of-range", "negative", "repeated", "empty", "no-receiver", "rho-a", "sigma-a"])
+], ids=["out-of-range", "negative", "repeated", "empty", "no-receiver", "not-an-integer",
+        "rho-a", "sigma-a"])
 def test_bad_sender_factors_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, argv + ["--restarts", "1"])
     assert (code, out) == (2, "")
     assert err.startswith("error: bad factor list")
+
+
+@pytest.mark.parametrize("argv", [
+    ["dc", BELL, "--d", "abc"],
+    ["no-such-command"],
+    [],
+], ids=["bad-int", "unknown-command", "no-arguments"])
+def test_argparse_errors_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "usage: densecode" in err
+
+
+@pytest.mark.parametrize("command, doc, needs", [
+    (lambda path: ["entropy", path], {"matrix": [[[1, 0]]]}, "'dims'"),
+    (lambda path: ["dc", BELL, "--channel", path], {"d_in": 2, "d_out": 2}, "'kraus'"),
+    (lambda path: ORTHOGONALITY + ["--program1", "1", "--gate", path], {"d_P": 2}, "'d_D'"),
+    (lambda path: ORTHOGONALITY + ["--program1", "1", "--gate", path],
+     {"d_D": 2, "d_P": 2, "unitary": None}, "'unitary' or 'blocks'"),
+], ids=["state-dims", "channel-kraus", "gate-d_D", "gate-form"])
+def test_document_missing_a_key_exits_2(capsys, tmp_path, command, doc, needs):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command(str(path)))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "document needs" in err and needs in err
 
 
 @pytest.mark.parametrize("size", ["0", "-3"])

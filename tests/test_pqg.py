@@ -78,10 +78,11 @@ class TestInducedMap:
         )
 
     def test_unitary_contradicting_blocks_is_rejected(self):
-        with pytest.raises(InvariantError):
-            pqg.ProgrammableGate(2, 2, unitary=np.eye(4), blocks=(PAULI_X, PAULI_Z))
+        # A gate holds one form: both are rejected, agreeing or not.
         gate = pqg.control_gate([PAULI_X, PAULI_Z])
-        pqg.ProgrammableGate(2, 2, unitary=gate.matrix, blocks=gate.blocks)
+        for unitary in (np.eye(4), gate.matrix):
+            with pytest.raises(InvariantError, match="exactly one"):
+                pqg.ProgrammableGate(2, 2, unitary=unitary, blocks=gate.blocks)
 
 
 class TestBlockStack:
@@ -90,8 +91,8 @@ class TestBlockStack:
         qutrits = pqg.control_gate([ch.random_unitary(3, rng) for _ in range(5)])
         real = pqg.control_gate([np.eye(2, dtype=int), [[0, 1], [1, 0]]])
         joint = pqg.tensor_gates(pauli_gate, real)
-        dense = pqg.ProgrammableGate(2, 2, unitary=real.matrix, blocks=real.blocks)
-        for gate in (pauli_gate, qutrits, real, joint, dense):
+        dense = pqg.ProgrammableGate(2, 2, unitary=real.matrix)
+        for gate in (pauli_gate, qutrits, real, joint):
             blocks = gate.blocks
             assert isinstance(blocks, np.ndarray)
             assert blocks.shape == (gate.d_program, gate.d_data, gate.d_data)
@@ -107,8 +108,8 @@ class TestBlockStack:
         listed = [np.eye(2, dtype=complex), PAULI_X.copy()]
         stacked = np.array(listed)
         unitary = pqg.control_gate(listed).matrix
-        gates = [pqg.control_gate(listed), pqg.control_gate(stacked),
-                 pqg.ProgrammableGate(2, 2, unitary=unitary, blocks=stacked)]
+        gates = [pqg.control_gate(listed), pqg.control_gate(stacked)]
+        dense = pqg.ProgrammableGate(2, 2, unitary=unitary)
         expected = np.array(listed)
         listed[1][0, 0] = 7.0
         listed.append(PAULI_Z)
@@ -116,6 +117,7 @@ class TestBlockStack:
         unitary[0, 0] = 7.0
         for gate in gates:
             assert np.array_equal(gate.blocks, expected)
+        for gate in gates + [dense]:
             assert np.array_equal(gate.matrix, pqg.control_gate(expected).matrix)
         assert stacked.flags.writeable and unitary.flags.writeable
 
@@ -665,21 +667,18 @@ class TestNetGate:
             pqg.net_gate_around([np.eye(4)], 1e-6)
         assert pool_sizes == [32] * 8
 
-    @pytest.mark.parametrize("build", ["net_gate", "net_gate_around"])
-    def test_unseeded_net_records_its_seed(self, build):
-        # seed=None draws one integer seed, recorded so the net can be rebuilt.
-        if build == "net_gate":
-            make = lambda seed: pqg.net_gate(2.0, 3, seed=seed, n_targets=3)
-        else:
-            target = ch.random_unitary(2, np.random.default_rng(5))
-            make = lambda seed: pqg.net_gate_around([target], 2.0, seed=seed)
-        gate, net = make(None)
-        seed = net.metadata["seed"]
-        assert isinstance(seed, int)
-        again_gate, again = make(seed)
-        assert again.metadata == net.metadata
-        assert len(again_gate.blocks) == len(gate.blocks)
-        assert all(np.array_equal(x, y) for x, y in zip(again_gate.blocks, gate.blocks))
+    @pytest.mark.parametrize("build", [
+        lambda seed: pqg.net_gate(2.0, 2, seed=seed, n_targets=1),
+        lambda seed: pqg.net_gate_around([np.eye(2)], 2.0, seed=seed),
+        lambda seed: pqg.emulate_encoding(ch.QuantumChannel.from_unitary(PAULI_X),
+                                          pqg.control_gate([np.eye(2)]), 0.1, seed=seed),
+    ], ids=["net_gate", "net_gate_around", "emulate_encoding"])
+    @pytest.mark.parametrize("seed", [None, True, -1, np.random.default_rng(0)],
+                             ids=["none", "bool", "negative", "generator"])
+    def test_seed_must_be_a_non_negative_integer(self, build, seed):
+        # The one seed rule of qmath.require_seed: no OS entropy, no Generator.
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            build(seed)
 
     def test_program_for_target_beats_single_atom(self, net_gates):
         gate, net = net_gates(0.3)
@@ -1007,15 +1006,15 @@ class TestEmulation:
         assert report.measured_error == pytest.approx(0.0, abs=1e-10)
 
     def test_numpy_integer_seed_is_recorded(self):
-        # -1 stands for a Generator seed; a NumPy integer is an integer seed.
+        # A NumPy integer is an integer seed; a Generator is not a seed.
         chan = ch.QuantumChannel.from_unitary(PAULI_X)
         target, _ = pqg.dilation_unitary(chan)
         gate = pqg.control_gate([target, np.eye(2, dtype=complex)])
         for seed in (3, np.int64(3)):
             report = pqg.emulate_encoding(chan, gate, 0.1, n_samples=5, seed=seed)
             assert report.seed == 3 and type(report.seed) is int
-        report = pqg.emulate_encoding(chan, gate, 0.1, n_samples=5, seed=np.random.default_rng(3))
-        assert report.seed == -1
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            pqg.emulate_encoding(chan, gate, 0.1, n_samples=5, seed=np.random.default_rng(3))
 
     def test_depolarizing_through_certified_gate(self):
         dep = ch.QuantumChannel.depolarizing(1.0)
@@ -1136,6 +1135,8 @@ def test_unitary_map_distance_examples():
     assert pqg.unitary_map_distance(np.eye(2), rz) == pytest.approx(
         2 * math.sin(0.1), abs=1e-12
     )
+    # On C^1 every unitary is a phase, so every conjugation is the identity map.
+    assert pqg.unitary_map_distance(np.eye(1), [[1j]]) == 0.0
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

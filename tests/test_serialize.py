@@ -6,7 +6,7 @@ from densecode import channels as ch
 from densecode import pqg
 from densecode import qmath
 from densecode import serialize as ser
-from densecode.errors import FormatError
+from densecode.errors import DimensionMismatchError, FormatError, InvariantError
 
 
 def test_state_roundtrip(tmp_path):
@@ -41,10 +41,11 @@ def test_pauli_gate_file_roundtrip(pauli_gate, tmp_path):
     back = ser.load_gate(path)
     assert back.unitary is None and back.blocks is not None
     assert np.array_equal(back.matrix, pauli_gate.matrix)
-    # A file that also holds the dense copy is still read, and the copies must agree.
+    # A gate holds one form: a file that also holds the dense copy is rejected.
     doc = ser.gate_to_json(pauli_gate)
     doc["unitary"] = ser.matrix_to_json(pauli_gate.matrix)
-    assert np.array_equal(ser.gate_from_json(doc).unitary, pauli_gate.matrix)
+    with pytest.raises(InvariantError, match="exactly one"):
+        ser.gate_from_json(doc)
 
 
 def test_dense_gate_file_roundtrip(tmp_path):
@@ -117,4 +118,22 @@ IDENTITY_DOC = {"d_in": 1, "d_out": 1, "kraus": [[[[1, 0]]]]}
 ])
 def test_malformed_ensemble_items(items):
     with pytest.raises(FormatError):
+        ser.ensemble_from_json({"kind": "encodings", "items": items})
+
+
+def test_ensemble_document_needs_its_kind():
+    with pytest.raises(FormatError, match="kind 'encodings'"):
+        ser.ensemble_from_json({"items": [{"p": 1.0, "channel": IDENTITY_DOC}]})
+
+
+def test_empty_ensemble_is_rejected():
+    with pytest.raises(InvariantError, match="empty"):
+        ser.ensemble_from_json({"kind": "encodings", "items": []})
+
+
+def test_ensemble_of_mixed_dimensions_is_rejected():
+    qubit = ser.channel_to_json(ch.QuantumChannel.from_unitary(np.eye(2)))
+    qutrit = ser.channel_to_json(ch.QuantumChannel.from_unitary(np.eye(3)))
+    items = [{"p": 0.5, "channel": qubit}, {"p": 0.5, "channel": qutrit}]
+    with pytest.raises(DimensionMismatchError):
         ser.ensemble_from_json({"kind": "encodings", "items": items})
