@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 # Each submodule and the names the package exports from it.
 _EXPORTS = {
     "qmath": (
-        "DensityMatrix", "PureState", "basis_state", "bell_state", "binary_entropy",
+        "DensityMatrix", "PureState", "basis_state", "binary_entropy",
         "coherent_information", "is_ppt", "maximally_entangled", "maximally_mixed",
         "partial_trace", "relative_entropy", "schmidt", "singlet",
         "tensor", "tensor_pure", "trace_distance", "von_neumann_entropy",

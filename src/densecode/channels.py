@@ -77,12 +77,10 @@ class QuantumChannel:
         return cls(d_in, output.side, ops.reshape(-1, output.side, d_in))
 
     @classmethod
-    def projection_onto(cls, d_in: int, d_out: int, index: int = 0) -> "QuantumChannel":
-        """rho -> |index><index|, discarding all input information."""
-        if not 0 <= index < d_out:
-            raise InvariantError(f"projection index {index} outside 0..{d_out - 1}")
+    def projection_onto(cls, d_in: int, d_out: int) -> "QuantumChannel":
+        """rho -> |0><0|, discarding all input information."""
         ops = np.zeros((d_in, d_out, d_in), dtype=complex)
-        ops[np.arange(d_in), index, np.arange(d_in)] = 1.0
+        ops[np.arange(d_in), 0, np.arange(d_in)] = 1.0
         return cls(d_in, d_out, ops)
 
     @classmethod

@@ -221,11 +221,17 @@ def _opt_config(args) -> opt.OptConfig:
 
 def cmd_dc(args, argv, timestamp) -> int:
     from . import capacity as cap
-    _require_at_least(args, 1, "d", "copies", "block", "ensemble_size")
+    # --d sizes the noiseless encodings and --ensemble-size the --channel ensemble.
     modes = [flag for flag, named in (("--channel", args.channel), ("--copies", args.copies > 1),
-                                      ("--block", args.block > 1)) if named]
+                                      ("--block", args.block > 1),
+                                      ("--d", args.channel and args.d is not None)) if named]
     if len(modes) > 1:
         raise FormatError(f"{' and '.join(modes)} name different problems; give at most one")
+    if args.ensemble_size is not None and not args.channel:
+        raise FormatError("--ensemble-size is read only with --channel")
+    args.d = 2 if args.d is None else args.d
+    args.ensemble_size = 8 if args.ensemble_size is None else args.ensemble_size
+    _require_at_least(args, 1, "d", "copies", "block", "ensemble_size")
     rho = ser.load_state(args.state)
     cfg = _opt_config(args)
     a_factors = _parse_factors(args.a_factors, rho.n_factors)
@@ -376,11 +382,8 @@ def cmd_pqg_check_orthogonality(args, argv, timestamp) -> int:
         gate = pqg.control_gate([_named_unitary(tok) for tok in args.units.split(",")])
     psi1 = _parse_program(gate, args.program1)
     psi2 = _parse_program(gate, args.program2)
-    if args.tol is None:
-        args.tol = pqg.PROGRAM_TOL
-    verdict = pqg.program_orthogonality_check(gate, psi1, psi2, tol=args.tol)
-    doc = {**dataclasses.asdict(verdict),
-           "manifest": _manifest(argv, inputs, {"tol": args.tol}, timestamp)}
+    verdict = pqg.program_orthogonality_check(gate, psi1, psi2)
+    doc = {**dataclasses.asdict(verdict), "manifest": _manifest(argv, inputs, {}, timestamp)}
     _emit(doc, [f"consistent: {verdict.consistent}"])
     return EXIT_OK
 
@@ -426,7 +429,7 @@ def cmd_pqg_emulate(args, argv, timestamp) -> int:
     doc = {
         "measured_error": report.measured_error,
         "epsilon": args.epsilon,
-        "n_samples": report.n_samples,
+        "n_samples": args.samples,
         "program_error": {
             "value": report.program_error.value,
             "method": report.program_error.method,
@@ -492,13 +495,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dc", help="dense-coding capacity of a state file")
     p.add_argument("state")
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--d", type=int, default=None)
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--copies", type=int, default=1)
     p.add_argument("--block", type=int, default=1)
     p.add_argument("--channel", default=None)
-    p.add_argument("--ensemble-size", type=int, default=8)
+    p.add_argument("--ensemble-size", type=int, default=None)
     p.add_argument("--a-factors", default="0")
     p.add_argument("--max-iterations", type=int, default=500)
     p.add_argument("--grad-tol", type=float, default=1e-8)
@@ -535,7 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--units", default="I,X")
     q.add_argument("--program1", required=True)
     q.add_argument("--program2", required=True)
-    q.add_argument("--tol", type=float, default=None)
     q.set_defaults(func=cmd_pqg_check_orthogonality)
 
     q = psub.add_parser("witness", help="scalability witness on a gate pair")

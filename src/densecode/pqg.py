@@ -163,8 +163,6 @@ class WitnessReport:
 class EmulationReport:
     program: PureState
     measured_error: float
-    n_samples: int
-    seed: int
     program_error: ErrorEstimate
 
 
@@ -323,6 +321,7 @@ def estimate_sup_error(
     lower estimate of the true supremum, never below the best sample; it
     never exceeds 2; past ``ceiling`` + ``FLOOR_SLACK`` it returns at once.
     """
+    qmath.require_seed(seed)
     reference = target[None]
     d = target.shape[0]
     samples = qmath.haar_vectors(np.random.default_rng(seed), n_samples, d)
@@ -369,6 +368,7 @@ def approximation_error(
     Exact on qubit block gates (``_bloch_error``) and for one Kraus operator,
     otherwise ``estimate_sup_error``; each value carries its method tag.
     """
+    qmath.require_seed(seed)
     target = _unitaries(target, (gate.d_data,) * 2)
     if psi.side != gate.d_program:  # checked here: the qubit branch never builds the map
         raise DimensionMismatchError(
@@ -698,6 +698,7 @@ def program_for_target(
     ``approximation_error`` of the returned program with the same seed: exact
     on qubits (``exact-bloch``), otherwise a sampled estimate.
     """
+    qmath.require_seed(seed)
     if gate.blocks is None:
         raise InvariantError("program_for_target needs a controlled-block gate")
     if n_nearest < 1:
@@ -1188,10 +1189,4 @@ def emulate_encoding(
     samples = qmath.haar_vectors(np.random.default_rng(seed), n_samples, d_in)
     gaps = _conjugation_gaps(emulated, channel.kraus, samples)
     worst = np.max(qmath.hermitian_trace_norm(gaps), initial=0.0)
-    return EmulationReport(
-        program=program,
-        measured_error=float(worst),
-        n_samples=n_samples,
-        seed=int(seed),
-        program_error=prog_err,
-    )
+    return EmulationReport(program, float(worst), prog_err)

@@ -262,15 +262,6 @@ def singlet() -> PureState:
     return PureState((2, 2), amps)
 
 
-def bell_state(which: int) -> PureState:
-    """The four Bell vectors; 0..3 = Phi+, Psi+, Psi-, Phi-."""
-    phi = maximally_entangled(2).amplitudes
-    i, x, _, z = PAULIS
-    ops = [i, x, x @ z, z]
-    amps = np.kron(ops[which], np.eye(2)) @ phi
-    return PureState((2, 2), amps)
-
-
 def binary_entropy(p: float) -> float:
     """H2(p) in bits."""
     if p <= 0.0 or p >= 1.0:
@@ -314,14 +305,6 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
         dims.pop(idx)
     side = int(np.prod(dims))
     return DensityMatrix(tuple(dims), tensor_view.reshape(side, side))
-
-
-def permute_factors_pure(psi: PureState, order: Sequence[int]) -> PureState:
-    order = _check_factors(psi.dims, order)
-    if len(order) != len(psi.dims):
-        raise DimensionMismatchError("order must be a permutation of all factors")
-    tens = psi.amplitudes.reshape(psi.dims).transpose(order)
-    return PureState(tuple(psi.dims[i] for i in order), tens.reshape(-1))
 
 
 def merge_factors(rho: DensityMatrix, groups: Sequence[Sequence[int]]) -> DensityMatrix:
@@ -419,21 +402,13 @@ def is_ppt(rho: DensityMatrix, cut: Iterable[int]) -> PPTResult:
     cut = _check_factors(rho.dims, cut)
     if not cut or len(cut) == rho.n_factors:
         raise DimensionMismatchError("cut must be a proper nonempty subset of factors")
-    out = rho.entries
-    for f in cut:
-        out = partial_transpose_raw(out, rho.dims, f)
+    n = rho.n_factors
+    perm = list(range(2 * n))
+    for f in cut:  # one transpose: each cut factor's row and column axes trade places
+        perm[f], perm[n + f] = n + f, f
+    out = rho.entries.reshape(rho.dims + rho.dims).transpose(perm).reshape(rho.side, rho.side)
     min_eig = float(np.linalg.eigvalsh(hermitize(out)).min())
     return PPTResult(min_eig >= -POSITIVITY_TOL, min_eig)
-
-
-def partial_transpose_raw(matrix: np.ndarray, dims: Sequence[int], factor: int) -> np.ndarray:
-    n = len(dims)
-    dims = list(dims)
-    tens = matrix.reshape(dims + dims)
-    perm = list(range(2 * n))
-    perm[factor], perm[n + factor] = perm[n + factor], perm[factor]
-    side = int(np.prod(dims))
-    return tens.transpose(perm).reshape(side, side)
 
 
 class SchmidtDecomposition(NamedTuple):
@@ -453,9 +428,7 @@ def schmidt(psi: PureState, cut: Iterable[int]) -> SchmidtDecomposition:
     rest = tuple(i for i in range(len(psi.dims)) if i not in cut)
     if not cut or not rest:
         raise DimensionMismatchError("cut must be a proper nonempty subset of factors")
-    reordered = permute_factors_pure(psi, cut + rest)
     d_left = int(np.prod([psi.dims[i] for i in cut]))
-    d_right = reordered.side // d_left
-    mat = reordered.amplitudes.reshape(d_left, d_right)
+    mat = psi.amplitudes.reshape(psi.dims).transpose(cut + rest).reshape(d_left, -1)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
     return SchmidtDecomposition(s, u, vh.T)

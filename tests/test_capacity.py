@@ -21,10 +21,6 @@ class TestHolevoInformation:
         rho = ch.random_state((2,), 2, seed=0)
         assert qmath.holevo_quantity([1.0], [rho.entries]) == pytest.approx(0.0, abs=1e-12)
 
-    def test_four_bell_states(self):
-        bells = [qmath.bell_state(i).to_density().entries for i in range(4)]
-        assert qmath.holevo_quantity([0.25] * 4, bells) == pytest.approx(2.0)
-
     def test_zero_plus_mixture(self):
         # Oracle: eigenvalues of (|0><0| + |+><+|)/2 are (2 +- sqrt(2))/4.
         p = (2 + math.sqrt(2)) / 4

@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import importlib
@@ -5,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -164,7 +166,7 @@ class TestDcCommand:
         code, doc, _ = run_json(
             capsys,
             [
-                "dc", str(fixture_path("bell.json")), "--d", "2",
+                "dc", str(fixture_path("bell.json")),
                 "--channel", str(fixture_path("constant-qubit.json")),
                 "--ensemble-size", "4", "--restarts", "2",
             ],
@@ -323,8 +325,10 @@ class TestPqgCommands:
         argv = ["pqg", "check-orthogonality", "--program1", "1", "--program2", "0"]
         code, doc, _ = run_json(capsys, argv)
         assert code == 0
-        assert doc["manifest"]["config"] == {"tol": pqg.PROGRAM_TOL}
+        assert doc["manifest"]["config"] == {}
         assert doc["tol"] == pqg.PROGRAM_TOL
+        code, out, err = run_cli(capsys, argv + ["--tol", "0.1"])
+        assert (code, out) == (2, "") and "--tol" in err
 
     def test_check_orthogonality_basis_programs(self, capsys):
         code, doc, _ = run_json(
@@ -665,11 +669,14 @@ def test_negative_seed_exits_2(capsys, monkeypatch, argv, env, block):
      ("--channel", "--copies")),
     (["dc", BELL, "--channel", str(fixture_path("depolarizing-qubit.json")), "--block", "3"],
      ("--channel", "--block")),
+    (["dc", BELL, "--channel", str(fixture_path("depolarizing-qubit.json")), "--d", "3"],
+     ("--channel", "--d")),
+    (["dc", BELL, "--ensemble-size", "4"], ("--ensemble-size", "--channel")),
     (["scan-additivity", "--rho", BELL], ("--rho", "--sigma")),
     (["scan-additivity", "--sigma", BELL, "--count", "1"], ("--rho", "--sigma")),
     (["scan-additivity", "--rho", BELL, "--sigma", BELL, "--count", "5"], ("--rho", "--count")),
-], ids=["copies-block", "channel-copies", "channel-block", "rho-alone", "sigma-alone",
-        "pair-count"])
+], ids=["copies-block", "channel-copies", "channel-block", "channel-d", "ensemble-size-alone",
+        "rho-alone", "sigma-alone", "pair-count"])
 def test_conflicting_flags_exit_2(capsys, argv, flags):
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (2, "")
@@ -951,7 +958,7 @@ class TestImportIsolation:
 # What the package re-exported when its __init__ imported every module eagerly.
 EAGER_EXPORTS = {
     "qmath": [
-        "DensityMatrix", "PureState", "basis_state", "bell_state", "binary_entropy", "is_ppt",
+        "DensityMatrix", "PureState", "basis_state", "binary_entropy", "is_ppt",
         "coherent_information", "maximally_entangled", "maximally_mixed", "partial_trace",
         "relative_entropy", "schmidt", "singlet", "tensor", "tensor_pure", "trace_distance",
         "von_neumann_entropy",
@@ -1010,3 +1017,42 @@ class TestLazyPackage:
         with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
             densecode.nonexistent  # noqa: B018
         assert not hasattr(densecode, "nonexistent")
+
+
+# Public names whose only callers are tests, each kept for its reason.
+TEST_ONLY_NAMES = {
+    "fixtures.fixture_path": "locates the bundled fixtures in an installed package",
+    "serialize.state_to_json": "the writer that load_state's file format is defined against",
+    "serialize.ensemble_from_json": "reads back dc --channel --emit-report ensembles, for verify",
+}
+
+
+def _public_top_level_names(path: Path):
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            names = []
+        yield from (name for name in names if not name.startswith("_"))
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # A caller is any mention outside the name's own definition line in src/ (not counting
+    # __init__, whose export table only re-lists names), the demos, the benchmark, the README
+    # or pyproject.toml.
+    package = ROOT / "src" / "densecode"
+    files = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    files += [*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    files += [ROOT / "README.md", ROOT / "pyproject.toml"]
+    texts = [p.read_text(encoding="utf-8") for p in files]
+    uncalled = []
+    for module in sorted(package.glob("*.py")):
+        for name in _public_top_level_names(module):
+            definition = re.compile(rf"^(?:(?:def|class) {name}\b|{name}\s*(?::[^=\n]*)?=)", re.M)
+            if not any(re.search(rf"\b{name}\b", definition.sub("", text)) for text in texts):
+                uncalled.append(f"{module.stem}.{name}")
+    assert sorted(uncalled) == sorted(TEST_ONLY_NAMES)

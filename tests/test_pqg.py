@@ -846,6 +846,18 @@ class TestValidation:
             pqg.WitnessConfig(**{field: value})
         pqg.WitnessConfig(n_inputs=1, fw_iterations=0, sup_samples=0, seed=np.int64(0))
 
+    @pytest.mark.parametrize("seed", [None, True, -1, np.random.default_rng(0)],
+                             ids=["None", "True", "-1", "Generator"])
+    @pytest.mark.parametrize("call", [
+        lambda gate, seed: pqg.approximation_error(gate, qmath.basis_state(4, 0), PAULI_X, seed),
+        lambda gate, seed: pqg.program_for_target(gate, PAULI_X, seed=seed),
+        lambda gate, seed: pqg.estimate_sup_error(PAULI_X[None], PAULI_X, seed=seed),
+    ], ids=["approximation_error", "program_for_target", "estimate_sup_error"])
+    def test_gate_side_seed_must_be_a_non_negative_integer(self, pauli_gate, call, seed):
+        # None would draw OS entropy and True run as seed 1.
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            call(pauli_gate, seed)
+
 
 class TestScalabilityWitness:
     def test_cnot_on_pauli_gates_stays_high(self, pauli_gate):
@@ -1005,14 +1017,14 @@ class TestEmulation:
         report = pqg.emulate_encoding(chan, gate, 0.1, n_samples=50, seed=1)
         assert report.measured_error == pytest.approx(0.0, abs=1e-10)
 
-    def test_numpy_integer_seed_is_recorded(self):
+    def test_numpy_integer_seed_is_accepted_and_a_generator_is_not(self):
         # A NumPy integer is an integer seed; a Generator is not a seed.
         chan = ch.QuantumChannel.from_unitary(PAULI_X)
         target, _ = pqg.dilation_unitary(chan)
         gate = pqg.control_gate([target, np.eye(2, dtype=complex)])
-        for seed in (3, np.int64(3)):
-            report = pqg.emulate_encoding(chan, gate, 0.1, n_samples=5, seed=seed)
-            assert report.seed == 3 and type(report.seed) is int
+        reports = [pqg.emulate_encoding(chan, gate, 0.1, n_samples=5, seed=seed)
+                   for seed in (3, np.int64(3))]
+        assert reports[0].measured_error == reports[1].measured_error
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             pqg.emulate_encoding(chan, gate, 0.1, n_samples=5, seed=np.random.default_rng(3))
 

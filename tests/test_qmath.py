@@ -241,8 +241,10 @@ class TestSharedKernels:
                 assert fast.bit_generator.state == loop.bit_generator.state
 
     def test_holevo_quantity_on_bell_ensemble(self):
-        bells = [qmath.bell_state(k).to_density() for k in range(4)]
-        raw = qmath.holevo_quantity([0.25] * 4, [b.entries for b in bells])
+        # The four Bell states (W (x) I)|Phi+>, W over the qubit Weyl basis.
+        phi = qmath.maximally_entangled(2).amplitudes
+        bells = [np.kron(w, np.eye(2)) @ phi for w in ch.weyl_basis(2)]
+        raw = qmath.holevo_quantity([0.25] * 4, [np.outer(b, b.conj()) for b in bells])
         assert raw == pytest.approx(2.0, abs=1e-12)
 
 
@@ -327,10 +329,12 @@ class TestPartialTranspose:
         rho = qmath.tensor_pure(qmath.basis_state(2, 0), qmath.basis_state(2, 0)).to_density()
         assert qmath.is_ppt(rho, {1}).ppt
 
-    def test_transpose_is_hermitian(self):
-        rho = ch.random_state((2, 2), 4, seed=11)
-        pt = qmath.partial_transpose_raw(rho.entries, rho.dims, 1)
-        assert np.max(np.abs(pt - pt.conj().T)) < 1e-12
+    def test_two_factor_cut_matches_one_transpose(self):
+        # Cut {0, 2} of three factors: swap the row and column axes of factors 0 and 2 at once.
+        rho = ch.random_state((2, 3, 2), 4, seed=11)
+        pt = rho.entries.reshape(2, 3, 2, 2, 3, 2).transpose(3, 1, 5, 0, 4, 2).reshape(12, 12)
+        verdict = qmath.is_ppt(rho, {0, 2})
+        assert verdict.min_eigenvalue == np.linalg.eigvalsh(qmath.hermitize(pt)).min()
 
 
 class TestSchmidt:
@@ -361,8 +365,8 @@ class TestSchmidt:
             c * np.kron(dec.left[:, i], dec.right[:, i])
             for i, c in enumerate(dec.coefficients)
         )
-        reordered = qmath.permute_factors_pure(psi, (0, 2, 1))
-        assert np.max(np.abs(rebuilt - reordered.amplitudes)) < 1e-10
+        reordered = psi.amplitudes.reshape(psi.dims).transpose(0, 2, 1).reshape(-1)
+        assert np.max(np.abs(rebuilt - reordered)) < 1e-10
 
 
 class TestValidation:
